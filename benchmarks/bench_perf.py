@@ -1,6 +1,6 @@
 """Perf-regression harness: wall-clock + translations/sec per scenario.
 
-Times three scenarios that exercise the simulator's distinct hot paths
+Times five scenarios that exercise the simulator's distinct hot paths
 and writes ``benchmarks/results/BENCH_perf.json``:
 
 * ``engine_fastpath`` — the batched translation engine alone (streaming
@@ -16,18 +16,6 @@ and writes ``benchmarks/results/BENCH_perf.json``:
   3 RNN-2 tenants saturating the 8-walker IOMMU under the two
   non-trivial QoS regimes, so the weekly gate watches the calendar's
   bulk-retire discipline directly.  Recorded from PR 8 onward.
-* ``quota_hit_phase`` — the quota burn-down planner's target shape
-  isolated: two weighted tenants alternating cold-walk trains with long
-  resident hit stretches, so walker completions come due *inside* the
-  stretches and ``NEUMMU_QUOTA_BATCH`` retires them in closed form.
-  Recorded from PR 9 onward.
-* ``quota_miss_phase`` — the mixed-window miss planner's target shape
-  isolated: two weighted tenants alternating saturated cold-page storms
-  (one transaction per fresh page, shot down between bursts so every
-  pass stays cold), so the issue port lives in the blocked
-  stall/retire/restart chain ``NEUMMU_MISS_BATCH`` retires as whole
-  windows (``plan_window``/``drain_window``).  Recorded from PR 10
-  onward.
 * ``demand_paging`` — one DLRM Figure 16 cell on the 8-walker IOMMU
   plus a 2-tenant paged contention run through the memory-tier
   subsystem (``repro.memory.tiering``): fault handling, migration-fabric
@@ -54,9 +42,10 @@ any scenario sits more than 20% below the normalized expectation
 (gitignored, like every generated benchmark artifact) so local and CI
 runs never dirty the working tree; the copy committed at the repository
 root is PR 10's frozen record (columnar engine + completion calendar +
-quota burn-down + mixed-window planners), regenerated only when a PR
-intentionally moves the needle.  ``NEUMMU_PERF_OUT`` overrides the
-output path.
+the since-removed quota-regime planners, whose two scenarios it still
+lists; ``--check`` only compares the scenarios a run times), regenerated
+only when a PR intentionally moves the needle.  ``NEUMMU_PERF_OUT``
+overrides the output path.
 
 Paired A/B mode (``--paired VAR=a,b [--pairs N] [--only s1,s2]``): times
 each scenario under both values of one environment knob, *interleaved*
@@ -304,127 +293,6 @@ def contended_sweep():
     return time.perf_counter() - started, requests
 
 
-def quota_hit_phase():
-    """The quota burn-down planner's target, isolated.
-
-    Two weighted tenants on the 8-walker IOMMU alternate bursts that
-    saturate the walker pool with cold pages and then hold a single
-    resident page's hit stretch open for hundreds of transactions — so
-    the in-flight walker completions come due *inside* the hit stretch,
-    the hit/retire ping-pong ``NEUMMU_QUOTA_BATCH`` retires in closed
-    form (``plan_hits``/``drain_hits``).  The RNN-driven sweeps barely
-    expose this shape (their hit runs are short and carry one or two
-    dues); this cell pins it so the weekly gate watches the burn-down
-    discipline directly.  Recorded from PR 9 onward.
-    """
-    from dataclasses import replace
-
-    from repro.core.engine import TranslationEngine
-    from repro.core.mmu import MMU, baseline_iommu_config
-    from repro.memory.address import PAGE_SIZE_4K
-    from repro.memory.dram import MainMemory
-    from repro.memory.page_table import PageTable
-    from repro.npu.dma import ColumnarTransactionStream
-
-    base = 0x7F00_0000_0000
-    n_pages = 256
-    config = replace(
-        baseline_iommu_config(), engine_mode="columnar", qos="weighted"
-    )
-    mmu = MMU(config, None)
-    for asid, first_pfn, weight in ((0, 10, 2.0), (5, 500_000, 1.0)):
-        table = PageTable()
-        table.map_range(base, n_pages * PAGE_SIZE_4K, first_pfn=first_pfn)
-        mmu.register_context(asid, table, weight=weight)
-    engine = TranslationEngine(mmu, MainMemory())
-    started = time.perf_counter()
-    cycle = 0.0
-    for burst in range(200):
-        asid = (0, 5)[burst & 1]
-        head = (burst * 60) % (n_pages - 60)
-        pairs = [(base + (head + k) * PAGE_SIZE_4K, 256) for k in range(60)]
-        hot = base + head * PAGE_SIZE_4K
-        pairs.extend((hot + (k % 16) * 256, 256) for k in range(3000))
-        txs = ColumnarTransactionStream.from_pairs(pairs, PAGE_SIZE_4K)
-        engine.run_burst(txs, cycle, asid)
-        # Unmap the burst's window (streaming churn): occupancy stays
-        # bounded below the weighted quota, so the deferred fills remain
-        # admissible and the planner engages on every burst rather than
-        # declining on quota-bound once the TLB fills up.
-        mmu.drain()
-        for k in range(60):
-            mmu.shootdown(base // PAGE_SIZE_4K + head + k, asid)
-        cycle += 1e6
-    mmu.drain()
-    return time.perf_counter() - started, mmu.stats.requests
-
-
-def quota_miss_phase():
-    """The mixed-window miss planner's target, isolated.
-
-    Two weighted tenants on the 8-walker IOMMU alternate saturated
-    cold-page storms: one transaction per fresh page keeps the walker
-    pool full and the issue port fully blocked, so between interaction
-    points the engine lives in the FIFO stall/retire/restart chain that
-    ``NEUMMU_MISS_BATCH`` plans and retires as whole mixed windows
-    (``plan_window``/``drain_window``).  Each burst's pages are shot
-    down afterwards so every pass stays cold (sustained miss phase, no
-    hit stretches).  The quota policy makes every window a *policied*
-    window: the planner must prove it via the pointwise gate or the
-    closed-form quota trajectory, exactly the regime the PR 10 ledger
-    measures.  Recorded from PR 10 onward.
-    """
-    from dataclasses import replace
-
-    from repro.core.engine import TranslationEngine
-    from repro.core.mmu import MMU, baseline_iommu_config
-    from repro.memory.address import PAGE_SIZE_4K
-    from repro.memory.dram import MainMemory
-    from repro.memory.page_table import PageTable
-    from repro.npu.dma import ColumnarTransactionStream
-
-    base = 0x7F00_0000_0000
-    n_pages = 512
-    config = replace(
-        baseline_iommu_config(), engine_mode="columnar", qos="weighted"
-    )
-    mmu = MMU(config, None)
-    for asid, first_pfn, weight in ((0, 10, 2.0), (5, 500_000, 1.0)):
-        table = PageTable()
-        table.map_range(base, n_pages * PAGE_SIZE_4K, first_pfn=first_pfn)
-        mmu.register_context(asid, table, weight=weight)
-    engine = TranslationEngine(mmu, MainMemory())
-    started = time.perf_counter()
-    cycle = 0.0
-    span = 120
-    for rnd in range(150):
-        heads = []
-        for slot, asid in enumerate((0, 5)):
-            head = ((rnd * 2 + slot) * 97) % (n_pages - span)
-            heads.append((asid, head))
-            # Rotate the intra-page offset so consecutive fresh pages
-            # land on distinct DRAM channels (page-aligned 4 KiB strides
-            # alias to one channel and the queueing declines every plan).
-            pairs = [
-                (base + (head + k) * PAGE_SIZE_4K + (k % 16) * 256, 256)
-                for k in range(span)
-            ]
-            txs = ColumnarTransactionStream.from_pairs(pairs, PAGE_SIZE_4K)
-            # The second tenant's burst abuts the first (cycle + 7, the
-            # fuzz harness's spacing): the first tenant's residual
-            # in-flight walks sit at the head of the second's windows,
-            # making them *mixed* — the quota-trajectory regime this
-            # scenario exists to measure.
-            engine.run_burst(txs, cycle + slot * 7, asid)
-        mmu.drain()
-        for asid, head in heads:
-            for k in range(span):
-                mmu.shootdown(base // PAGE_SIZE_4K + head + k, asid)
-        cycle += 1e6
-    mmu.drain()
-    return time.perf_counter() - started, mmu.stats.requests
-
-
 def demand_paging():
     """Demand-paged translation: one Fig. 16 cell + a paged 2-tenant run."""
     from repro.core.mmu import baseline_iommu_config
@@ -461,8 +329,6 @@ SCENARIOS = (
     ("single_tenant", single_tenant),
     ("qos_sweep", qos_sweep),
     ("contended_sweep", contended_sweep),
-    ("quota_hit_phase", quota_hit_phase),
-    ("quota_miss_phase", quota_miss_phase),
     ("demand_paging", demand_paging),
 )
 

@@ -71,13 +71,13 @@ from ..npu.simulator import (
 #: effective engine mode and the tiering/paging configuration — schema-1
 #: keys could serve a ``NEUMMU_ENGINE=reference`` run a cached columnar
 #: result (and knew nothing about demand-paged runs at all).  3: the key
-#: folds in the fast-path environment knobs (``NEUMMU_QUOTA_BATCH``,
-#: ``NEUMMU_CALENDAR``) — results are bit-identical either way, but the
+#: folds in the fast-path environment knobs (``NEUMMU_CALENDAR`` and a
+#: quota-batching knob) — results are bit-identical either way, but the
 #: CI byte-identity smokes that *prove* that would otherwise be served
-#: one mode's cached cells while exercising the other.  4: adds
-#: ``NEUMMU_MISS_BATCH`` (mixed-window miss planner) to the knob set for
-#: the same reason.
-CACHE_SCHEMA = 4
+#: one mode's cached cells while exercising the other.  4: adds a
+#: miss-batching knob for the same reason.  5: both quota-regime planners
+#: and their knobs are gone, so ``NEUMMU_CALENDAR`` is the only knob left.
+CACHE_SCHEMA = 5
 
 
 def _engine_env_knobs() -> Dict[str, bool]:
@@ -85,14 +85,12 @@ def _engine_env_knobs() -> Dict[str, bool]:
 
     Each selects between bit-identical engine paths, so sharing cached
     results across them would be *correct* — but it would silently turn
-    the ``NEUMMU_QUOTA_BATCH=0`` vs ``=1`` (and calendar) byte-identity
-    smokes into cache-hit no-ops.  Keyed separately so a poisoned run of
-    one mode can never mask a divergence in the other.
+    a ``NEUMMU_CALENDAR=0`` vs ``=1`` byte-identity check into cache-hit
+    no-ops.  Keyed separately so a poisoned run of one mode can never
+    mask a divergence in the other.
     """
     return {
-        "quota_batch": os.environ.get("NEUMMU_QUOTA_BATCH", "1") != "0",
         "calendar": os.environ.get("NEUMMU_CALENDAR", "1") != "0",
-        "miss_batch": os.environ.get("NEUMMU_MISS_BATCH", "1") != "0",
     }
 
 

@@ -4,10 +4,12 @@ The columnar path (``MMUConfig.engine_mode="columnar"``) threads a
 structure-of-arrays transaction representation from the DMA through
 TLB/PRMB/engine; the object path (``engine_mode="reference"``) is the
 bit-identical golden reference.  Hypothesis drives random bursts spanning
-multiple ASIDs, page sizes, QoS share policies and injected translation
-faults through both modes and requires identical service order and
-statistics — the same ``BurstResult`` sequences, ``RunSummary``, channel
-state, TLB contents *in LRU order*, PTS counters and PRMB statistics.
+multiple ASIDs, page sizes, QoS share policies, injected translation
+faults and mid-run policy events (finite event horizons, re-weights,
+context teardown) through both modes and requires identical service
+order and statistics — the same ``BurstResult`` sequences,
+``RunSummary``, channel state, TLB contents *in LRU order*, PTS counters
+and PRMB statistics.
 
 Two layers are fuzzed:
 
@@ -33,6 +35,7 @@ from repro.core.mmu import (
     baseline_iommu_config,
     neummu_config,
 )
+from repro.core.qos import WeightedShare
 from repro.memory.address import PAGE_SIZE_2M, PAGE_SIZE_4K
 from repro.memory.dram import MainMemory
 from repro.memory.page_table import PageTable
@@ -68,13 +71,16 @@ def build_table(first_pfn=10):
 # strategies
 # --------------------------------------------------------------------- #
 
-#: One transaction: (page index, 256 B slot, size).  Negative page index
-#: selects an unmapped fault page in the disjoint FAULT_BASE region.
+#: A page index; a negative one selects an unmapped fault page in the
+#: disjoint FAULT_BASE region.
+_page = st.one_of(
+    st.integers(0, N_PAGES - 1),
+    st.integers(-8, -1),
+)
+
+#: One transaction: (page index, 256 B slot, size).
 _tx = st.tuples(
-    st.one_of(
-        st.integers(0, N_PAGES - 1),
-        st.integers(-8, -1),
-    ),
+    _page,
     st.integers(0, (PAGE_SIZE_4K // 256) - 2),
     st.sampled_from([64, 128, 256, 256, 256]),
 )
@@ -87,6 +93,35 @@ _schedule = st.lists(
 )
 
 _qos = st.sampled_from(["full_share", "static_partition", "weighted"])
+
+#: Streaming variant: (page, run length) pairs expanded into back-to-back
+#: 256 B transactions, so resident same-page hit runs are long enough for
+#: a policy event to land inside them.
+_run = st.tuples(_page, st.integers(1, (PAGE_SIZE_4K // 256) - 1))
+
+_run_burst = st.lists(_run, min_size=1, max_size=12).map(
+    lambda runs: [
+        (page, slot, 256) for page, length in runs for slot in range(length)
+    ]
+)
+
+_run_schedule = st.lists(
+    st.tuples(st.sampled_from([0, 5, 9]), _run_burst), min_size=1, max_size=4
+)
+
+
+class PeriodicEventShare(WeightedShare):
+    """Weighted share whose event horizon ticks every ``period`` cycles
+    while its quotas never change: ``next_event_for`` is finite, so both
+    fast runners must end their bulk segments at every tick and consult
+    the policy again there."""
+
+    def __init__(self, period):
+        super().__init__()
+        self._period = float(period)
+
+    def next_event_for(self, asid, cycle):
+        return (cycle // self._period + 1.0) * self._period
 
 
 def materialize(burst):
@@ -166,10 +201,21 @@ class TestColumnarRepresentation:
 # --------------------------------------------------------------------- #
 
 
-def run_mode(mode, config, qos, schedule, page_size):
-    """One full multi-ASID run in ``mode``; returns comparable state."""
+def run_mode(
+    mode, config, qos, schedule, page_size, share_policy=None, epoch_ops=None
+):
+    """One full multi-ASID run in ``mode``; returns comparable state.
+
+    ``share_policy`` builds a fresh policy per run, replacing the built-in
+    one ``qos`` names, so the two modes never share mutated policy state.
+    ``epoch_ops`` maps a schedule index to a policy event applied after
+    that burst: ``("weight", asid, w)`` re-weights a tenant and
+    ``("remove", asid)`` destroys its context mid-run, poisoning its
+    in-flight walks; later bursts of a removed ASID are skipped.
+    """
     cfg = replace(config, engine_mode=mode, qos=qos, page_size=page_size)
-    mmu = MMU(cfg, None)
+    policy = share_policy() if share_policy is not None else None
+    mmu = MMU(cfg, None, share_policy=policy)
     tables = {
         0: build_table(first_pfn=10),
         5: build_table(first_pfn=500_000),
@@ -197,12 +243,21 @@ def run_mode(mode, config, qos, schedule, page_size):
         return cycle + 2500.0
 
     engine.fault_handler = demand_map
+    removed = set()
     results = []
     for i, (asid, burst) in enumerate(schedule):
-        txs = materialize(burst)
-        if mode == "columnar":
-            txs = ColumnarTransactionStream.from_pairs(txs, page_size)
-        results.append(engine.run_burst(txs, float(i * 7), asid))
+        if asid not in removed:
+            txs = materialize(burst)
+            if mode == "columnar":
+                txs = ColumnarTransactionStream.from_pairs(txs, page_size)
+            results.append(engine.run_burst(txs, float(i * 7), asid))
+        op = (epoch_ops or {}).get(i)
+        if op is not None:
+            if op[0] == "weight":
+                mmu.share_policy.set_weight(op[1], op[2])
+            else:
+                mmu.destroy_context(op[1])
+                removed.add(op[1])
     mmu.drain()
     state = {
         "results": results,
@@ -257,6 +312,51 @@ class TestEngineDifferential:
         n_faulting = sum(1 for page, _, _ in burst if page < 0)
         if n_faulting:
             assert columnar["summary"].faults > 0
+
+
+class TestPolicyEvents:
+    """Policy events both fast runners must honour mid-run.  The reference
+    path consults the policy on every transaction, so it is the oracle
+    for finite event horizons, re-weights and context teardown alike."""
+
+    @pytest.mark.parametrize(
+        "config", FUZZ_CONFIGS, ids=lambda c: c.name
+    )
+    @given(
+        schedule=_run_schedule,
+        period=st.sampled_from([64.0, 97.5, 4096.0]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_finite_event_horizon(self, config, schedule, period):
+        def policy():
+            return PeriodicEventShare(period)
+
+        columnar = run_mode(
+            "columnar", config, "weighted", schedule, PAGE_SIZE_4K,
+            share_policy=policy,
+        )
+        reference = run_mode(
+            "reference", config, "weighted", schedule, PAGE_SIZE_4K,
+            share_policy=policy,
+        )
+        assert columnar == reference
+
+    @pytest.mark.parametrize(
+        "config", FUZZ_CONFIGS, ids=lambda c: c.name
+    )
+    @given(schedule=_run_schedule, qos=_qos)
+    @settings(max_examples=15, deadline=None)
+    def test_epoch_bumps(self, config, schedule, qos):
+        """Re-weight ASID 5 after the first burst, destroy ASID 9 after
+        the second."""
+        ops = {0: ("weight", 5, 3.0), 1: ("remove", 9)}
+        columnar = run_mode(
+            "columnar", config, qos, schedule, PAGE_SIZE_4K, epoch_ops=ops
+        )
+        reference = run_mode(
+            "reference", config, qos, schedule, PAGE_SIZE_4K, epoch_ops=ops
+        )
+        assert columnar == reference
 
 
 # --------------------------------------------------------------------- #
