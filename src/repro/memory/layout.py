@@ -8,16 +8,23 @@ extents, which is precisely why a single tile fetch invokes thousands of
 translations (Section III-C).
 
 :class:`TensorLayout` captures a row-major tensor placed at a virtual base
-address and converts tile coordinates into :class:`~repro.memory.address.Extent`
-lists.
+address and converts tile coordinates into :class:`TileExtents`, a column
+of run VAs that reads as a sequence of
+:class:`~repro.memory.address.Extent` objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple, Union, overload
+
+import numpy as np
+import numpy.typing as npt
 
 from .address import AddressError, Extent
+
+#: Largest VA a :class:`TileExtents` column can hold.
+_INT64_MAX = (1 << 63) - 1
 
 
 def _row_major_strides(shape: Sequence[int], elem_bytes: int) -> Tuple[int, ...]:
@@ -26,6 +33,42 @@ def _row_major_strides(shape: Sequence[int], elem_bytes: int) -> Tuple[int, ...]
     for i in range(len(shape) - 2, -1, -1):
         strides[i] = strides[i + 1] * shape[i + 1]
     return tuple(strides)
+
+
+class TileExtents(Sequence[Extent]):
+    """A tile's row decomposition: ascending run VAs and one run length.
+
+    ``vas`` holds the base VA of every contiguous run as an int64 column,
+    in row-major (ascending) order; every run is ``length`` bytes and the
+    runs are disjoint.  Consumers that need only page or VA bounds read
+    the column (:func:`repro.npu.dma.distinct_pages`).  ``len``, indexing
+    and iteration yield the same :class:`Extent` objects, in the same
+    order, as a per-row list would hold.
+    """
+
+    __slots__ = ("vas", "length")
+
+    def __init__(self, vas: npt.NDArray[np.int64], length: int) -> None:
+        self.vas = vas
+        self.length = length
+
+    def __len__(self) -> int:
+        return int(self.vas.shape[0])
+
+    @overload
+    def __getitem__(self, index: int) -> Extent: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> List[Extent]: ...
+
+    def __getitem__(self, index: Union[int, slice]) -> Union[Extent, List[Extent]]:
+        if isinstance(index, slice):
+            return [Extent(va, self.length) for va in self.vas[index].tolist()]
+        return Extent(int(self.vas[index]), self.length)
+
+    def __iter__(self) -> Iterator[Extent]:
+        length = self.length
+        return (Extent(va, length) for va in self.vas.tolist())
 
 
 @dataclass(frozen=True)
@@ -94,7 +137,7 @@ class TensorLayout:
 
     def tile_extents(
         self, starts: Sequence[int], sizes: Sequence[int]
-    ) -> List[Extent]:
+    ) -> TileExtents:
         """Decompose a rectangular tile into contiguous linear extents.
 
         The tile covers ``[starts[d], starts[d] + sizes[d])`` in each
@@ -102,9 +145,14 @@ class TensorLayout:
         coalesced into the contiguous run, so e.g. a tile that spans full
         rows of a 2-D tensor yields a single extent.
 
-        Returns extents in ascending-VA (row-major iteration) order, which
-        is also the order the DMA streams them — giving the streaming VA
-        pattern of Figure 14.
+        Returns a :class:`TileExtents`: the run base VAs as one int64
+        column in ascending-VA (row-major iteration) order, which is also
+        the order the DMA streams them — giving the streaming VA pattern
+        of Figure 14 — plus the runs' common length.  Its ``len``,
+        indexing and iteration yield :class:`Extent` objects.
+
+        Raises :class:`AddressError` for an out-of-bounds tile, a negative
+        run VA, or a tensor whose :attr:`end_va` does not fit in int64.
         """
         ndim = len(self.shape)
         if len(starts) != ndim or len(sizes) != ndim:
@@ -135,22 +183,23 @@ class TensorLayout:
 
         strides = self.strides
         run_bytes = sizes[contig_from] * strides[contig_from]
-        # Dims at/after contig_from contribute a fixed offset (dims beyond
-        # contig_from are fully covered from 0, so only contig_from matters).
-        run_start = self.base_va + starts[contig_from] * strides[contig_from]
-
-        extents: List[Extent] = []
-
-        def recurse(dim: int, va: int) -> None:
-            if dim == contig_from:
-                extents.append(Extent(va, run_bytes))
-                return
-            base = va + starts[dim] * strides[dim]
-            for i in range(sizes[dim]):
-                recurse(dim + 1, base + i * strides[dim])
-
-        recurse(0, run_start)
-        return extents
+        # The first run is the lowest: every later one adds non-negative
+        # row offsets, so one sign check covers the whole column.
+        first_va = self.base_va + sum(
+            starts[d] * strides[d] for d in range(contig_from + 1)
+        )
+        if first_va < 0:
+            raise AddressError(f"negative extent base {first_va:#x}")
+        if self.end_va > _INT64_MAX:
+            raise AddressError(
+                f"tensor {self.name!r} ends at {self.end_va:#x}, "
+                f"beyond the int64 VA column"
+            )
+        vas = np.array([first_va], dtype=np.int64)
+        for d in range(contig_from):
+            rows = np.arange(sizes[d], dtype=np.int64) * strides[d]
+            vas = np.add.outer(vas, rows).ravel()
+        return TileExtents(vas, run_bytes)
 
     def full_extents(self) -> List[Extent]:
         """The whole tensor as a single extent."""

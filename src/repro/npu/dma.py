@@ -20,8 +20,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..memory.address import PAGE_SIZE_4K, Extent, page_number
-from ..memory.layout import TensorLayout
+from ..memory.address import PAGE_SIZE_4K, Extent, page_number, page_offset_bits
+from ..memory.layout import TensorLayout, TileExtents
 from .config import NPUConfig
 
 #: One DMA transaction: (virtual address, size in bytes).
@@ -61,8 +61,12 @@ class FetchSpec:
         """
         return (self.tensor, self.layout.shape, self.sizes)
 
-    def extents(self) -> List[Extent]:
-        """Contiguous linear extents of the tile (ascending VA)."""
+    def extents(self) -> TileExtents:
+        """Contiguous linear extents of the tile (ascending VA).
+
+        A :class:`~repro.memory.layout.TileExtents` column view; it reads
+        as a sequence of :class:`~repro.memory.address.Extent` objects.
+        """
         return self.layout.tile_extents(self.starts, self.sizes)
 
 
@@ -463,9 +467,24 @@ def distinct_pages(
 ) -> int:
     """Exact count of distinct pages touched by ``extents``.
 
-    Extents are sorted by VA and page runs are merged across adjacent
-    extents, so overlapping or page-sharing rows are not double-counted.
+    A :class:`~repro.memory.layout.TileExtents` (what
+    :meth:`FetchSpec.extents` returns) is counted in closed form over its
+    VA column.  Its runs are ascending and disjoint, so a run shares at
+    most one page with the runs before it: its first page, exactly when
+    that is the previous run's last page.  The count is therefore
+    ``sum(last - first + 1) - #{i : first[i] == last[i - 1]}``.
+
+    Any other extent list is sorted by VA and page runs are merged across
+    adjacent extents, so overlapping or page-sharing rows are not
+    double-counted.
     """
+    if isinstance(extents, TileExtents):
+        bits = page_offset_bits(page_size)
+        vas = extents.vas
+        first = vas >> bits
+        last = (vas + (extents.length - 1)) >> bits
+        shared = int(np.count_nonzero(first[1:] == last[:-1]))
+        return int((last - first).sum()) + len(extents) - shared
     last_counted = -1
     total = 0
     for ext in sorted(extents, key=lambda e: e.va):

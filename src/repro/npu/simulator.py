@@ -551,8 +551,8 @@ class _TenantRun:
             if sim.trace_va:
                 for fetch in step.fetches:
                     extents = fetch.extents()
-                    lo = min(e.va for e in extents)
-                    hi = max(e.end for e in extents)
+                    lo = int(extents.vas[0])
+                    hi = int(extents.vas[-1]) + extents.length
                     self.va_trace.append((self.step_counter, lo, hi, fetch.tensor))
         mem_end = mem_start + mem_duration
         self.mem_free = mem_start + issue_duration

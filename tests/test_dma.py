@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory.address import PAGE_SIZE_4K, Extent, page_number
+from repro.memory.address import (
+    PAGE_SIZE_2M,
+    PAGE_SIZE_4K,
+    AddressError,
+    Extent,
+    page_number,
+)
 from repro.memory.layout import TensorLayout
 from repro.npu.config import NPUConfig
 from repro.npu.dma import (
@@ -135,6 +141,41 @@ class TestDistinctPages:
                 range(page_number(e.va), page_number(e.end - 1) + 1)
             )
         assert distinct_pages(extents) == len(pages)
+
+    def test_tile_rejects_unsupported_page_size(self):
+        tile = fetch_2d(4, 1024).extents()
+        with pytest.raises(AddressError):
+            distinct_pages(tile, 8192)
+        with pytest.raises(AddressError):
+            distinct_pages(list(tile), 8192)
+
+    @given(
+        st.sampled_from([PAGE_SIZE_4K, PAGE_SIZE_2M]),
+        st.sampled_from([1, 2, 4]),
+        st.integers(1, 3),
+        st.integers(1, 48),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_tile_column_count_matches_loop(self, page_size, elem, outer, rows, data):
+        # Rows of half a page to three pages, at a misaligned base, so
+        # runs straddle page boundaries and neighbours can share a page.
+        cols = data.draw(st.integers(page_size // 2, 3 * page_size)) // elem
+        col_start = data.draw(st.integers(0, cols - 1))
+        col_size = data.draw(st.integers(1, cols - col_start))
+        outer_start = data.draw(st.integers(0, outer - 1))
+        row_start = data.draw(st.integers(0, rows - 1))
+        base = data.draw(st.integers(0, 8)) * page_size + data.draw(
+            st.integers(0, page_size - 1)
+        )
+        layout = TensorLayout("t", base, (outer, rows, cols), elem)
+        tile = FetchSpec(
+            "ia",
+            layout,
+            (outer_start, row_start, col_start),
+            (outer - outer_start, rows - row_start, col_size),
+        ).extents()
+        assert distinct_pages(tile, page_size) == distinct_pages(list(tile), page_size)
 
 
 class TestPageDivergence:

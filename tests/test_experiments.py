@@ -5,6 +5,9 @@ a trimmed grid and its *shape* assertions (the paper's qualitative claims)
 are checked.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import (
@@ -32,6 +35,9 @@ from repro.sparse.demand_paging import DemandPagingConfig
 B1 = (1,)
 MB = 1024 * 1024
 
+#: Default-grid Figure 6 rows, rendered by the per-row loop decomposition.
+FIG6_DEFAULT_GRID = Path(__file__).with_name("fig6_default_grid.json")
+
 
 @pytest.fixture(scope="module")
 def runner():
@@ -57,12 +63,19 @@ class TestStaticFigures:
 
 
 class TestCharacterization:
-    @pytest.mark.slow
     def test_fig6_divergence_scale(self):
         fig = fig6_page_divergence(batches=B1)
         # Section III-C: multi-MB tiles touch >1K distinct pages.
         assert max(fig.column("max_pages")) > 1000
         assert all(m >= a for m, a in zip(fig.column("max_pages"), fig.column("avg_pages")))
+
+    def test_fig6_default_grid_matches_pinned_rows(self):
+        # Every network at b01/b04/b08.  Only b04/b08 have IA tiles that
+        # loop over several batch rows (CNN-3 splits H under the full
+        # batch), so the b01 grid alone misses that outer level.
+        pinned = json.loads(FIG6_DEFAULT_GRID.read_text())
+        fig = fig6_page_divergence()
+        assert [dict(label=r.label, **r.values) for r in fig.rows] == pinned
 
     def test_fig7_bursts_saturate_issue_port(self):
         fig = fig7_translation_bursts(workloads=("RNN-1",), batch=1)

@@ -5,8 +5,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory.address import AddressError
+from repro.memory.address import PAGE_SIZE_4K, AddressError, Extent
 from repro.memory.layout import TensorLayout, coalesce_extents, extents_total_bytes
+
+
+def reference_tile_extents(layout, starts, sizes):
+    """Per-row loop decomposition of a tile: the reference for the column.
+
+    Bounds are the caller's business; this walks the outer dimensions
+    recursively and emits one :class:`Extent` per contiguous run.
+    """
+    ndim = len(layout.shape)
+    contig_from = ndim
+    while contig_from > 0:
+        d = contig_from - 1
+        if starts[d] == 0 and sizes[d] == layout.shape[d]:
+            contig_from = d
+        else:
+            break
+    if contig_from > 0:
+        contig_from -= 1
+
+    strides = layout.strides
+    run_bytes = sizes[contig_from] * strides[contig_from]
+    run_start = layout.base_va + starts[contig_from] * strides[contig_from]
+
+    extents = []
+
+    def recurse(dim, va):
+        if dim == contig_from:
+            extents.append(Extent(va, run_bytes))
+            return
+        base = va + starts[dim] * strides[dim]
+        for i in range(sizes[dim]):
+            recurse(dim + 1, base + i * strides[dim])
+
+    recurse(0, run_start)
+    return extents
 
 
 def reference_extent_bytes(shape, starts, sizes, elem):
@@ -84,6 +119,55 @@ class TestTileExtents:
             t.tile_extents((0, 7), (1, 2))
         with pytest.raises(AddressError):
             t.tile_extents((0, 0), (0, 1))
+
+    def test_negative_run_va_rejected(self):
+        t = TensorLayout("t", -64, (4, 8), elem_bytes=4)
+        with pytest.raises(AddressError):
+            t.tile_extents((0, 0), (4, 8))
+        with pytest.raises(AddressError):
+            t.tile_extents((1, 2), (2, 3))  # first run at -64 + 32 + 8
+        # Only the runs' VAs must be non-negative, not the tensor base.
+        got = t.tile_extents((2, 1), (2, 3))
+        assert [(e.va, e.length) for e in got] == [(4, 12), (36, 12)]
+
+    def test_end_va_must_fit_int64(self):
+        int64_max = (1 << 63) - 1
+        fits = TensorLayout("t", int64_max - 128, (4, 8), elem_bytes=4)
+        assert fits.end_va == int64_max
+        got = fits.tile_extents((0, 4), (4, 4))
+        assert [(e.va, e.length) for e in got] == [
+            (e.va, e.length)
+            for e in reference_tile_extents(fits, (0, 4), (4, 4))
+        ]
+        too_far = TensorLayout("t", int64_max - 127, (4, 8), elem_bytes=4)
+        with pytest.raises(AddressError):
+            too_far.tile_extents((0, 0), (1, 1))
+
+    def test_view_indexing(self):
+        t = TensorLayout("t", 0, (4, 8), elem_bytes=4)
+        extents = t.tile_extents((0, 2), (4, 3))
+        assert extents
+        assert extents[-1] == Extent(104, 12)
+        assert extents[1:3] == [Extent(40, 12), Extent(72, 12)]
+        with pytest.raises(IndexError):
+            extents[4]
+
+    @given(
+        st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_loop_reference_exactly(self, shape, data):
+        starts = [data.draw(st.integers(0, d - 1)) for d in shape]
+        sizes = [data.draw(st.integers(1, d - s)) for d, s in zip(shape, starts)]
+        elem = data.draw(st.sampled_from([1, 2, 4]))
+        base = data.draw(st.integers(0, 64 * PAGE_SIZE_4K))
+        t = TensorLayout("t", base, tuple(shape), elem_bytes=elem)
+        got = [(e.va, e.length) for e in t.tile_extents(starts, sizes)]
+        want = [
+            (e.va, e.length) for e in reference_tile_extents(t, starts, sizes)
+        ]
+        assert got == want
 
     @given(
         st.lists(st.integers(1, 6), min_size=1, max_size=4),
