@@ -26,7 +26,6 @@ from repro.core.mmu import (
     neummu_config,
     oracle_config,
 )
-from repro.core.walk_info import WalkResolver
 from repro.memory.address import PAGE_SIZE_2M, PAGE_SIZE_4K
 from repro.memory.dram import MainMemory
 from repro.npu.simulator import NPUSimulator
@@ -66,17 +65,15 @@ def _streams(workload_name: str, page_size: int):
     return sim, bursts
 
 
-def _replay(sim, bursts, mmu_config, batched: bool, resolver=None):
+def _replay(sim, bursts, mmu_config, batched: bool):
     """Run the bursts through a fresh engine; returns (seconds, results).
 
-    ``resolver`` optionally substitutes a pre-warmed
-    :class:`~repro.core.walk_info.WalkResolver` so the timed region
-    measures engine steady state rather than first-touch functional page
-    walks (which both paths pay identically).
+    The MMU's walk resolver binds the page table's shared walk memo, so
+    after the first replay over a table the timed region measures engine
+    steady state rather than first-touch functional page walks (which
+    both paths pay identically).
     """
     mmu = MMU(mmu_config, sim.address_space.page_table)
-    if resolver is not None:
-        mmu.replace_resolver(resolver)
     engine = TranslationEngine(mmu, MainMemory())
     engine.batched = batched
     gc.disable()
@@ -103,18 +100,15 @@ def fastpath_sweep(repeats: int = 3) -> FigureResult:
     for workload_name in WORKLOADS:
         for config in CONFIGS:
             sim, bursts = _streams(workload_name, config.page_size)
-            # Warm a shared memoizing walk resolver once (untimed):
-            # first-touch functional walks cost both paths the same and are
-            # not what this benchmark compares.
-            resolver = WalkResolver(
-                sim.address_space.page_table, config.page_size
-            )
-            _replay(sim, bursts, config, True, resolver)
+            # Warm the page table's walk memo once (untimed): first-touch
+            # functional walks cost both paths the same and are not what
+            # this benchmark compares.
+            _replay(sim, bursts, config, True)
             best = {True: math.inf, False: math.inf}
             outcomes = {}
             for _ in range(repeats):
                 for batched in (True, False):
-                    elapsed, outcome = _replay(sim, bursts, config, batched, resolver)
+                    elapsed, outcome = _replay(sim, bursts, config, batched)
                     best[batched] = min(best[batched], elapsed)
                     outcomes.setdefault(batched, outcome)
             assert outcomes[True] == outcomes[False], (

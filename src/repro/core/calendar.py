@@ -193,8 +193,8 @@ class CompletionCalendar:
         in-flight walks), all due completions are retired, the policy
         event horizon is infinite, no walkers are poisoned, and the stall
         accumulators are integral.  Planning mutates nothing except the
-        resolver memo (:meth:`WalkResolver.resolve_vpn` is pure and
-        memoized, so resolving ahead of the reference point is
+        page table's walk memo (:meth:`WalkResolver.resolve_vpn` is pure
+        and memoized, so resolving ahead of the reference point is
         unobservable).
         """
         if not self._static_ok or (sizes is None and not uniform):

@@ -320,16 +320,6 @@ class MMU:
             self.resolver = resolver
         return resolver
 
-    def replace_resolver(self, resolver: WalkResolver, asid: int = 0) -> None:
-        """Swap a registered context's resolver (e.g. for a pre-warmed
-        memoization cache) — the one supported way to write
-        :attr:`resolver`, keeping it in sync with the context table."""
-        if asid not in self._resolvers:
-            raise KeyError(f"no context registered for ASID {asid}")
-        self._resolvers[asid] = resolver
-        if asid == 0:
-            self.resolver = resolver
-
     def resolver_for(self, asid: int = 0) -> WalkResolver:
         """The registered context's walk resolver (KeyError when absent)."""
         try:
@@ -348,17 +338,15 @@ class MMU:
         """Invalidate one page's translation everywhere it can be cached.
 
         The TLB-shootdown primitive of page migration and unmapping: drops
-        the (ASID, VPN) from the TLB hierarchy and the context's memoized
-        walk, so the next access re-walks the (re)mapped page table.  A
-        walk already in flight for the page is *poisoned*: it is removed
-        from the scoreboard immediately (no later request can merge into
-        it) and its eventual completion frees the walker without filling
-        the TLB — while a fresh post-shootdown walk for the same page
-        proceeds normally.  Safe to call for pages that were never cached.
+        the (ASID, VPN) from the TLB hierarchy, so the next access re-walks
+        the (re)mapped page table.  The memoized walk needs no shootdown:
+        the page table dropped it when the mapping changed.  A walk
+        already in flight for the page is *poisoned*: it is removed from
+        the scoreboard immediately (no later request can merge into it)
+        and its eventual completion frees the walker without filling the
+        TLB — while a fresh post-shootdown walk for the same page proceeds
+        normally.  Safe to call for pages that were never cached.
         """
-        resolver = self._resolvers.get(asid)
-        if resolver is not None:
-            resolver.invalidate(vpn)
         if self.tlb is not None:
             self.tlb.invalidate(vpn, asid)
         if self.pts is not None:
@@ -374,7 +362,10 @@ class MMU:
         In-flight walks are poisoned page by page (scoreboard entries
         removed, TLB fills suppressed), so teardown is safe at any time —
         completing a walk for a dead address space can never resurrect its
-        translations, and other contexts' walks are untouched.
+        translations, and other contexts' walks are untouched.  The
+        context's memoized walks stay with its page table, which keeps
+        them in step with its mappings; a context registered later with
+        the same ASID over the same table reuses them.
         """
         if asid not in self._resolvers:
             raise KeyError(f"no context registered for ASID {asid}")

@@ -4,16 +4,22 @@ The timing engine needs, per virtual page, everything a hardware walker
 would discover: how many levels the walk traverses, the virtual L4/L3/L2
 indices (the TPreg/TPC tag, Section IV-C), the physical addresses of the
 entries read at each level (the UPTC tag), and the resulting PFN.
-:class:`WalkResolver` computes these once per page from the functional page
-table and memoizes them, since within a run millions of transactions hit a
-much smaller set of pages.
+:class:`WalkResolver` computes these from the functional page table and
+memoizes them, since millions of transactions hit a much smaller set of
+pages.  The memo belongs to the page table
+(:meth:`~repro.memory.page_table.PageTable.walk_memo`), one per page size
+and ASID, so every MMU over one table — each figure cell, each oracle run,
+each tenant of a shared workload — resolves each page once.  The table
+drops the memoized walks covering every mapping it changes, so a remap or
+a newly mapped page is seen at once and nobody invalidates the memo by
+hand.
 """
 
 from __future__ import annotations
 
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from ..memory.address import PAGE_SIZE_4K, page_offset_bits, split_indices
+from ..memory.address import PAGE_SIZE_4K, page_offset_bits
 from ..memory.page_table import PageFault, PageTable
 
 
@@ -62,7 +68,9 @@ class WalkResolver:
     One resolver serves one address-space context: it wraps that context's
     page table and stamps every :class:`WalkInfo` it produces with the
     context's ``asid``, which is how walk results carry their origin into
-    ASID-tagged shared structures.
+    ASID-tagged shared structures.  Its memo, :attr:`_cache`, is the
+    table's memo for (``page_size``, ``asid``), shared with every other
+    resolver of that context over the same table.
     """
 
     def __init__(
@@ -72,24 +80,22 @@ class WalkResolver:
         self.page_size = page_size
         self.asid = asid
         self._offset_bits = page_offset_bits(page_size)
-        self._cache: Dict[int, Optional[WalkInfo]] = {}
+        self._cache: Dict[int, Optional[WalkInfo]] = page_table.walk_memo(
+            page_size, asid
+        )
 
     def resolve_vpn(self, vpn: int) -> Optional[WalkInfo]:
         """Resolve a virtual page number; None means the walk page-faults."""
         cached = self._cache.get(vpn, _SENTINEL)
         if cached is not _SENTINEL:
             return cached
-        va = vpn << self._offset_bits
         try:
-            pfn, page_size, levels, entry_pas = self.page_table.resolve(va)
+            pfn, page_size, levels, entry_pas, path = self.page_table.resolve(
+                vpn << self._offset_bits
+            )
         except PageFault:
             self._cache[vpn] = None
             return None
-        l4, l3, l2, _ = split_indices(va)
-        if page_size == PAGE_SIZE_4K:
-            path: Tuple[int, ...] = (l4, l3, l2)
-        else:
-            path = (l4, l3)
         info = WalkInfo(
             vpn=vpn,
             pfn=pfn,
@@ -105,14 +111,6 @@ class WalkResolver:
     def resolve_va(self, va: int) -> Optional[WalkInfo]:
         """Resolve the page containing ``va``."""
         return self.resolve_vpn(va >> self._offset_bits)
-
-    def invalidate(self, vpn: int) -> None:
-        """Drop a memoized walk (after remapping/migration)."""
-        self._cache.pop(vpn, None)
-
-    def invalidate_all(self) -> None:
-        """Drop every memoized walk."""
-        self._cache.clear()
 
 
 class _Sentinel:

@@ -11,12 +11,16 @@ the allocator so that walks return genuine physical frame numbers, and it
 exposes the per-level node identities needed by the translation-path caches
 (UPTC is tagged by the physical address of each entry; TPC/TPreg by the
 virtual L4/L3/L2 indices — Section IV-C).
+
+The table also owns the timing engine's walk memos (:meth:`PageTable.walk_memo`),
+one per (page size, ASID), so every MMU over one table resolves each page
+once; the mapping mutators keep the memos in step with the mappings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterator, NamedTuple, Tuple
 
 from .address import (
     ENTRIES_PER_NODE,
@@ -24,7 +28,7 @@ from .address import (
     PAGE_SIZE_4K,
     PAGE_TABLE_LEVELS,
     AddressError,
-    page_number,
+    page_offset_bits,
     split_indices,
 )
 
@@ -73,14 +77,24 @@ class WalkResult:
 
 
 class _Node:
-    """One 512-entry page-table node."""
+    """One 512-entry page-table node.
 
-    __slots__ = ("pa", "entries")
+    ``path`` holds the radix indices that select this node from the root,
+    outermost first, and ``entry_pas`` the physical addresses of the
+    entries a walk reads on its way here.  Both are fixed when the node
+    is created, and every walk that ends in this node shares them.
+    """
 
-    def __init__(self, pa: int) -> None:
+    __slots__ = ("pa", "entries", "path", "entry_pas")
+
+    def __init__(
+        self, pa: int, path: Tuple[int, ...], entry_pas: Tuple[int, ...]
+    ) -> None:
         self.pa = pa
         # index -> child _Node (interior) or leaf payload.
         self.entries: Dict[int, object] = {}
+        self.path = path
+        self.entry_pas = entry_pas
 
 
 class _Leaf(NamedTuple):
@@ -99,18 +113,26 @@ class PageTable:
     """
 
     def __init__(self, node_region_base: int = 0x1_0000_0000) -> None:
-        self._node_pa_cursor = node_region_base
-        self._root = self._new_node()
+        self._root = _Node(node_region_base, (), ())
+        # Each node occupies one 4 KB frame (512 entries x 8 bytes).
+        self._node_pa_cursor = node_region_base + PAGE_SIZE_4K
         self._mapped_bytes = 0
+        #: Walk memos keyed by (page offset bits, ASID); see :meth:`walk_memo`.
+        self._memos: Dict[Tuple[int, int], Dict[int, Any]] = {}
 
     # ------------------------------------------------------------------ #
     # construction                                                       #
     # ------------------------------------------------------------------ #
 
-    def _new_node(self) -> _Node:
-        node = _Node(self._node_pa_cursor)
-        # Each node occupies one 4 KB frame (512 entries x 8 bytes).
+    def _new_child(self, parent: _Node, index: int) -> _Node:
+        """Create the interior node ``parent.entries[index]`` points to."""
+        node = _Node(
+            self._node_pa_cursor,
+            parent.path + (index,),
+            parent.entry_pas + (parent.pa + 8 * index,),
+        )
         self._node_pa_cursor += PAGE_SIZE_4K
+        parent.entries[index] = node
         return node
 
     def map_page(self, va: int, pfn: int, page_size: int = PAGE_SIZE_4K) -> None:
@@ -136,8 +158,7 @@ class PageTable:
             idx = indices[PAGE_TABLE_LEVELS - level]
             child = node.entries.get(idx)
             if child is None:
-                child = self._new_node()
-                node.entries[idx] = child
+                child = self._new_child(node, idx)
             elif isinstance(child, _Leaf):
                 raise AddressError(
                     f"VA 0x{va:x}: level L{level} already holds a large-page leaf"
@@ -147,6 +168,8 @@ class PageTable:
         if leaf_idx not in node.entries:
             self._mapped_bytes += page_size
         node.entries[leaf_idx] = _Leaf(pfn=pfn, page_size=page_size)
+        if self._memos:
+            self._forget(va & -page_size, page_size)
 
     def map_range(
         self, va: int, length: int, first_pfn: int, page_size: int = PAGE_SIZE_4K
@@ -158,6 +181,10 @@ class PageTable:
             raise AddressError(f"range base 0x{va:x} not {page_size}-byte aligned")
         n_pages = (length + page_size - 1) // page_size
         if page_size == PAGE_SIZE_4K:
+            # Dropped up front, so a range that fails part-way leaves no
+            # memoized walk of its already-installed pages behind.
+            if self._memos and n_pages:
+                self._forget(va, n_pages * PAGE_SIZE_4K)
             # Bulk fast path: descend to each L1 node once and install its
             # (up to 512) consecutive leaves in a tight loop, instead of a
             # full root-to-leaf descent per page.  Same leaves, same
@@ -170,8 +197,7 @@ class PageTable:
                 for idx in (l4, l3, l2):
                     child = node.entries.get(idx)
                     if child is None:
-                        child = self._new_node()
-                        node.entries[idx] = child
+                        child = self._new_child(node, idx)
                     elif isinstance(child, _Leaf):
                         raise AddressError(
                             f"VA 0x{page_va:x}: level already holds a "
@@ -204,9 +230,40 @@ class PageTable:
                 return
             node = child
         leaf_idx = indices[PAGE_TABLE_LEVELS - leaf_level]
-        if isinstance(node.entries.get(leaf_idx), _Leaf):
+        leaf = node.entries.get(leaf_idx)
+        if isinstance(leaf, _Leaf):
             del node.entries[leaf_idx]
             self._mapped_bytes -= page_size
+            if self._memos:
+                self._forget(va & -leaf.page_size, leaf.page_size)
+
+    # ------------------------------------------------------------------ #
+    # walk memos                                                         #
+    # ------------------------------------------------------------------ #
+
+    def walk_memo(self, page_size: int, asid: int = 0) -> Dict[int, Any]:
+        """The walk memo every resolver of (``page_size``, ``asid``) shares.
+
+        Maps a VPN at ``page_size`` to its resolved walk, or to ``None``
+        for a cached fault; :class:`~repro.core.walk_info.WalkResolver`
+        fills it.  The memo lives as long as the table, and
+        :meth:`map_page`, :meth:`map_range` and :meth:`unmap_page` drop
+        every entry covering the VAs they change.  They edit the dict in
+        place, so a caller holding it sees each change at once.
+        """
+        key = (page_offset_bits(page_size), asid)
+        memo = self._memos.get(key)
+        if memo is None:
+            memo = self._memos[key] = {}
+        return memo
+
+    def _forget(self, va: int, length: int) -> None:
+        """Drop every memoized walk covering ``[va, va + length)``."""
+        last_va = va + length - 1
+        for (bits, _asid), memo in self._memos.items():
+            if memo:
+                for vpn in range(va >> bits, (last_va >> bits) + 1):
+                    memo.pop(vpn, None)
 
     # ------------------------------------------------------------------ #
     # walking                                                            #
@@ -231,27 +288,38 @@ class PageTable:
             node = entry  # type: ignore[assignment]
         raise AddressError(f"walk for VA 0x{va:x} descended past L1")
 
-    def resolve(self, va: int) -> Tuple[int, int, int, Tuple[int, ...]]:
-        """Lean walk: ``(pfn, page_size, levels_accessed, entry_pas)``.
+    def resolve(
+        self, va: int
+    ) -> Tuple[int, int, int, Tuple[int, ...], Tuple[int, ...]]:
+        """Lean walk: ``(pfn, page_size, levels_accessed, entry_pas, path)``.
 
         Same traversal and fault behaviour as :meth:`walk`, returning the
         exact fields the timing engine's :class:`~repro.core.walk_info.WalkResolver`
-        consumes without materializing per-level :class:`WalkStep` records
-        — resolvers walk every distinct page of every context, so the
-        object churn is measurable at workload scale.
+        consumes without materializing per-level :class:`WalkStep` records.
+        ``path`` is the leaf node's radix indices from the root — the
+        TPreg/TPC tag, ``(l4, l3, l2)`` for a 4 KB page and ``(l4, l3)``
+        for a 2 MB one — and is shared with every page of that node, as
+        is the prefix of ``entry_pas``.  Resolvers memoize every answer
+        (:meth:`walk_memo`), so each page is walked once per table, page
+        size and ASID.
         """
-        indices = split_indices(va)
         node = self._root
-        entry_pas = []
-        for level in range(PAGE_TABLE_LEVELS, 0, -1):
-            idx = indices[PAGE_TABLE_LEVELS - level]
-            entry_pas.append(node.pa + 8 * idx)
+        level = PAGE_TABLE_LEVELS
+        for idx in split_indices(va):
             entry = node.entries.get(idx)
             if entry is None:
                 raise PageFault(va, level)
             if type(entry) is _Leaf:
-                return entry.pfn, entry.page_size, len(entry_pas), tuple(entry_pas)
-            node = entry
+                path = node.path
+                return (
+                    entry.pfn,
+                    entry.page_size,
+                    len(path) + 1,
+                    node.entry_pas + (node.pa + 8 * idx,),
+                    path,
+                )
+            node = entry  # type: ignore[assignment]
+            level -= 1
         raise AddressError(f"walk for VA 0x{va:x} descended past L1")
 
     def translate(self, va: int) -> int:

@@ -448,9 +448,10 @@ class LocalMemoryTier:
         page_size = self.page_size
         base = vpn << self._vpn_shift
         tenant.space.touch(base, page_size)
-        # The migrated page now maps to a *new* local frame: shoot down
-        # every cached translation (memoized walk + TLB hierarchy + PTS)
-        # so no path can ever serve the stale remote PFN.
+        # The migrated page now maps to a *new* local frame.  The page
+        # table dropped its memoized walks of the page when ``touch``
+        # mapped it; shoot down the TLB hierarchy and PTS too, so no
+        # path can ever serve the stale remote PFN.
         mmu.shootdown(vpn, asid)
 
         resolved = self.fabric.migrate(asid, page_size, cycle + self.fault_overhead_cycles)

@@ -172,7 +172,6 @@ class TestFaultHandling:
         def handler(vpn, cycle, asid):
             va = vpn << 12
             table.map_page(va, pfn=999)
-            mmu.resolver.invalidate(vpn)
             handled.append((vpn, asid))
             return cycle + 1000.0  # migration cost
 
@@ -193,7 +192,6 @@ class TestFaultHandling:
 
         def handler(vpn, cycle, asid):
             table.map_page(vpn << 12, pfn=999)
-            mmu.resolver.invalidate(vpn)
             return cycle + 1000.0
 
         engine = TranslationEngine(mmu, MainMemory(), fault_handler=handler)
