@@ -11,6 +11,12 @@ mode, the fidelity mode, the warmup count, the compute model and (for
 demand-paged runs) the tiering configuration and memory budgets.
 Re-running a sweep with a warm cache costs milliseconds.
 
+Each runner also answers every distinct request once: an in-memory memo
+under the same key serves repeats within a batch and across calls, and a
+walker-count sweep stops simulating once one count never stalls for a
+walker (see :func:`_run_group`).  The memo lives on the runner, never at
+module level, so a fresh runner always simulates.
+
 Two request kinds share one dispatch path and one cache:
 
 * :class:`RunRequest` — a single-tenant grid point (one workload, one
@@ -36,14 +42,16 @@ it, so ``jobs=N`` produces results identical to the serial path —
 ``tests/test_parallel.py`` locks this in.
 
 Profiling: when ``NEUMMU_PROFILE_DIR`` is set, every worker execution
-runs under :mod:`cProfile` and dumps ``worker-<pid>-<seq>.pstats`` into
-that directory; ``neummu ... --profile --jobs N`` sets it and aggregates
-the worker dumps into the printed hot-spot table (child-process work used
-to vanish from the profile entirely).
+(one dispatched group) runs under :mod:`cProfile` and dumps
+``worker-<pid>-<seq>.pstats`` into that directory; ``neummu ... --profile
+--jobs N`` sets it and aggregates the worker dumps into the printed
+hot-spot table (child-process work used to vanish from the profile
+entirely).
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import json
@@ -51,7 +59,7 @@ import os
 import pickle
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -326,8 +334,8 @@ def _profiled(fn: Callable, payload: Tuple):
 
     With ``NEUMMU_PROFILE_DIR`` set, the execution runs under
     :mod:`cProfile` and the stats land in that directory as
-    ``worker-<pid>-<seq>.pstats`` — one dump per simulated grid point, so
-    the parent's ``--profile`` aggregation sees child-process work.
+    ``worker-<pid>-<seq>.pstats`` — one dump per dispatched group, so the
+    parent's ``--profile`` aggregation sees child-process work.
     """
     profile_dir = os.environ.get("NEUMMU_PROFILE_DIR")
     if not profile_dir:
@@ -395,9 +403,33 @@ def _run_single(payload: Tuple) -> RunResult:
     return sim.run()
 
 
-def _execute(payload: Tuple) -> RunResult:
-    """Worker entry point: run one simulation (must stay module-level)."""
-    return _profiled(_run_single, payload)
+def _run_group(payloads: Sequence[Tuple]) -> Tuple[List[RunResult], int]:
+    """Run one dispatch group; returns its results and how many simulated.
+
+    A group of several requests is one walker-count sweep in ascending
+    order (see :meth:`ParallelRunner._sweep_key`).  A run with no stall
+    event never found the walker pool's free stack empty, and that LIFO
+    stack keeps a larger pool's extra walkers beneath the ones in use, so
+    every larger count pops the same walkers at the same cycles.  Its
+    result is therefore a copy relabelled with the larger count's config
+    name.
+    """
+    results: List[RunResult] = []
+    simulated = 0
+    for payload in payloads:
+        if results and results[-1].mmu_summary.stall_events == 0:
+            reused = copy.deepcopy(results[-1])
+            reused.mmu_name = payload[1].name  # payload[1]: the MMUConfig
+            results.append(reused)
+        else:
+            results.append(_run_single(payload))
+            simulated += 1
+    return results, simulated
+
+
+def _execute(payloads: Sequence[Tuple]) -> Tuple[List[RunResult], int]:
+    """Worker entry point: run one dispatch group (must stay module-level)."""
+    return _profiled(_run_group, payloads)
 
 
 def _run_tenants(payload: Tuple) -> TenantRunOutcome:
@@ -431,9 +463,9 @@ def _run_tenants(payload: Tuple) -> TenantRunOutcome:
     return TenantRunOutcome(result=result, paging=paging)
 
 
-def _execute_tenants(payload: Tuple) -> TenantRunOutcome:
-    """Worker entry point for multi-tenant cells (must stay module-level)."""
-    return _profiled(_run_tenants, payload)
+def _execute_tenants(payload: Tuple) -> Tuple[List[TenantRunOutcome], int]:
+    """Worker entry point for one multi-tenant cell (must stay module-level)."""
+    return [_profiled(_run_tenants, payload)], 1
 
 
 class ParallelRunner:
@@ -443,6 +475,10 @@ class ParallelRunner:
     still consults the cache; results are identical either way.  With
     ``cache_dir`` unset, no on-disk caching happens.  Batches may mix
     :class:`RunRequest` and :class:`TenantRunRequest` freely.
+
+    Every result is memoized in memory for the runner's lifetime and
+    shared by later requests for the same key, so results must be
+    treated as immutable.
     """
 
     def __init__(
@@ -462,8 +498,16 @@ class ParallelRunner:
         self.fidelity = fidelity
         self.warmup = warmup
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
-        #: Grid points actually simulated (cache misses) since construction.
+        #: ``key -> (request, result)`` for every answered request.  The
+        #: request keeps its factory alive, so a ``repr``-keyed factory's
+        #: address cannot be reused by another while its entry exists.
+        self._memo: Dict[str, Tuple[AnyRequest, object]] = {}
+        #: Simulations actually run since construction.
         self.simulated = 0
+        #: Results answered by a stall-free run at a smaller walker count.
+        self.reused = 0
+        #: Results taken from the memo or the on-disk cache.
+        self.served = 0
 
     # ------------------------------------------------------------------ #
 
@@ -489,6 +533,48 @@ class ParallelRunner:
             memory_budget=request.memory_budget,
         )
 
+    def _sweep_key(self, request: AnyRequest) -> Optional[str]:
+        """Key shared by the requests one walker-count sweep answers.
+
+        ``None`` when the request is outside the certificate of
+        :func:`_run_group`, which holds only where the walker count is
+        read solely to find a free walker: full sharing (QoS quotas scale
+        with the count), no prefetcher (it keeps walkers in reserve), no
+        path cache, no oracle and no demand paging.
+        """
+        if not isinstance(request, RunRequest):
+            return None
+        config = request.mmu_config
+        if (
+            config.oracle
+            or config.qos != "full_share"
+            or config.prefetch_depth
+            or config.path_cache != "none"
+            or request.tiering is not None
+            or request.memory_budget is not None
+        ):
+            return None
+        return self.key_of(
+            replace(request, mmu_config=replace(config, name="", n_walkers=1))
+        )
+
+    def _groups(
+        self, requests: Sequence[AnyRequest], pending: Sequence[int]
+    ) -> List[List[int]]:
+        """Split pending request indices into dispatch groups.
+
+        Requests that share a :meth:`_sweep_key` form one group in
+        ascending walker order; every other request is a group of one.
+        """
+        groups: Dict[object, List[int]] = {}
+        for idx in pending:
+            sweep = self._sweep_key(requests[idx])
+            groups.setdefault(idx if sweep is None else sweep, []).append(idx)
+        return [
+            sorted(group, key=lambda i: requests[i].mmu_config.n_walkers)
+            for group in groups.values()
+        ]
+
     def _payload(self, request: AnyRequest) -> Tuple:
         if isinstance(request, TenantRunRequest):
             return (
@@ -509,56 +595,63 @@ class ParallelRunner:
             request.memory_budget,
         )
 
-    @staticmethod
-    def _worker(request: AnyRequest) -> Callable[[Tuple], object]:
-        if isinstance(request, TenantRunRequest):
-            return _execute_tenants
-        return _execute
+    def _task(
+        self, requests: Sequence[AnyRequest], group: Sequence[int]
+    ) -> Tuple[Callable[..., Tuple[List, int]], Tuple]:
+        """Worker entry point and payload for one dispatch group."""
+        first = requests[group[0]]
+        if isinstance(first, TenantRunRequest):
+            return _execute_tenants, self._payload(first)
+        return _execute, tuple(self._payload(requests[idx]) for idx in group)
 
     def run_many(self, requests: Sequence[AnyRequest]) -> List:
         """Run every request; returns results in request order.
 
-        Cached results are returned without simulating; the remainder is
-        sharded across ``jobs`` worker processes (or run inline for
-        ``jobs=1``/single pending requests).  :class:`RunRequest` entries
-        yield :class:`~repro.npu.simulator.RunResult`,
+        Each distinct request is answered once per runner: from the memo,
+        from the disk cache, or by simulating its dispatch group.  Groups
+        run inline for ``jobs=1`` (or a single pending group) and one per
+        worker task otherwise.  :class:`RunRequest` entries yield
+        :class:`~repro.npu.simulator.RunResult`,
         :class:`TenantRunRequest` entries :class:`TenantRunOutcome`.
         """
-        results: List[Optional[object]] = [None] * len(requests)
-        pending: List[Tuple[int, Optional[str]]] = []
-        for idx, request in enumerate(requests):
-            key = self.key_of(request) if self.cache is not None else None
+        keys = [self.key_of(request) for request in requests]
+        pending: Dict[str, int] = {}
+        for idx, key in enumerate(keys):
+            if key in self._memo or key in pending:
+                continue
             cached = self.cache.get(key) if self.cache is not None else None
-            if cached is not None:
-                results[idx] = cached
+            if cached is None:
+                pending[key] = idx
             else:
-                pending.append((idx, key))
+                self._memo[key] = (requests[idx], cached)
 
-        if pending:
-            self.simulated += len(pending)
-            if self.jobs > 1 and len(pending) > 1:
-                with ProcessPoolExecutor(
-                    max_workers=min(self.jobs, len(pending))
-                ) as pool:
-                    futures = [
-                        pool.submit(
-                            self._worker(requests[idx]),
-                            self._payload(requests[idx]),
-                        )
-                        for idx, _ in pending
-                    ]
-                    for (idx, key), future in zip(pending, futures):
-                        results[idx] = future.result()
-                        if self.cache is not None:
-                            self.cache.put(key, results[idx])
-            else:
-                for idx, key in pending:
-                    results[idx] = self._worker(requests[idx])(
-                        self._payload(requests[idx])
-                    )
-                    if self.cache is not None:
-                        self.cache.put(key, results[idx])
-        return results
+        def record(group: Sequence[int], output: Tuple[List, int]) -> None:
+            results, simulated = output
+            self.simulated += simulated
+            self.reused += len(group) - simulated
+            for idx, result in zip(group, results):
+                self._memo[keys[idx]] = (requests[idx], result)
+                if self.cache is not None:
+                    self.cache.put(keys[idx], result)
+
+        groups = self._groups(requests, list(pending.values()))
+        tasks = [self._task(requests, group) for group in groups]
+        if self.jobs > 1 and len(tasks) > 1:
+            with ProcessPoolExecutor(
+                max_workers=min(self.jobs, len(tasks))
+            ) as pool:
+                futures = [pool.submit(fn, payload) for fn, payload in tasks]
+                for group, future in zip(groups, futures):
+                    record(group, future.result())
+        else:
+            for group, (fn, payload) in zip(groups, tasks):
+                record(group, fn(payload))
+        self.served += len(requests) - len(pending)
+        return [self._memo[key][1] for key in keys]
+
+    def counts(self) -> Tuple[int, int, int]:
+        """``(simulated, reused, served)`` since construction."""
+        return self.simulated, self.reused, self.served
 
     def run_one(self, request: RunRequest) -> RunResult:
         """Run a single request through the same cache-aware path."""

@@ -8,6 +8,7 @@ next to the value this reproduction measures.  The CLI exposes it as
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,6 +89,8 @@ def build_report(
 
     ``experiments`` maps experiment names to callables (typically
     :data:`repro.cli.EXPERIMENTS`); only those named by ``claims`` run.
+    ``batches`` reaches the callables whose signature takes it; errors
+    raised by an experiment propagate.
     """
     lines: List[str] = [
         "# NeuMMU reproduction report",
@@ -101,12 +104,9 @@ def build_report(
     for claim in claims:
         func = experiments[claim.experiment]
         if claim.experiment not in results:
-            kwargs = {}
-            if batches is not None:
-                try:
-                    results[claim.experiment] = func(batches=tuple(batches))
-                except TypeError:
-                    results[claim.experiment] = func()
+            takes_batches = "batches" in inspect.signature(func).parameters
+            if batches is not None and takes_batches:
+                results[claim.experiment] = func(batches=tuple(batches))
             else:
                 results[claim.experiment] = func()
         fig = results[claim.experiment]

@@ -1,17 +1,19 @@
-"""Shared experiment plumbing: workload pairs, cached oracle runs, sweeps.
+"""Shared experiment plumbing: workload pairs, oracle normalization, sweeps.
 
 The figure experiments all follow the same skeleton — run the dense suite
-under some MMU configuration and normalize against the oracle — so the
-oracle runs (one per workload × page size) are cached here and reused
-across sweep points.
+under some MMU configuration and normalize against the oracle (one run
+per workload × page size).
 
 Execution routes through :class:`~repro.analysis.parallel.ParallelRunner`:
 the default ``jobs=1`` keeps everything serial and in-process (identical
 to the historical behaviour), while ``jobs=N`` shards grid points across
 worker processes and ``cache_dir`` adds persistent result caching.  The
-batch entry points :meth:`ExperimentRunner.run_many` /
-:meth:`ExperimentRunner.normalized_many` are what the sweep experiments
-use, so a whole figure's grid is in flight at once.
+parallel runner's in-memory memo answers each distinct request once, so
+an oracle shared by sweep points — or by the figures of one command that
+share a runner — is simulated once.  The batch entry points
+:meth:`ExperimentRunner.run_many` / :meth:`ExperimentRunner.normalized_many`
+are what the sweep experiments use, so a whole figure's grid is in flight
+at once.
 """
 
 from __future__ import annotations
@@ -55,11 +57,13 @@ def dense_pairs(batches: Sequence[int] = DENSE_BATCHES) -> List[WorkloadPair]:
 
 @dataclass
 class ExperimentRunner:
-    """Runs workloads under MMU configs with oracle-result caching.
+    """Runs workloads under MMU configs, normalized against the oracle.
 
     ``jobs``/``cache_dir`` configure the underlying
-    :class:`~repro.analysis.parallel.ParallelRunner`; the defaults keep
-    execution serial, uncached and bit-identical to the historical runner.
+    :class:`~repro.analysis.parallel.ParallelRunner`, whose memo answers
+    every repeated request (oracles included) for this runner's lifetime;
+    the defaults keep execution serial, off disk and bit-identical to the
+    historical runner.
     """
 
     npu_config: NPUConfig = field(default_factory=NPUConfig)
@@ -70,7 +74,6 @@ class ExperimentRunner:
     cache_dir: Optional[Path] = None
 
     def __post_init__(self) -> None:
-        self._oracle_cache: Dict[Tuple[str, int, str], RunResult] = {}
         self._parallel = ParallelRunner(
             jobs=self.jobs,
             cache_dir=self.cache_dir,
@@ -93,8 +96,9 @@ class ExperimentRunner:
     ) -> RunResult:
         """One simulation; kwargs forward to :class:`NPUSimulator`.
 
-        Extra simulator kwargs (tracing, timeline windows, ...) bypass the
-        result cache, since the cache key does not cover them.
+        Extra simulator kwargs (tracing, timeline windows, ...) bypass
+        both the memo and the disk cache, since the key does not cover
+        them.
         """
         if kwargs:
             sim = NPUSimulator(
@@ -115,18 +119,14 @@ class ExperimentRunner:
         factory: Callable[[], Workload],
         page_size: int = PAGE_SIZE_4K,
     ) -> RunResult:
-        """Oracle run for ``label``, cached across sweep points.
+        """Oracle run for ``label``, simulated once per runner.
 
-        The cache key includes the factory identity: labels alone are not
-        unique across experiments (dense ``CNN-1/b32`` vs the common-layer
-        study's ``CNN-1/b32`` are different workloads).
+        Repeats are memo hits, which return the stored result.  The key
+        includes the factory identity: labels alone are not unique across
+        experiments (dense ``CNN-1/b32`` vs the common-layer study's
+        ``CNN-1/b32`` are different workloads).
         """
-        key = (label, page_size, factory_token(factory))
-        cached = self._oracle_cache.get(key)
-        if cached is None:
-            cached = self.run(label, factory, oracle_config(page_size))
-            self._oracle_cache[key] = cached
-        return cached
+        return self.run(label, factory, oracle_config(page_size))
 
     def normalized(
         self,
@@ -157,43 +157,39 @@ class ExperimentRunner:
         """Run one multi-tenant grid cell through the cache-aware path."""
         return self._parallel.run_tenants(request)
 
+    def counts(self) -> Tuple[int, int, int]:
+        """``(simulated, reused, served)`` since construction."""
+        return self._parallel.counts()
+
     def normalized_many(
         self, requests: Sequence[RunRequest]
     ) -> List[Tuple[float, RunResult]]:
         """Normalized performance for a batch of grid points.
 
-        The required oracle baselines (one per distinct workload × page
-        size, minus those already cached) join the same batch, so with
-        ``jobs > 1`` oracles and candidates simulate concurrently.
+        One oracle request per distinct workload × page size × factory
+        joins the front of the same batch, so with ``jobs > 1`` oracles
+        and candidates simulate concurrently (and an oracle this runner
+        already ran is a memo hit).
         """
-        oracle_needs: Dict[Tuple[str, int, str], Callable[[], Workload]] = {}
-        for request in requests:
-            key = (
+        oracle_of = [
+            (
                 request.label,
                 request.mmu_config.page_size,
                 factory_token(request.factory),
             )
-            if key not in self._oracle_cache and key not in oracle_needs:
-                oracle_needs[key] = request.factory
-        oracle_requests = [
-            RunRequest(label, factory, oracle_config(page_size))
-            for (label, page_size, _), factory in oracle_needs.items()
+            for request in requests
         ]
-        all_results = self._parallel.run_many(
-            list(oracle_requests) + list(requests)
-        )
-        for cache_key, result in zip(
-            oracle_needs, all_results[: len(oracle_requests)]
-        ):
-            self._oracle_cache[cache_key] = result
-        out: List[Tuple[float, RunResult]] = []
-        for request, result in zip(requests, all_results[len(oracle_requests):]):
-            oracle = self._oracle_cache[
-                (
-                    request.label,
-                    request.mmu_config.page_size,
-                    factory_token(request.factory),
+        oracle_requests: Dict[Tuple[str, int, str], RunRequest] = {}
+        for key, request in zip(oracle_of, requests):
+            if key not in oracle_requests:
+                oracle_requests[key] = RunRequest(
+                    request.label, request.factory, oracle_config(key[1])
                 )
-            ]
-            out.append((oracle.total_cycles / result.total_cycles, result))
-        return out
+        all_results = self._parallel.run_many(
+            list(oracle_requests.values()) + list(requests)
+        )
+        oracles = dict(zip(oracle_requests, all_results))
+        return [
+            (oracles[key].total_cycles / result.total_cycles, result)
+            for key, result in zip(oracle_of, all_results[len(oracles):])
+        ]

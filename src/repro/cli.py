@@ -12,6 +12,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import os
 import sys
@@ -21,6 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from . import analysis
 from .analysis.figures import FigureResult
+from .analysis.runner import ExperimentRunner
 from .core.mmu import (
     ENGINE_MODES,
     baseline_iommu_config,
@@ -76,8 +78,9 @@ def _accepting(keyword: str) -> frozenset:
 _BATCHED = _accepting("batches")
 
 #: Experiments that accept a ``runner`` keyword (and therefore honour
-#: ``--jobs``/``--cache-dir``).  ``spatial`` builds its own runner with a
-#: spatial-array compute model, so it naturally stays absent.
+#: ``--jobs``/``--cache-dir`` and share the command's result memo).
+#: ``spatial`` builds its own runner with a spatial-array compute model,
+#: so it naturally stays absent.
 _RUNNER_AWARE = _accepting("runner")
 
 #: Experiments that accept a ``tenants`` keyword (the shared-MMU study).
@@ -364,9 +367,16 @@ def _run_experiment(
         kwargs["qos"] = qos
     if weights is not None and name in _WEIGHTED:
         kwargs["weights"] = tuple(weights)
+    before = runner.counts() if "runner" in kwargs else None
     started = time.time()
     result = func(**kwargs)
     elapsed = time.time() - started
+    tally = ""
+    if before is not None:
+        simulated, reused, served = (
+            now - then for now, then in zip(runner.counts(), before)
+        )
+        tally = f": {simulated} simulated, {reused} reused, {served} served"
     text = result.render()
     if chart:
         from .analysis.ascii_chart import best_chart
@@ -376,7 +386,7 @@ def _run_experiment(
         except ValueError:
             pass  # nothing numeric to chart
     print(text)
-    print(f"[{name} completed in {elapsed:.1f}s]\n")
+    print(f"[{name} completed in {elapsed:.1f}s{tally}]\n")
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / f"{name}.txt").write_text(text + "\n")
@@ -434,12 +444,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(error, file=sys.stderr)
         return 2
     _apply_engine_flag(args)
-    runner = None
-    if args.jobs != 1 or args.cache_dir is not None:
-        from .analysis.runner import ExperimentRunner
-
-        # One shared runner also shares the oracle cache across experiments.
-        runner = ExperimentRunner(jobs=args.jobs, cache_dir=args.cache_dir)
+    # One runner for the whole command: its memo answers each distinct
+    # simulation once, across every experiment that takes a runner.
+    runner = ExperimentRunner(jobs=args.jobs, cache_dir=args.cache_dir)
     for name in names:
         _run_experiment(
             name,
@@ -526,21 +533,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from .analysis.report import write_report
 
-    experiments = EXPERIMENTS
-    if args.jobs != 1 or args.cache_dir is not None:
-        import functools
-
-        from .analysis.runner import ExperimentRunner
-
-        runner = ExperimentRunner(jobs=args.jobs, cache_dir=args.cache_dir)
-        experiments = {
-            name: (
-                functools.partial(func, runner=runner)
-                if name in _RUNNER_AWARE
-                else func
-            )
-            for name, func in EXPERIMENTS.items()
-        }
+    # One runner shared by every figure, as in ``_cmd_run``.
+    runner = ExperimentRunner(jobs=args.jobs, cache_dir=args.cache_dir)
+    experiments = {
+        name: (
+            functools.partial(func, runner=runner)
+            if name in _RUNNER_AWARE
+            else func
+        )
+        for name, func in EXPERIMENTS.items()
+    }
     path = write_report(args.out, experiments, batches=tuple(args.batches))
     print(f"report written to {path}")
     return 0
@@ -589,11 +591,12 @@ def _profiled(handler, args) -> int:
 
     With ``--jobs`` ≠ 1 the simulations run in worker processes the
     parent's profiler cannot see, so the workers are told (via
-    ``NEUMMU_PROFILE_DIR``) to dump one ``.pstats`` file per simulated
-    grid point and the dumps are folded into the printed table — the
-    aggregate covers parent *and* children.  A pre-set
-    ``NEUMMU_PROFILE_DIR`` is respected (dumps land there, left on disk
-    for manual ``pstats`` inspection, and still join the table).
+    ``NEUMMU_PROFILE_DIR``) to dump one ``.pstats`` file per dispatched
+    group (a walker-count sweep or a single grid point) and the dumps are
+    folded into the printed table — the aggregate covers parent *and*
+    children.  A pre-set ``NEUMMU_PROFILE_DIR`` is respected (dumps land
+    there, left on disk for manual ``pstats`` inspection, and still join
+    the table).
     """
     import cProfile
     import pstats

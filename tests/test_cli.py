@@ -1,5 +1,7 @@
 """Tests for the command-line front end."""
 
+import re
+
 import pytest
 
 from repro.cli import EXPERIMENTS, _build_parser, main
@@ -94,6 +96,40 @@ class TestDispatch:
         out = capsys.readouterr().out
         assert "Baseline NPU configuration" in out
         assert (tmp_path / "table1.txt").exists()
+
+    def test_completion_line_tallies_the_runner(self, capsys, monkeypatch):
+        """``neummu run`` reports what each runner-aware experiment simulated."""
+        from repro.analysis.figures import FigureResult
+        from repro.analysis.parallel import RunRequest
+        from repro.core.mmu import baseline_iommu_config
+        from repro.workloads.cnn import Workload
+        from repro.workloads.layers import DenseLayer
+
+        def tiny():
+            return Workload(
+                name="tiny_fc", batch=1,
+                layers=(DenseLayer("fc", 1, 2048, 1024),),
+            )
+
+        def fig8(batches=None, runner=None):
+            request = RunRequest("tiny", tiny, baseline_iommu_config())
+            runner.normalized_many([request])  # oracle + candidate
+            runner.run_many([request])  # a memo hit
+            fig = FigureResult("fig8", "demo", columns=["value"])
+            fig.add("x", value=1.0)
+            return fig
+
+        monkeypatch.setitem(EXPERIMENTS, "fig8", fig8)
+        assert main(["run", "fig8"]) == 0
+        assert re.search(
+            r"\[fig8 completed in \d+\.\ds: 2 simulated, 0 reused, 1 served\]",
+            capsys.readouterr().out,
+        )
+        assert main(["run", "table1"]) == 0
+        # An experiment that takes no runner keeps the plain line.
+        assert re.search(
+            r"\[table1 completed in \d+\.\ds\]", capsys.readouterr().out
+        )
 
     def test_run_overhead(self, capsys):
         assert main(["run", "overhead"]) == 0

@@ -5,8 +5,9 @@ figure must come out *bit-identical* (exact float equality, not approx)
 whether the transaction core runs the structure-of-arrays fast path or
 the per-object reference path.  Each experiment here runs twice on
 trimmed grids — once per ``NEUMMU_ENGINE`` mode, with a fresh
-:class:`~repro.analysis.runner.ExperimentRunner` per run so neither mode
-reuses the other's oracle normalizations — and the rendered figures are
+:class:`~repro.analysis.runner.ExperimentRunner` per run, so each mode
+starts from a cold result memo and simulates every cell itself (the
+memo key covers the engine mode too) — and the rendered figures are
 compared field for field.
 
 The fast tier covers one figure per engine regime (oracle timeline,

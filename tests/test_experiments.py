@@ -41,7 +41,11 @@ FIG6_DEFAULT_GRID = Path(__file__).with_name("fig6_default_grid.json")
 
 @pytest.fixture(scope="module")
 def runner():
-    """Shared runner so oracle runs are computed once per workload."""
+    """Shared runner: its memo answers each distinct run once per module.
+
+    Oracles and any cell two tests both request are simulated once and
+    then served as the same stored result.
+    """
     return ExperimentRunner()
 
 

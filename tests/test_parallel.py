@@ -101,21 +101,15 @@ class TestParallelMatchesSerial:
         ]
 
     def test_oracle_cache_shared_across_batches(self):
-        from repro.analysis.parallel import factory_token
-
         runner = ExperimentRunner()
         requests = small_grid()
         runner.normalized_many(requests)
-        key = (
-            "tiny",
-            requests[0].mmu_config.page_size,
-            factory_token(requests[0].factory),
-        )
-        assert key in runner._oracle_cache
+        # One oracle for the shared workload, then each candidate once.
+        assert runner._parallel.simulated == 1 + len(requests)
         before = runner._parallel.simulated
         runner.normalized_many(requests[:1])
-        # Only the candidate re-runs; the oracle baseline is reused.
-        assert runner._parallel.simulated == before + 1
+        # The runner's memo answers both the oracle and the candidate.
+        assert runner._parallel.simulated == before
 
     def test_same_label_different_workloads_do_not_collide(self):
         """Regression: dense CNN-1/b32 vs common-layer CNN-1/b32."""
@@ -177,6 +171,54 @@ class TestResultCache:
     def test_rejects_negative_jobs(self):
         with pytest.raises(ValueError):
             ParallelRunner(jobs=-1)
+
+
+class TestMemoScope:
+    """The result memo belongs to one runner, never to the module.
+
+    A shared memo would let perfbench's passes time memo hits instead of
+    simulations, and let the two engine modes of
+    ``tests/test_engine_golden_diff.py`` read each other's results.
+    """
+
+    @pytest.fixture
+    def simulations(self, monkeypatch):
+        from repro.analysis import parallel
+
+        calls = []
+        run_single = parallel._run_single
+
+        def counting(payload):
+            calls.append(payload)
+            return run_single(payload)
+
+        monkeypatch.setattr(parallel, "_run_single", counting)
+        return calls
+
+    def test_each_parallel_runner_simulates(self, simulations):
+        request = small_grid()[0]
+        first, second = ParallelRunner(), ParallelRunner()
+        first.run_one(request)
+        second.run_one(request)
+        assert first.counts() == (1, 0, 0)
+        assert second.counts() == (1, 0, 0)
+        assert len(simulations) == 2
+
+    def test_each_experiment_runner_simulates(self, simulations):
+        request = small_grid()[0]
+        for runner in (ExperimentRunner(), ExperimentRunner()):
+            runner.normalized_many([request])
+            assert runner.counts() == (2, 0, 0)  # oracle + candidate
+        assert len(simulations) == 4
+
+    def test_repeats_are_served_from_the_memo(self, simulations):
+        request = small_grid()[0]
+        runner = ParallelRunner()
+        first, again = runner.run_many([request, request])
+        assert first is again
+        assert runner.run_one(request) is first
+        assert runner.counts() == (1, 0, 2)
+        assert len(simulations) == 1
 
 
 class TestCLIFlags:

@@ -89,6 +89,50 @@ class TestBuildReport:
         build_report({"fig8": fig8}, claims=claims, batches=(1, 8))
         assert seen["batches"] == (1, 8)
 
+    def test_batches_skipped_when_not_accepted(self):
+        def fig8():
+            fig = FigureResult("fig8", "demo", columns=["normalized_perf"])
+            fig.add("x", normalized_perf=0.1)
+            return fig
+
+        claims = (Claim("fig8", "a", lambda f: "1", "one"),)
+        assert "| fig8 | a | 1 | one |" in build_report(
+            {"fig8": fig8}, claims=claims, batches=(1,)
+        )
+
+    def test_figure_errors_propagate(self):
+        """A TypeError inside a figure must not re-run it on its defaults."""
+        calls = []
+
+        def fig8(batches=(1, 4, 8)):
+            calls.append(batches)
+            if batches == (1,):
+                raise TypeError("raised inside the simulation")
+            fig = FigureResult("fig8", "demo", columns=["normalized_perf"])
+            fig.add("x", normalized_perf=0.1)
+            return fig
+
+        claims = (Claim("fig8", "a", lambda f: "1", "one"),)
+        with pytest.raises(TypeError, match="inside the simulation"):
+            build_report({"fig8": fig8}, claims=claims, batches=(1,))
+        assert calls == [(1,)]
+
+    def test_batches_reach_partial_wrappers(self):
+        import functools
+
+        seen = {}
+
+        def fig8(batches=None, runner=None):
+            seen["args"] = (batches, runner)
+            fig = FigureResult("fig8", "demo", columns=["normalized_perf"])
+            fig.add("x", normalized_perf=0.1)
+            return fig
+
+        claims = (Claim("fig8", "a", lambda f: "1", "one"),)
+        wrapped = functools.partial(fig8, runner="shared")
+        build_report({"fig8": wrapped}, claims=claims, batches=(1,))
+        assert seen["args"] == ((1,), "shared")
+
     def test_write_report(self, tmp_path):
         out = write_report(
             tmp_path / "sub" / "report.md", fake_experiments(), claims=CLAIMS
