@@ -79,27 +79,15 @@ from ..npu.simulator import (
 #: effective engine mode and the tiering/paging configuration — schema-1
 #: keys could serve a ``NEUMMU_ENGINE=reference`` run a cached columnar
 #: result (and knew nothing about demand-paged runs at all).  3: the key
-#: folds in the fast-path environment knobs (``NEUMMU_CALENDAR`` and a
+#: folds in the fast-path environment knobs (a calendar knob and a
 #: quota-batching knob) — results are bit-identical either way, but the
 #: CI byte-identity smokes that *prove* that would otherwise be served
 #: one mode's cached cells while exercising the other.  4: adds a
 #: miss-batching knob for the same reason.  5: both quota-regime planners
-#: and their knobs are gone, so ``NEUMMU_CALENDAR`` is the only knob left.
-CACHE_SCHEMA = 5
-
-
-def _engine_env_knobs() -> Dict[str, bool]:
-    """Effective fast-path environment knobs, folded into cache keys.
-
-    Each selects between bit-identical engine paths, so sharing cached
-    results across them would be *correct* — but it would silently turn
-    a ``NEUMMU_CALENDAR=0`` vs ``=1`` byte-identity check into cache-hit
-    no-ops.  Keyed separately so a poisoned run of one mode can never
-    mask a divergence in the other.
-    """
-    return {
-        "calendar": os.environ.get("NEUMMU_CALENDAR", "1") != "0",
-    }
+#: and their knobs are gone.  6: the calendar knob is gone too (the
+#: completion calendar is unconditional), and with it the key's
+#: ``engine_knobs`` field.
+CACHE_SCHEMA = 6
 
 
 @dataclass(frozen=True)
@@ -232,7 +220,6 @@ def request_key(
             "factory": factory_token(factory),
             "mmu": _canonical(mmu_config),
             "engine_mode": mmu_config.engine_mode,
-            "engine_knobs": _engine_env_knobs(),
             "npu": _canonical(npu_config),
             "fidelity": fidelity.value,
             "warmup": warmup,
@@ -269,7 +256,6 @@ def tenant_request_key(
             "factories": [factory_token(f) for f in request.factories],
             "mmu": _canonical(request.mmu_config),
             "engine_mode": request.mmu_config.engine_mode,
-            "engine_knobs": _engine_env_knobs(),
             "npu": _canonical(npu_config),
             "fidelity": fidelity.value,
             "warmup": warmup,

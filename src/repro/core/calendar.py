@@ -2,9 +2,10 @@
 
 The fused FIFO runner (:meth:`TranslationEngine._no_prmb_fifo_runner`)
 already collapses the per-walk ``heappush``/``heappop`` pair into a cursor
-over one sorted snapshot, and advances *within-run* saturated stretches
-one transaction at a time.  This module batches the remaining per-event
-work: in the saturated no-PRMB regime every walk in flight has the same
+over one sorted snapshot, but its loop still takes one stall, one
+retirement and one walk start per transaction in the saturated regime.
+This module batches that per-event work at the runner's calendar gate:
+in the saturated no-PRMB regime every walk in flight has the same
 latency class (``levels * walk_latency_per_level``), so completions are
 FIFO per latency class and the completion sequence is *closed form* —
 retiring the head at ready cycle ``c`` restarts the same walker with
@@ -15,9 +16,9 @@ progressions with common step ``dur``:
 
 A whole stretch of ``m`` transactions (crossing same-page run boundaries)
 can therefore be planned as NumPy int64 columns — ready-cycle, walker-id,
-seq — validated against every interaction point the general loop would
-honour (TLB flips, policy quota exhaustion, event horizons, channel
-queueing, page faults, poisoned walkers), and retired as one bucket.
+seq — validated against every interaction point the runner's loop would
+honour (TLB flips, policy quota exhaustion, channel queueing, page
+faults, poisoned walkers), and retired as one bucket.
 A stretch may retire only a prefix of the window (``m < W``) when the
 miss cluster ends before the in-flight window wraps.
 
@@ -32,9 +33,9 @@ quantity.  The closed form is only entered when the entry cycle and both
 stall accumulators are integral and all planned cycle values are exact
 small integers, so the vectorized int64 arithmetic is exact and the
 stall sums are reassociation-free; any configuration with fractional
-cycle arithmetic falls back to the general loop.  ``tests/test_calendar.py``
-differential-fuzzes the calendar against the per-event path; the
-figure-level golden diffs enforce it end to end.
+cycle arithmetic falls back to the runner's per-event loop.
+``tests/test_calendar.py`` differential-fuzzes the calendar against the
+per-event path; the figure-level golden diffs enforce it end to end.
 
 Retirement discipline
 ---------------------
@@ -190,12 +191,11 @@ class CompletionCalendar:
 
         Caller guarantees: the issue port is blocked at an integral
         ``cycle`` at a fresh page (the PTS probe missed — the page has no
-        in-flight walks), all due completions are retired, the policy
-        event horizon is infinite, no walkers are poisoned, and the stall
-        accumulators are integral.  Planning mutates nothing except the
-        page table's walk memo (:meth:`WalkResolver.resolve_vpn` is pure
-        and memoized, so resolving ahead of the reference point is
-        unobservable).
+        in-flight walks), all due completions are retired, no walkers are
+        poisoned, and the stall accumulators are integral.  Planning
+        mutates nothing except the page table's walk memo
+        (:meth:`WalkResolver.resolve_vpn` is pure and memoized, so
+        resolving ahead of the reference point is unobservable).
         """
         if not self._static_ok or (sizes is None and not uniform):
             return 0
@@ -260,7 +260,7 @@ class CompletionCalendar:
             if walk0 is None:
                 walk0 = r_resolve(vpn)
                 if walk0 is None:
-                    return 0  # faulting lead: the general loop raises it
+                    return 0  # faulting lead: the runner's loop raises it
         levels = walk0.levels
         dur_f = levels * self._walk_latency
         if not float(dur_f).is_integer():
@@ -549,8 +549,8 @@ class CompletionCalendar:
         # TLB inserts: replay the per-event sequence — within one page's
         # transaction span consecutive retirements of the same walk
         # object collapse to one insert (``prev_walk`` dedup), the dedup
-        # resets at each page run's miss-phase entry, and a present
-        # set-MRU same-PFN refill is elided as a state no-op.
+        # resets at each page change, and a present set-MRU same-PFN
+        # refill is elided as a state no-op.
         ri = 0
         n_runs = len(retire_runs)
         for page_index, (pkey, pvpn, pwalk, a, b, pend, pstream) in enumerate(

@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import os
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -462,22 +461,20 @@ class TranslationEngine:
     # ------------------------------------------------------------------ #
 
     def _no_prmb_fifo_runner(self, asid: int) -> NoPrmbRunner:
-        """Build (and cache) the fused FIFO no-PRMB segment runner for one
-        address space.
+        """Build (and cache) the fused FIFO no-PRMB runner for one address
+        space.
 
         Without path caches every walk accesses all of its page depth's
         levels, so walks complete in start order and the completion heap
         is (nearly) a FIFO: the heappush/heappop pair per walk becomes a
-        cursor over one sorted snapshot of the heap.  The saturated
-        baseline-IOMMU regime (Figure 8) then advances analytically.
-        Three things make this the fast path the columnar engine leans
-        on for the contended scenarios:
+        cursor over one sorted snapshot of the heap.  This is the path
+        the columnar engine takes for the baseline IOMMU (Figure 8) and
+        every contended scenario built on it:
 
         * **Closure binding.**  Every stable structure (heap, free list,
           scoreboard, TLB sets, channel table ...) binds once when the
-          runner is built, not once per ~5-transaction segment; per-call
-          setup reduces to the policy block the event-horizon contract
-          requires.
+          runner is built, not once per burst; per-call setup reduces to
+          the snapshot check and the policy quota memo.
         * **Persistent snapshot.**  The sorted heap image survives
           between calls; it is revalidated by an O(1) identity check
           (length + head/tail object identity).  Removals always take
@@ -493,18 +490,21 @@ class TranslationEngine:
           ``(ready, seq, walker)`` key is distinct, so pop order — the
           only observable — is unchanged.
 
-        The inner loop carries a *saturated steady-state* fast path:
-        when the pool is fully busy and the next completion is strictly
-        ahead, each transaction is exactly one stall, one retirement and
-        one (redundant) walk start, so the loop collapses to that
-        sequence with the segment-invariant checks hoisted.  Consecutive
-        retirements of the same walk object collapse to one TLB insert:
-        with nothing interleaved the repeats are bare present-key LRU
-        bumps (stamp renumbering is monotone, so victim choices and
-        final LRU order are preserved).  Counters, probes, retry policy
-        and float accumulation order are the general loop's, operation
-        for operation; ``heap[:]`` is restored from the live suffix on
-        every exit.
+        The runner is one loop; each pass takes exactly one phase, in
+        the reference loop's order: *next page* (same-page run bounds),
+        *retire* (``process_completions`` through the cursor), *hit
+        span* (resident page: bulk hits up to the next completion),
+        *walk start* (one transaction), *calendar gate* (a whole
+        saturated stretch retired by :mod:`repro.core.calendar`) or
+        *stall* (issue port blocked until the FIFO retry point).
+        Consecutive retirements of the same walk object collapse to one
+        TLB insert: with nothing interleaved the repeats are bare
+        present-key LRU bumps (stamp renumbering is monotone, so victim
+        choices and final LRU order are preserved).  A hit moves the
+        page to MRU, so ``prev_walk`` resets on every hit span and every
+        page change.  Counters, probes, retry policy and float
+        accumulation order are the reference's, operation for
+        operation; ``heap[:]`` is restored from the live suffix on exit.
         """
         runner = self._np_runners.get(asid)
         if runner is not None:
@@ -545,25 +545,21 @@ class TranslationEngine:
         run_bounds = _run_bounds
         vpn_shift = mmu._vpn_shift
         tlb_touch = tlb.touch
-        tlb_lookup = tlb.lookup
         tlb_latency = mmu._tlb_latency
         s_cycles = 256 / ch_bw
         stream_ok = n_channels * interval >= s_cycles
         asid_bits = asid << ASID_SHIFT
 
-        # Batched walker-completion calendar (ROADMAP lever (d)): whole
-        # saturated multi-run stretches retire as one planned bucket.
-        # ``NEUMMU_CALENDAR=0`` forces the per-event path (benchmarking
-        # and differential-fuzz granularity); bit-identity either way.
+        # Batched walker-completion calendar: whole saturated multi-run
+        # stretches retire as one planned bucket.
         calendar = CompletionCalendar(mmu, memory, asid, interval)
-        use_calendar = os.environ.get("NEUMMU_CALENDAR", "1") != "0"
 
         # Persistent completion snapshot: ``order[idx:]`` mirrors the heap
         # between calls (see the revalidation check below).
         order: List[Tuple[float, int, int]] = []
         idx = 0
 
-        # Policy block memo, invalidated by ``SharePolicy.version`` (every
+        # Policy quota memo, invalidated by ``SharePolicy.version`` (every
         # quota-changing event bumps it) or a policy swap.  Busy sets are
         # created eagerly so the memoized ``others`` rows track the live
         # sets; an empty set behaves exactly like an absent one at every
@@ -608,24 +604,20 @@ class TranslationEngine:
                 idx = 0
             policy = pool._policy
             policied = policy is not None
-            if policied:
-                if policy is not pol_obj or pol_ver != policy.version:
-                    pol_obj = policy
-                    pol_ver = policy.version
-                    my_quota = walker_quota(asid)
-                    work_conserving = policy.work_conserving
-                    my_busy = busy_by_asid.setdefault(asid, set())
-                    others = [
-                        (oq, busy_by_asid.setdefault(other, set()))
-                        for other in policy.asids
-                        if other != asid
-                        and (oq := walker_quota(other)) is not None
-                    ]
-                next_event = policy.next_event_for
-                horizon = next_event(asid, cycle)
-            else:
-                next_event = None
-                horizon = inf
+            if policied and (
+                policy is not pol_obj or pol_ver != policy.version
+            ):
+                pol_obj = policy
+                pol_ver = policy.version
+                my_quota = walker_quota(asid)
+                work_conserving = policy.work_conserving
+                my_busy = busy_by_asid.setdefault(asid, set())
+                others = [
+                    (oq, busy_by_asid.setdefault(other, set()))
+                    for other in policy.asids
+                    if other != asid
+                    and (oq := walker_quota(other)) is not None
+                ]
             order_append = order.append
             tlb_set = tlb_sets[tkey & tlb_set_mask]
             my_walkers = pts_by_vpn.get(tkey)
@@ -640,7 +632,6 @@ class TranslationEngine:
             dur = 0.0
             levels = 0
             faulted = False
-            blocked = False
             walks_n = 0
             stalls_n = 0
             fresh_walk_n = 0
@@ -652,274 +643,95 @@ class TranslationEngine:
             cal_fails = 0  # consecutive declines this burst (backoff gate)
 
             while True:
-                if tkey in tlb_set:
-                    # ------------- hit phase (page resident) -------------
-                    # Operation-for-operation the caller's leading
-                    # reference step plus its bulk hit segments, with
-                    # ``process_completions`` consumed through the cursor.
-                    prev_walk = None
-                    while i < j:
-                        if tkey not in tlb_set:
-                            break  # a fill evicted the page: walk again
-                        h = order[idx][0] if idx < len(order) else inf
-                        if h <= cycle:
-                            # process_completions(cycle), cursor-inlined
-                            # (no PRMB drains, no path-cache fills).
-                            n_ord = len(order)
-                            while idx < n_ord:
-                                entry = order[idx]
-                                if entry[0] > cycle:
-                                    break
-                                idx += 1
-                                walker = entry[2]
-                                done_walk = walk_of[walker]
-                                vpn_arr[walker] = None
-                                walk_of[walker] = None
-                                if policied:
-                                    busy = busy_by_asid.get(done_walk.asid)
-                                    if busy is not None:
-                                        busy.discard(walker)
-                                free_list.append(walker)
-                                if poisoned and walker in poisoned:
-                                    poisoned.discard(walker)
-                                    continue
-                                dkey = done_walk.vpn | (
-                                    done_walk.asid << ASID_SHIFT
-                                )
-                                registered = pts_by_vpn[dkey]
-                                registered.remove(walker)
-                                if not registered:
-                                    del pts_by_vpn[dkey]
-                                released_n += 1
-                                dset = tlb_sets[dkey & tlb_set_mask]
-                                if not (
-                                    dset
-                                    and next(reversed(dset)) == dkey
-                                    and dset[dkey] == done_walk.pfn
-                                ):
-                                    # A resident set-MRU refill with the
-                                    # same PFN is a state no-op (the LRU
-                                    # bump lands on the tail; mirror
-                                    # order and all same-set stamp
-                                    # orderings are preserved).
-                                    tlb_insert(
-                                        done_walk.vpn, done_walk.pfn,
-                                        done_walk.asid,
-                                    )
-                            continue
-                        if policied:
-                            horizon = next_event(asid, cycle)
-                            if horizon < h:
-                                h = horizon
-                        # simlint: disable=cyc-true-div -- horizon/interval live in the float cycle domain; int() truncation is the reference semantics and // floors differently at float boundaries, breaking bit-identity
-                        t = int((h - cycle) / interval) - 1 if h != inf else n
-                        if t <= 0:
-                            # Horizon-boundary transaction: one reference
-                            # hit (no completion is due at this cycle).
-                            stats.requests += 1
-                            stats.tlb_hits += 1
-                            tlb_lookup(vpn, asid)
-                            ready = cycle + tlb_latency
-                            va = va_list[i]
-                            size = size_list[i]
-                            channel = (va >> 8) % n_channels
-                            free_at = channel_free[channel]
-                            start = ready if ready > free_at else free_at
-                            finish = start + size / ch_bw
-                            channel_free[channel] = finish
-                            done = finish + mem_latency
-                            if done > data_end:
-                                data_end = done
-                            total_bytes += size
-                            cycle += interval
-                            i += 1
-                            continue
-                        span = j - i
-                        if span > t:
-                            span = t
-                        closed = False
-                        va0 = va_list[i]
-                        if (
-                            span >= 8
-                            and run_streamable
-                            and (span <= n_channels or stream_ok)
-                        ):
-                            base_ch = va0 >> 8
-                            lim = span if span < n_channels else n_channels
-                            ok = max(channel_free) <= cycle + tlb_latency
-                            if not ok:
-                                probe = cycle
-                                ok = True
-                                for k in range(lim):
-                                    if channel_free[
-                                        (base_ch + k) % n_channels
-                                    ] > (probe + tlb_latency):
-                                        ok = False
-                                        break
-                                    probe += interval
-                            if ok:
-                                closed = True
-                                for _ in range(span - lim):
-                                    cycle += interval
-                                for k in range(span - lim, span):
-                                    ready = cycle + tlb_latency
-                                    finish = ready + s_cycles
-                                    channel_free[
-                                        (base_ch + k) % n_channels
-                                    ] = finish
-                                    cycle += interval
-                                done = finish + mem_latency
-                                if done > data_end:
-                                    data_end = done
-                                total_bytes += span * 256
-                        if not closed:
-                            for va, size in zip(
-                                va_list[i:i + span], size_list[i:i + span]
-                            ):
-                                ready = cycle + tlb_latency
-                                channel = (va >> 8) % n_channels
-                                free_at = channel_free[channel]
-                                start = ready if ready > free_at else free_at
-                                finish = start + size / ch_bw
-                                channel_free[channel] = finish
-                                done = finish + mem_latency
-                                if done > data_end:
-                                    data_end = done
-                                total_bytes += size
-                                cycle += interval
-                        stats.requests += span
-                        stats.tlb_hits += span
-                        tlb_touch(vpn, span, asid)
-                        i += span
+                if i >= j:
+                    # ---------------- next page ----------------
                     if i >= n:
                         break
-                    if i >= j:
-                        # Next page.
-                        vpn = va_list[i] >> vpn_shift
-                        tkey = vpn | asid_bits
-                        tlb_set = tlb_sets[tkey & tlb_set_mask]
-                        j, run_streamable, rc = run_bounds(
-                            va_list, size_list, i, n, vpn, vpn_shift, meta, rc
-                        )
-                        run_vpn = vpn
-                        run_end = j
-                        walk = None
-                        my_walkers = pts_by_vpn.get(tkey)
-                        continue
-                    # Evicted mid-run: walk the same page again.
+                    vpn = va_list[i] >> vpn_shift
+                    tkey = vpn | asid_bits
+                    tlb_set = tlb_sets[tkey & tlb_set_mask]
+                    j, run_streamable, rc = run_bounds(
+                        va_list, size_list, i, n, vpn, vpn_shift, meta, rc
+                    )
+                    run_vpn = vpn
+                    run_end = j
+                    walk = None
+                    my_walkers = pts_by_vpn.get(tkey)
+                    prev_walk = None
+
+                n_ord = len(order)
+                if idx < n_ord and order[idx][0] <= cycle:
+                    # -------- retire: process_completions(cycle) --------
+                    # Cursor-inlined walk retirement in FIFO order
+                    # (PRMB-less and path-cache-less: nothing to drain or
+                    # fill besides the TLB).
+                    while idx < n_ord:
+                        entry = order[idx]
+                        if entry[0] > cycle:
+                            break
+                        idx += 1
+                        walker = entry[2]
+                        done_walk = walk_of[walker]
+                        d_asid = done_walk.asid
+                        vpn_arr[walker] = None
+                        walk_of[walker] = None
+                        if policied:
+                            busy = (
+                                my_busy if d_asid == asid
+                                else busy_by_asid.get(d_asid)
+                            )
+                            if busy is not None:
+                                busy.discard(walker)
+                        free_list.append(walker)
+                        if poisoned and walker in poisoned:
+                            poisoned.discard(walker)
+                            continue
+                        # Inlined PTS.release (always registered).
+                        dkey = done_walk.vpn | (d_asid << ASID_SHIFT)
+                        registered = pts_by_vpn[dkey]
+                        registered.remove(walker)
+                        if not registered:
+                            del pts_by_vpn[dkey]
+                        released_n += 1
+                        if done_walk is prev_walk:
+                            # Same mapping as the insert just made,
+                            # nothing interleaved: a bare present-key
+                            # LRU bump.
+                            continue
+                        dset = tlb_sets[dkey & tlb_set_mask]
+                        if not (
+                            dset
+                            and next(reversed(dset)) == dkey
+                            and dset[dkey] == done_walk.pfn
+                        ):
+                            # A resident set-MRU refill with the same PFN
+                            # is a state no-op (the LRU bump lands on the
+                            # tail; mirror order and all same-set stamp
+                            # orderings are preserved).
+                            tlb_insert(done_walk.vpn, done_walk.pfn, d_asid)
+                        prev_walk = done_walk
                     my_walkers = pts_by_vpn.get(tkey)
 
-                # ------------- miss phase (walk the page) ----------------
-                prev_walk = None
-                flip = False
-                while i < j:
-                    n_ord = len(order)
-                    if idx < n_ord and order[idx][0] <= cycle:
-                        # Inlined walk retirement in FIFO order (PRMB-less
-                        # and path-cache-less: nothing to drain or fill).
-                        while idx < n_ord:
-                            entry = order[idx]
-                            if entry[0] > cycle:
-                                break
-                            idx += 1
-                            walker = entry[2]
-                            done_walk = walk_of[walker]
-                            d_asid = done_walk.asid
-                            vpn_arr[walker] = None
-                            walk_of[walker] = None
-                            if policied:
-                                busy = (
-                                    my_busy if d_asid == asid
-                                    else busy_by_asid.get(d_asid)
-                                )
-                                if busy is not None:
-                                    busy.discard(walker)
-                            free_list.append(walker)
-                            if poisoned and walker in poisoned:
-                                poisoned.discard(walker)
-                                continue
-                            # Inlined PTS.release (always registered).
-                            dkey = done_walk.vpn | (d_asid << ASID_SHIFT)
-                            registered = pts_by_vpn[dkey]
-                            registered.remove(walker)
-                            if not registered:
-                                del pts_by_vpn[dkey]
-                            released_n += 1
-                            if done_walk is prev_walk:
-                                # Same mapping as the insert just made,
-                                # nothing interleaved: a bare present-key
-                                # LRU bump.
-                                continue
-                            dset = tlb_sets[dkey & tlb_set_mask]
-                            if not (
-                                dset
-                                and next(reversed(dset)) == dkey
-                                and dset[dkey] == done_walk.pfn
-                            ):
-                                # Set-MRU same-PFN refill: state no-op.
-                                tlb_insert(
-                                    done_walk.vpn, done_walk.pfn, d_asid
-                                )
-                            prev_walk = done_walk
-                        if tkey in tlb_set:
-                            break  # the run flips to TLB hits
-                        my_walkers = pts_by_vpn.get(tkey)
-                    if cycle >= horizon:
-                        blocked = True
-                        break  # policy answers may change: re-consult
-                    if not free_list:
-                        startable = False
-                    elif (
-                        not policied
-                        or my_quota is None
-                        or len(my_busy) < my_quota
-                    ):
-                        startable = True
-                    elif not work_conserving:
-                        startable = False
-                    else:
-                        reserved_unmet = 0
-                        for other_quota, other_busy in others:
-                            shortfall = other_quota - len(other_busy)
-                            if shortfall > 0:
-                                reserved_unmet += shortfall
-                        startable = len(free_list) > reserved_unmet
-                    if startable:
-                        if walk is None:
-                            walk = r_cache.get(vpn)
-                            if walk is None:
-                                # Cold page (or a memoized fault): one
-                                # full resolve decides which.
-                                walk = r_resolve(vpn)
-                                if walk is None:
-                                    faulted = True
-                                    break  # the reference step raises it
-                            levels = walk.levels
-                            dur = levels * walk_latency
-                        ready = cycle + dur
-                        if my_walkers is None:
-                            fresh_walk_n += 1  # PTS miss: non-redundant
-                            my_walkers = pts_by_vpn.setdefault(tkey, [])
-                        else:
-                            walks_n += 1
-                        walker = free_list.pop()
-                        levels_sum += levels
-                        vpn_arr[walker] = vpn
-                        walk_of[walker] = walk
-                        completion_of[walker] = ready
-                        if policied:
-                            my_busy.add(walker)
-                        seq += 1
-                        entry = (ready, seq, walker)
-                        if order and ready < order[-1][0]:
-                            # In-flight walks span page depths: keep the
-                            # snapshot sorted (pop order is unchanged; an
-                            # equal-ready entry has the larger seq and
-                            # belongs at the tail).
-                            insort(order, entry, idx)
-                        else:
-                            order_append(entry)
-                        my_walkers.append(walker)
+                if tkey in tlb_set:
+                    # ---------------- hit span ----------------
+                    # Bounded by the next completion: a fill may evict
+                    # this page, so no hit may pass a due retirement.
+                    prev_walk = None
+                    h = order[idx][0] if idx < n_ord else inf
+                    # Conservative count of the transactions that issue
+                    # strictly before ``h``.
+                    # simlint: disable=cyc-true-div -- completion/interval live in the float cycle domain; int() truncation is the reference semantics and // floors differently at float boundaries, breaking bit-identity
+                    t = int((h - cycle) / interval) - 1 if h != inf else n
+                    if t <= 0:
+                        # A completion is due within two issue slots: one
+                        # hit (``h > cycle`` once retirement is done).
+                        # Redundant walks of a page retire one per cycle
+                        # while its run hits, so this is the common span
+                        # of the saturated baseline IOMMU.
+                        stats.requests += 1
+                        stats.tlb_hits += 1
+                        tlb_touch(vpn, 1, asid)
+                        ready = cycle + tlb_latency
                         va = va_list[i]
                         size = size_list[i]
                         channel = (va >> 8) % n_channels
@@ -933,136 +745,50 @@ class TranslationEngine:
                         total_bytes += size
                         cycle += interval
                         i += 1
-                        # -- saturated steady state: stall, retire, start --
-                        # Preconditions per iteration: pool fully busy,
-                        # next completion strictly ahead, not hard-blocked.
-                        # Each transaction is then exactly the general
-                        # loop's stall attempt + single retirement +
-                        # redundant start, with the checks those imply
-                        # already decided.
-                        # The retired walker is restarted in place, so
-                        # the free-list round trip, the walker-array
-                        # clears and an own-tenant busy discard/add pair
-                        # are deferred; every break materializes them
-                        # (the freed walker, cleared arrays, busy set)
-                        # before the general loop resumes.
-                        while i < j:
-                            if idx >= len(order):
-                                break
-                            entry = order[idx]
-                            c = entry[0]
-                            if c <= cycle or free_list:
-                                break
-                            if cycle >= horizon:
-                                break
-                            if (
-                                policied
-                                and not work_conserving
-                                and my_quota is not None
-                                and len(my_busy) >= my_quota
-                            ):
-                                break  # hard-block: waits on own walks
-                            # Stall attempt (c > cycle here).
-                            stalls_n += 1
-                            sc += c - cycle
-                            stall += c - cycle
-                            cycle = c
-                            idx += 1
-                            # Retire exactly this completion.
-                            walker = entry[2]
-                            done_walk = walk_of[walker]
-                            d_asid = done_walk.asid
-                            own = d_asid == asid
-                            if policied and not own:
-                                busy = busy_by_asid.get(d_asid)
-                                if busy is not None:
-                                    busy.discard(walker)
-                            if poisoned and walker in poisoned:
-                                poisoned.discard(walker)
-                                vpn_arr[walker] = None
-                                walk_of[walker] = None
-                                free_list.append(walker)
-                                if policied and own:
-                                    my_busy.discard(walker)
-                                break  # rare: let the general loop restart
-                            dkey = done_walk.vpn | (d_asid << ASID_SHIFT)
-                            registered = pts_by_vpn[dkey]
-                            registered.remove(walker)
-                            if not registered:
-                                del pts_by_vpn[dkey]
-                            released_n += 1
-                            if done_walk is not prev_walk:
-                                dset = tlb_sets[dkey & tlb_set_mask]
-                                if not (
-                                    dset
-                                    and next(reversed(dset)) == dkey
-                                    and dset[dkey] == done_walk.pfn
-                                ):
-                                    # Set-MRU same-PFN refill: state no-op.
-                                    tlb_insert(
-                                        done_walk.vpn, done_walk.pfn, d_asid
-                                    )
-                                prev_walk = done_walk
-                            if dkey == tkey:
-                                # Our own earlier walk retired: the run
-                                # may flip to TLB hits (unless the
-                                # policied fill dropped the entry).
-                                vpn_arr[walker] = None
-                                walk_of[walker] = None
-                                free_list.append(walker)
-                                if policied and own:
-                                    my_busy.discard(walker)
-                                if tkey in tlb_set:
-                                    flip = True
-                                my_walkers = pts_by_vpn.get(tkey)
-                                break
-                            if (
-                                (idx < len(order) and order[idx][0] <= cycle)
-                                or cycle >= horizon
-                            ):
-                                vpn_arr[walker] = None
-                                walk_of[walker] = None
-                                free_list.append(walker)
-                                if policied and own:
-                                    my_busy.discard(walker)
-                                break  # coincident dues / horizon: general
-                            if policied and my_quota is not None:
-                                busy_n = len(my_busy) - 1 if own else len(my_busy)
-                                if busy_n >= my_quota:
-                                    # Work-conserving borrow check with
-                                    # exactly one free walker.
-                                    reserved_unmet = 0
-                                    for other_quota, other_busy in others:
-                                        shortfall = (
-                                            other_quota - len(other_busy)
-                                        )
-                                        if shortfall > 0:
-                                            reserved_unmet += shortfall
-                                    if reserved_unmet >= 1:
-                                        vpn_arr[walker] = None
-                                        walk_of[walker] = None
-                                        free_list.append(walker)
-                                        if policied and own:
-                                            my_busy.discard(walker)
-                                        break  # blocked: general stall
-                            # Redundant start on the just-freed walker.
-                            ready = cycle + dur
-                            walks_n += 1
-                            levels_sum += levels
-                            vpn_arr[walker] = vpn
-                            walk_of[walker] = walk
-                            completion_of[walker] = ready
-                            if policied and not own:
-                                my_busy.add(walker)
-                            seq += 1
-                            entry = (ready, seq, walker)
-                            if order and ready < order[-1][0]:
-                                insort(order, entry, idx)
-                            else:
-                                order_append(entry)
-                            my_walkers.append(walker)
-                            va = va_list[i]
-                            size = size_list[i]
+                        continue
+                    span = j - i
+                    if span > t:
+                        span = t
+                    closed = False
+                    va0 = va_list[i]
+                    if (
+                        span >= 8
+                        and run_streamable
+                        and (span <= n_channels or stream_ok)
+                    ):
+                        base_ch = va0 >> 8
+                        lim = span if span < n_channels else n_channels
+                        ok = max(channel_free) <= cycle + tlb_latency
+                        if not ok:
+                            probe = cycle
+                            ok = True
+                            for k in range(lim):
+                                if channel_free[
+                                    (base_ch + k) % n_channels
+                                ] > (probe + tlb_latency):
+                                    ok = False
+                                    break
+                                probe += interval
+                        if ok:
+                            closed = True
+                            for _ in range(span - lim):
+                                cycle += interval
+                            for k in range(span - lim, span):
+                                ready = cycle + tlb_latency
+                                finish = ready + s_cycles
+                                channel_free[
+                                    (base_ch + k) % n_channels
+                                ] = finish
+                                cycle += interval
+                            done = finish + mem_latency
+                            if done > data_end:
+                                data_end = done
+                            total_bytes += span * 256
+                    if not closed:
+                        for va, size in zip(
+                            va_list[i:i + span], size_list[i:i + span]
+                        ):
+                            ready = cycle + tlb_latency
                             channel = (va >> 8) % n_channels
                             free_at = channel_free[channel]
                             start = ready if ready > free_at else free_at
@@ -1073,108 +799,165 @@ class TranslationEngine:
                                 data_end = done
                             total_bytes += size
                             cycle += interval
-                            i += 1
-                        if flip:
-                            break
-                        continue
-                    # Fully blocked at a fresh page: try to plan a whole
-                    # calendar stretch (stall + head retire + redundant
-                    # restart per transaction, across run boundaries) and
-                    # retire it as one bucket.  Integral accumulators are
-                    # required so the bucket's telescoped stall sums are
-                    # reassociation-free (see ``core/calendar.py``).
-                    if (
-                        use_calendar
-                        and my_walkers is None
-                        and meta is not None
-                        and vas_col is not None
-                        and horizon == inf
-                        and not poisoned
-                        and i >= cal_skip
-                        and cycle.is_integer()
-                        and sc.is_integer()
-                        and stall.is_integer()
-                    ):
-                        planned = calendar.plan_stretch(
-                            order, idx, i, j, n, cycle, vpn, tkey, walk,
-                            run_streamable, meta, rc, vas_col, sizes_col,
-                            uniform_size, policied, my_quota,
-                            work_conserving, my_busy, others,
-                        )
-                        if planned:
-                            (
-                                i, cycle, data_end, total_bytes, stall, sc,
-                                seq, vpn, tkey, j, run_streamable, rc, walk,
-                                levels, cal_m, cal_fresh_pages, cal_stalls,
-                                cal_fresh_stalls,
-                            ) = calendar.drain_stretch(
-                                order, idx, i, cycle, data_end, total_bytes,
-                                stall, sc, seq, prev_walk,
-                            )
-                            dur = levels * walk_latency
-                            tlb_set = tlb_sets[tkey & tlb_set_mask]
-                            my_walkers = pts_by_vpn.get(tkey)
-                            run_vpn = vpn
-                            run_end = j
-                            stalls_n += cal_stalls - cal_fresh_stalls
-                            walks_n += cal_m - cal_fresh_pages
-                            fresh_stall_n += cal_fresh_stalls
-                            fresh_walk_n += cal_fresh_pages
-                            levels_sum += cal_m * levels
-                            released_n += cal_m
-                            cal_fails = 0
-                            break
-                        # Declines are pure overhead: skipping an attempt
-                        # is always bit-identical (per-event fallback), so
-                        # after a streak of failures stop planning for the
-                        # rest of this burst.  Under quota regimes nearly
-                        # every attempt declines (W > quota with a mixed
-                        # window, or cross-tenant channel skew breaks the
-                        # no-queueing hypothesis), and without the backoff
-                        # the futile plans cost more than the calendar
-                        # saves.
-                        cal_fails += 1
-                        cal_skip = n if cal_fails >= 6 else j
-                    # Fully blocked: one stall attempt, FIFO retry point
-                    # (the pool-wide earliest completion is the cursor
-                    # head); a hard-partitioned tenant at quota waits for
-                    # its own earliest walk instead.
-                    if (
-                        policied
-                        and not work_conserving
-                        and my_busy
-                        and my_quota is not None
-                        and len(my_busy) >= my_quota
-                    ):
-                        # simlint: disable=det-set-iter -- min() over completion cycles is order-independent: floats are totally ordered and ties yield the same value, so hash order cannot leak into timing
-                        retry = min(completion_of[w] for w in my_busy)
-                    else:
-                        retry = order[idx][0] if idx < len(order) else inf
+                    stats.requests += span
+                    stats.tlb_hits += span
+                    tlb_touch(vpn, span, asid)
+                    i += span
+                    continue
+
+                if not free_list:
+                    startable = False
+                elif (
+                    not policied
+                    or my_quota is None
+                    or len(my_busy) < my_quota
+                ):
+                    startable = True
+                elif not work_conserving:
+                    startable = False
+                else:
+                    reserved_unmet = 0
+                    for other_quota, other_busy in others:
+                        shortfall = other_quota - len(other_busy)
+                        if shortfall > 0:
+                            reserved_unmet += shortfall
+                    startable = len(free_list) > reserved_unmet
+                if startable:
+                    # ---------------- walk start ----------------
+                    if walk is None:
+                        walk = r_cache.get(vpn)
+                        if walk is None:
+                            # Cold page (or a memoized fault): one full
+                            # resolve decides which.
+                            walk = r_resolve(vpn)
+                            if walk is None:
+                                faulted = True
+                                break  # the reference step raises it
+                        levels = walk.levels
+                        dur = levels * walk_latency
+                    ready = cycle + dur
                     if my_walkers is None:
-                        fresh_stall_n += 1  # the blocked probe missed PTS
+                        fresh_walk_n += 1  # PTS miss: non-redundant
+                        my_walkers = pts_by_vpn.setdefault(tkey, [])
                     else:
-                        stalls_n += 1
-                    sc += retry - cycle if retry > cycle else 0.0
-                    stall += retry - cycle
-                    cycle = retry
-                if faulted or blocked or i >= n:
-                    break
-                if i >= j:
-                    # Next page.
-                    vpn = va_list[i] >> vpn_shift
-                    tkey = vpn | asid_bits
-                    tlb_set = tlb_sets[tkey & tlb_set_mask]
-                    j, run_streamable, rc = run_bounds(
-                        va_list, size_list, i, n, vpn, vpn_shift, meta, rc
+                        walks_n += 1
+                    walker = free_list.pop()
+                    levels_sum += levels
+                    vpn_arr[walker] = vpn
+                    walk_of[walker] = walk
+                    completion_of[walker] = ready
+                    if policied:
+                        my_busy.add(walker)
+                    seq += 1
+                    entry = (ready, seq, walker)
+                    if order and ready < order[-1][0]:
+                        # In-flight walks span page depths: keep the
+                        # snapshot sorted (pop order is unchanged; an
+                        # equal-ready entry has the larger seq and
+                        # belongs at the tail).
+                        insort(order, entry, idx)
+                    else:
+                        order_append(entry)
+                    my_walkers.append(walker)
+                    va = va_list[i]
+                    size = size_list[i]
+                    channel = (va >> 8) % n_channels
+                    free_at = channel_free[channel]
+                    start = ready if ready > free_at else free_at
+                    finish = start + size / ch_bw
+                    channel_free[channel] = finish
+                    done = finish + mem_latency
+                    if done > data_end:
+                        data_end = done
+                    total_bytes += size
+                    cycle += interval
+                    i += 1
+                    continue
+
+                # ---------------- calendar gate ----------------
+                # Fully blocked at a fresh page: try to plan a whole
+                # stretch (stall + head retire + redundant restart per
+                # transaction, across run boundaries) and retire it as one
+                # bucket.  Integral accumulators are required so the
+                # bucket's telescoped stall sums are reassociation-free
+                # (see ``core/calendar.py``).
+                if (
+                    my_walkers is None
+                    and meta is not None
+                    and vas_col is not None
+                    and not poisoned
+                    and i >= cal_skip
+                    and cycle.is_integer()
+                    and sc.is_integer()
+                    and stall.is_integer()
+                ):
+                    planned = calendar.plan_stretch(
+                        order, idx, i, j, n, cycle, vpn, tkey, walk,
+                        run_streamable, meta, rc, vas_col, sizes_col,
+                        uniform_size, policied, my_quota,
+                        work_conserving, my_busy, others,
                     )
-                    run_vpn = vpn
-                    run_end = j
-                    walk = None
-                    my_walkers = pts_by_vpn.get(tkey)
-                # else: flipped to TLB hits; the loop top re-dispatches.
+                    if planned:
+                        (
+                            i, cycle, data_end, total_bytes, stall, sc,
+                            seq, vpn, tkey, j, run_streamable, rc, walk,
+                            levels, cal_m, cal_fresh_pages, cal_stalls,
+                            cal_fresh_stalls,
+                        ) = calendar.drain_stretch(
+                            order, idx, i, cycle, data_end, total_bytes,
+                            stall, sc, seq, prev_walk,
+                        )
+                        dur = levels * walk_latency
+                        tlb_set = tlb_sets[tkey & tlb_set_mask]
+                        my_walkers = pts_by_vpn.get(tkey)
+                        run_vpn = vpn
+                        run_end = j
+                        prev_walk = None
+                        stalls_n += cal_stalls - cal_fresh_stalls
+                        walks_n += cal_m - cal_fresh_pages
+                        fresh_stall_n += cal_fresh_stalls
+                        fresh_walk_n += cal_fresh_pages
+                        levels_sum += cal_m * levels
+                        released_n += cal_m
+                        cal_fails = 0
+                        continue
+                    # Declines are pure overhead: skipping an attempt is
+                    # always bit-identical (per-event fallback), so after
+                    # a streak of failures stop planning for the rest of
+                    # this burst.  Under quota regimes nearly every
+                    # attempt declines (W > quota with a mixed window, or
+                    # cross-tenant channel skew breaks the no-queueing
+                    # hypothesis), and without the backoff the futile
+                    # plans cost more than the calendar saves.
+                    cal_fails += 1
+                    cal_skip = n if cal_fails >= 6 else j
+
+                # ---------------- stall ----------------
+                # One stall attempt at the FIFO retry point (the
+                # pool-wide earliest completion is the cursor head); a
+                # hard-partitioned tenant at quota waits for its own
+                # earliest walk instead.
+                if (
+                    policied
+                    and not work_conserving
+                    and my_busy
+                    and my_quota is not None
+                    and len(my_busy) >= my_quota
+                ):
+                    # simlint: disable=det-set-iter -- min() over completion cycles is order-independent: floats are totally ordered and ties yield the same value, so hash order cannot leak into timing
+                    retry = min(completion_of[w] for w in my_busy)
+                else:
+                    retry = order[idx][0] if idx < n_ord else inf
+                if my_walkers is None:
+                    fresh_stall_n += 1  # the blocked probe missed PTS
+                else:
+                    stalls_n += 1
+                sc += retry - cycle if retry > cycle else 0.0
+                stall += retry - cycle
+                cycle = retry
 
             # Restore the live completion suffix (sorted == valid heap) and
-            # flush deferred counters, exactly as the general loop.
+            # flush the deferred counters.
             heap[:] = order[idx:]
             pool._seq = seq
             stats.stall_cycles = sc
@@ -1229,14 +1012,12 @@ class TranslationEngine:
         by PRMB-less, path-cache-less MMUs only (PRMB-less MMUs with a
         path cache walk through the kernel's :meth:`MMU.translate`
         reference step instead): refresh the caller's memoized
-        same-page run bounds, hand the run to the runner, and decide the
-        fall-through.  Returns the updated ``(i, cycle, data_end,
-        total_bytes, stall, rc, run_vpn, run_end, run_streamable,
-        handled)``; ``handled`` is False when the caller must replay
-        transaction ``i`` through its fully general reference step (a
-        fault to raise/handle, or no progress was possible — e.g. a
-        policy event horizon — so the reference step re-evaluates
-        everything).
+        same-page run bounds and hand the rest of the burst to the
+        runner.  Returns the updated ``(i, cycle, data_end, total_bytes,
+        stall, rc, run_vpn, run_end, run_streamable, handled)``;
+        ``handled`` is False when the runner stopped at a faulting
+        transaction ``i``, which the caller replays through its fully
+        general reference step (raising or handling the fault).
         """
         if run_vpn != vpn or i >= run_end:
             j, run_streamable, rc = _run_bounds(
@@ -1246,7 +1027,6 @@ class TranslationEngine:
             run_end = j
         else:
             j = run_end
-        before = i
         runner = self._np_runners.get(asid)
         if runner is None:
             runner = self._no_prmb_fifo_runner(asid)
@@ -1267,14 +1047,9 @@ class TranslationEngine:
             total_bytes, stall, meta, rc, run_streamable,
             vas_col, sizes_col, uniform_size,
         )
-        tlb = self.mmu.tlb
-        assert isinstance(tlb, TLB)
-        handled = not faulted and (
-            i > before or tkey in tlb._sets[tkey & tlb._set_mask]
-        )
         return (
             i, cycle, data_end, total_bytes, stall,
-            rc, run_vpn, run_end, run_streamable, handled,
+            rc, run_vpn, run_end, run_streamable, not faulted,
         )
 
     # ------------------------------------------------------------------ #
@@ -1307,16 +1082,12 @@ class TranslationEngine:
           release is recovered at the segment break, where the next
           leading reference step retires the backlog at the same cycle
           the reference loop would admit the freed capacity.
-        * Under a policy, both segment kinds additionally respect its
-          self-reported :meth:`~repro.core.qos.SharePolicy.next_event_for`
-          horizon, so a time-varying policy is consulted at or before
-          every cycle its answers may change.
         * PRMB-less, path-cache-less miss runs go to the fused FIFO
           runner (:meth:`_no_prmb_entry`).
 
-        Full sharing is the policy whose quotas and horizon never bind,
-        so it skips their queries and the pool's per-ASID bookkeeping.
-        Boundary transactions (the last couple before an event,
+        Full sharing is the policy whose quotas never bind, so it skips
+        their queries and the pool's per-ASID bookkeeping.  Boundary
+        transactions (the last couple before a completion,
         quota-exhausted merges, walk starts, stalls) fall back to one
         reference step each — inlined for PRMB MMUs, :meth:`MMU.translate`
         otherwise — keeping this path bit-identical to
@@ -1347,11 +1118,9 @@ class TranslationEngine:
         prmb_occ = pool._prmb_occ
         prmb_total = pool.n_walkers * pool.prmb_slots
         # The pool drops trivial policies: ``policied`` is False exactly
-        # when every quota is unlimited and the horizon is infinite.
+        # when every quota is unlimited.
         policied = pool._policy is not None
-        policy = mmu.share_policy
-        policy_next_event = policy.next_event_for
-        prmb_quota_of = policy.prmb_quota
+        prmb_quota_of = mmu.share_policy.prmb_quota
         fifo = not prmb_capacity and pool._no_path_cache
         inf = float("inf")
 
@@ -1444,7 +1213,7 @@ class TranslationEngine:
                 if handled:
                     continue
                 # The whole-burst runner may have crossed page boundaries
-                # before faulting or blocking, so transaction ``i`` is not
+                # before faulting, so transaction ``i`` is not
                 # necessarily the one this iteration derived its locals
                 # from: re-derive them before the reference-step replay.
                 va = va_list[i]
@@ -1610,39 +1379,14 @@ class TranslationEngine:
                     if h <= cycle:
                         process(cycle)
                         continue
-                    if policied:
-                        horizon = policy_next_event(asid, cycle)
-                        if horizon < h:
-                            h = horizon
                     # Conservative count of transactions that issue
-                    # strictly before the horizon.
-                    # simlint: disable=cyc-true-div -- horizon/interval live in the float cycle domain; int() truncation is the reference semantics and // floors differently at float boundaries, breaking bit-identity
+                    # strictly before the next completion.
+                    # simlint: disable=cyc-true-div -- completion/interval live in the float cycle domain; int() truncation is the reference semantics and // floors differently at float boundaries, breaking bit-identity
                     t = int((h - cycle) / interval) - 1 if h != inf else n
                     if t <= 0:
-                        # Horizon-boundary transaction: exactly one
-                        # reference hit, inlined (no completion is due at
-                        # *this* cycle — ``h > cycle`` — so the reference
-                        # step would be a bare lookup; dense completion
-                        # traffic would otherwise push every such hit
-                        # through the full translate dispatch).
-                        stats.requests += 1
-                        stats.tlb_hits += 1
-                        tlb.lookup(vpn, asid)
-                        ready = cycle + tlb_latency
-                        va = va_list[i]
-                        size = size_list[i]
-                        channel = (va >> 8) % n_channels
-                        free_at = channel_free[channel]
-                        start = ready if ready > free_at else free_at
-                        finish = start + size / ch_bw
-                        channel_free[channel] = finish
-                        done = finish + mem_latency
-                        if done > data_end:
-                            data_end = done
-                        total_bytes += size
-                        cycle += interval
-                        i += 1
-                        continue
+                        # A completion is due within two issue slots: the
+                        # leading reference step takes this hit.
+                        break
                     if run_vpn != vpn or i >= run_end:
                         j, run_streamable, rc = _run_bounds(
                             va_list, size_list, i, n, vpn, vpn_shift, meta, rc
@@ -1720,8 +1464,8 @@ class TranslationEngine:
                         rc, run_vpn, run_end, run_streamable,
                     )
                     if not handled:
-                        break  # the reference step raises / re-evaluates
-                    continue  # re-dispatch: TLB hits, or a new page
+                        break  # a fault: the reference step raises or handles it
+                    continue  # the runner retired the rest of the burst
                 walkers = pts_by_vpn.get(tkey)
                 if not walkers:
                     break
@@ -1753,9 +1497,6 @@ class TranslationEngine:
                 else:
                     j = run_end
                 if policied:
-                    horizon = policy_next_event(asid, cycle)
-                    if horizon < h_mine:
-                        h_mine = horizon
                     quota = prmb_quota_of(asid, prmb_total)
                     if quota is not None:
                         room = quota - prmb_occ.get(asid, 0)
@@ -1776,7 +1517,7 @@ class TranslationEngine:
                     room = cap - pos
                     avail = j - i
                     span = avail if avail < room else room
-                    # simlint: disable=cyc-true-div -- horizon/interval live in the float cycle domain; int() truncation is the reference semantics and // floors differently at float boundaries, breaking bit-identity
+                    # simlint: disable=cyc-true-div -- completion/interval live in the float cycle domain; int() truncation is the reference semantics and // floors differently at float boundaries, breaking bit-identity
                     t = int((h_mine - cycle) / interval) - 1
                     if t < span:
                         span = t
@@ -1836,9 +1577,10 @@ class TranslationEngine:
                         k = i
                     # Residual guarded loop: finishes whatever the bulk
                     # span left over (the conservative trip count stops up
-                    # to one interval short of the completion horizon), so
-                    # a walker is only ever abandoned because its buffer is
-                    # truly full, the segment ended, or its horizon is due.
+                    # to one interval short of the page's own completion),
+                    # so a walker is only ever abandoned because its buffer
+                    # is truly full, the segment ended, or that completion
+                    # is due.
                     while k < j and pos < cap and cycle < h_mine:
                         va = va_list[k]
                         size = size_list[k]
@@ -1880,7 +1622,7 @@ class TranslationEngine:
                     if policied:
                         prmb_occ[asid] = prmb_occ.get(asid, 0) + merged_total
                     continue
-                # Nothing merged (walkers full / quota / horizon): the
+                # Nothing merged (walkers full / quota / completion): the
                 # next transaction takes the full reference step.
                 break
 

@@ -79,6 +79,11 @@ class SharePolicy:
     the non-trivial subclasses are weight-proportional fractions of each
     resource's capacity, recomputed on the fly so tenant arrival/departure
     reshapes the partition immediately.
+
+    Quota answers depend only on the tenant registry, never on the cycle,
+    and every registry change bumps :attr:`version`.  The engine relies on
+    this: its fast paths memoize quotas by version and bound their bulk
+    segments by walk completions alone.
     """
 
     kind = "full_share"
@@ -174,26 +179,6 @@ class SharePolicy:
         the shared :class:`~repro.memory.tiering.MigrationFabric`
         (None = unlimited)."""
         return self.quota(asid, slots)
-
-    # -- event horizon -------------------------------------------------- #
-
-    def next_event_for(self, asid: int, cycle: float) -> float:
-        """Next cycle at which this policy's answers for ``asid`` can
-        change *of the policy's own accord*.
-
-        Under a non-trivial policy the engine's batched kernel never
-        extends a bulk segment past this cycle, re-consulting the policy
-        there; the event-driven multi-tenant scheduler treats it the
-        same way.  The built-in
-        policies' quotas depend only on the tenant registry — never on
-        time — so they report ``inf`` and segments are bounded by walk
-        completions alone.  A time-varying policy (periodic weight
-        rebalancing, SLO-driven boosts) overrides this to its next
-        transition cycle.  Occupancy-driven changes (a tenant's own
-        merges or fills approaching its cap) are accounted for by the
-        enforcement sites directly and need not be reported here.
-        """
-        return float("inf")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(tenants={self._weights})"
@@ -308,15 +293,6 @@ class Arbiter:
     def run(self, runs: Sequence) -> None:
         """Advance every run to completion under this policy."""
         raise NotImplementedError
-
-    def next_event_for(self, asid: int, cycle: float) -> float:
-        """Next cycle at which this arbiter's service answer for ``asid``
-        can change *of its own accord* (``inf`` for the built-ins, whose
-        decisions are driven purely by run state, never by wall-clock
-        cycles).  Mirrors :meth:`SharePolicy.next_event_for` so a future
-        time-sliced arbiter can bound the event-driven core's stretches.
-        """
-        return float("inf")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

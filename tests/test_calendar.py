@@ -2,11 +2,13 @@
 
 The batched completion calendar (:mod:`repro.core.calendar`) retires
 whole saturated stretches of the fused no-PRMB runner as one planned
-bucket; ``NEUMMU_CALENDAR=0`` forces the per-event path (the heap-based
-``WalkerPool`` discipline the calendar replaces).  Both paths must be
-*bit-identical*: same burst results, same ``RunSummary``, same channel
-state, same TLB contents in LRU order, same PTS map — across multi-ASID
-bursts, every QoS policy × arbitration combo, and mid-segment faults.
+bucket.  The calendar is unconditional, so the per-event leg (the
+heap-based ``WalkerPool`` discipline the calendar replaces) is forced by
+patching :meth:`CompletionCalendar.plan_stretch` to decline every plan.
+Both paths must be *bit-identical*: same burst results, same
+``RunSummary``, same channel state, same TLB contents in LRU order, same
+PTS map — across multi-ASID bursts, every QoS policy × arbitration
+combo, and mid-segment faults.
 
 Coverage is asserted, not hoped for: the deterministic cases drive both
 drain disciplines — full-window retirement (``m >= W``, the qos_sweep
@@ -15,8 +17,9 @@ clusters on wide walker pools, which the figure sweeps never reach) —
 and verify via a drain spy that the calendar actually fired.
 """
 
-import os
+from contextlib import nullcontext
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -110,11 +113,21 @@ def materialize(burst):
 # --------------------------------------------------------------------- #
 
 
-def run_calendar_mode(calendar_on, config, qos, schedule, spy=None):
-    """One multi-ASID columnar run with NEUMMU_CALENDAR pinned."""
-    before = os.environ.get("NEUMMU_CALENDAR")
-    os.environ["NEUMMU_CALENDAR"] = "1" if calendar_on else "0"
-    try:
+def _decline(*args, **kwargs):
+    return 0
+
+
+def calendar_mode(calendar_on):
+    """Context for one leg: the calendar as built, or every stretch plan
+    declined so the runner retires each event on its own."""
+    if calendar_on:
+        return nullcontext()
+    return mock.patch.object(CompletionCalendar, "plan_stretch", _decline)
+
+
+def run_calendar_mode(calendar_on, config, qos, schedule):
+    """One multi-ASID columnar run with the calendar on or declined."""
+    with calendar_mode(calendar_on):
         cfg = replace(config, engine_mode="columnar", qos=qos)
         mmu = MMU(cfg, None)
         tables = {
@@ -154,11 +167,6 @@ def run_calendar_mode(calendar_on, config, qos, schedule, spy=None):
             "occupancy": dict(mmu.tlb._asid_occupancy),
         }
         return state
-    finally:
-        if before is None:
-            os.environ.pop("NEUMMU_CALENDAR", None)
-        else:
-            os.environ["NEUMMU_CALENDAR"] = before
 
 
 def assert_modes_identical(config, qos, schedule):
@@ -253,9 +261,7 @@ def _tenant_cell(qos, arbitration, calendar_on):
     from repro.npu.simulator import run_multi_tenant
     from repro.workloads.registry import DenseWorkloadFactory
 
-    before = os.environ.get("NEUMMU_CALENDAR")
-    os.environ["NEUMMU_CALENDAR"] = "1" if calendar_on else "0"
-    try:
+    with calendar_mode(calendar_on):
         return run_multi_tenant(
             DenseWorkloadFactory("RNN-2", 1),
             baseline_iommu_config(),
@@ -264,11 +270,6 @@ def _tenant_cell(qos, arbitration, calendar_on):
             qos=qos,
             weights=(2.0, 1.0),
         )
-    finally:
-        if before is None:
-            os.environ.pop("NEUMMU_CALENDAR", None)
-        else:
-            os.environ["NEUMMU_CALENDAR"] = before
 
 
 class TestTenantCombos:

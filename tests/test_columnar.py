@@ -5,11 +5,10 @@ structure-of-arrays transaction representation from the DMA through
 TLB/PRMB/engine; the object path (``engine_mode="reference"``) is the
 bit-identical golden reference.  Hypothesis drives random bursts spanning
 multiple ASIDs, page sizes, QoS share policies, injected translation
-faults and mid-run policy events (finite event horizons, re-weights,
-context teardown) through both modes and requires identical service
-order and statistics — the same ``BurstResult`` sequences,
-``RunSummary``, channel state, TLB contents *in LRU order*, PTS counters
-and PRMB statistics.
+faults and mid-run policy events (re-weights, context teardown) through
+both modes and requires identical service order and statistics — the
+same ``BurstResult`` sequences, ``RunSummary``, channel state, TLB
+contents *in LRU order*, PTS counters and PRMB statistics.
 
 Two layers are fuzzed:
 
@@ -35,7 +34,6 @@ from repro.core.mmu import (
     baseline_iommu_config,
     neummu_config,
 )
-from repro.core.qos import WeightedShare
 from repro.memory.address import PAGE_SIZE_2M, PAGE_SIZE_4K
 from repro.memory.dram import MainMemory
 from repro.memory.page_table import PageTable
@@ -96,7 +94,7 @@ _qos = st.sampled_from(["full_share", "static_partition", "weighted"])
 
 #: Streaming variant: (page, run length) pairs expanded into back-to-back
 #: 256 B transactions, so resident same-page hit runs are long enough for
-#: a policy event to land inside them.
+#: bulk hit spans and their streaming closed form.
 _run = st.tuples(_page, st.integers(1, (PAGE_SIZE_4K // 256) - 1))
 
 _run_burst = st.lists(_run, min_size=1, max_size=12).map(
@@ -108,20 +106,6 @@ _run_burst = st.lists(_run, min_size=1, max_size=12).map(
 _run_schedule = st.lists(
     st.tuples(st.sampled_from([0, 5, 9]), _run_burst), min_size=1, max_size=4
 )
-
-
-class PeriodicEventShare(WeightedShare):
-    """Weighted share whose event horizon ticks every ``period`` cycles
-    while its quotas never change: ``next_event_for`` is finite, so both
-    fast runners must end their bulk segments at every tick and consult
-    the policy again there."""
-
-    def __init__(self, period):
-        super().__init__()
-        self._period = float(period)
-
-    def next_event_for(self, asid, cycle):
-        return (cycle // self._period + 1.0) * self._period
 
 
 def materialize(burst):
@@ -201,21 +185,16 @@ class TestColumnarRepresentation:
 # --------------------------------------------------------------------- #
 
 
-def run_mode(
-    mode, config, qos, schedule, page_size, share_policy=None, epoch_ops=None
-):
+def run_mode(mode, config, qos, schedule, page_size, epoch_ops=None):
     """One full multi-ASID run in ``mode``; returns comparable state.
 
-    ``share_policy`` builds a fresh policy per run, replacing the built-in
-    one ``qos`` names, so the two modes never share mutated policy state.
     ``epoch_ops`` maps a schedule index to a policy event applied after
     that burst: ``("weight", asid, w)`` re-weights a tenant and
     ``("remove", asid)`` destroys its context mid-run, poisoning its
     in-flight walks; later bursts of a removed ASID are skipped.
     """
     cfg = replace(config, engine_mode=mode, qos=qos, page_size=page_size)
-    policy = share_policy() if share_policy is not None else None
-    mmu = MMU(cfg, None, share_policy=policy)
+    mmu = MMU(cfg, None)
     tables = {
         0: build_table(first_pfn=10),
         5: build_table(first_pfn=500_000),
@@ -315,31 +294,10 @@ class TestEngineDifferential:
 
 
 class TestPolicyEvents:
-    """Policy events both fast runners must honour mid-run.  The reference
-    path consults the policy on every transaction, so it is the oracle
-    for finite event horizons, re-weights and context teardown alike."""
-
-    @pytest.mark.parametrize(
-        "config", FUZZ_CONFIGS, ids=lambda c: c.name
-    )
-    @given(
-        schedule=_run_schedule,
-        period=st.sampled_from([64.0, 97.5, 4096.0]),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_finite_event_horizon(self, config, schedule, period):
-        def policy():
-            return PeriodicEventShare(period)
-
-        columnar = run_mode(
-            "columnar", config, "weighted", schedule, PAGE_SIZE_4K,
-            share_policy=policy,
-        )
-        reference = run_mode(
-            "reference", config, "weighted", schedule, PAGE_SIZE_4K,
-            share_policy=policy,
-        )
-        assert columnar == reference
+    """Policy events both fast runners must honour mid-run: a re-weight
+    or a context teardown between bursts bumps the policy version, so
+    quota memos must refresh.  The reference path consults the policy on
+    every transaction, so it is the oracle."""
 
     @pytest.mark.parametrize(
         "config", FUZZ_CONFIGS, ids=lambda c: c.name

@@ -12,8 +12,9 @@ compared field for field.
 
 The fast tier covers one figure per engine regime (oracle timeline,
 demand paging, VA trace); the slow tier adds the dense sweeps, most
-importantly Figure 8 — the saturated baseline-IOMMU regime the fused
-FIFO runner advances analytically.
+importantly Figure 8 — the saturated baseline-IOMMU regime where the
+fused FIFO runner stalls, retires and restarts a walk per transaction
+and the completion calendar retires whole stretches.
 """
 
 import os
@@ -110,8 +111,8 @@ class TestFastTier:
 @pytest.mark.slow
 class TestDenseSweeps:
     def test_fig8_baseline_iommu(self):
-        # The satellite target: the closed-form saturated FIFO stretches
-        # must reproduce the Figure 8 bench output exactly.
+        # The FIFO runner's saturated loop and the calendar's planned
+        # stretches must reproduce the Figure 8 bench output exactly.
         golden_diff(
             lambda: fig8_baseline_iommu(
                 batches=B1, runner=ExperimentRunner()

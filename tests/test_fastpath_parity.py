@@ -322,10 +322,12 @@ class TestContendedPathParity:
         MMUConfig(name="tpreg0", n_walkers=6, prmb_slots=0, path_cache="tpreg"),
     ]
 
-    def run_both_policied(self, config, qos, schedule, w0=2.0):
+    def run_both_policied(self, config, qos, schedule, w0=2.0, make_tlb=None):
         out = []
         for batched in (True, False):
             mmu = MMU(replace(config, qos=qos), None)
+            if make_tlb is not None:
+                mmu.tlb = make_tlb(mmu)
             mmu.register_context(0, build_table(), weight=w0)
             other = PageTable()
             other.map_range(BASE, N_PAGES * PAGE_SIZE_4K, first_pfn=500_000)
@@ -377,6 +379,44 @@ class TestContendedPathParity:
             baseline_iommu_config(), "weighted", schedule, w0=3.0
         )
         assert batched_state == reference_state
+
+    @pytest.mark.parametrize("qos", ["static_partition", "weighted"])
+    def test_set_associative_dropped_fills(self, qos, monkeypatch):
+        """A 2-way policied TLB drops fills: a tenant at its quota with
+        no entry in the target set can neither grow nor self-victimize.
+        The FIFO runner must retire through those drops, and through the
+        hits between repeated completions of one walk, exactly as the
+        reference does."""
+        drops = []
+        victim = TLB._victim
+
+        def spy(tlb, entry_set, set_idx, owner=None, over_quota_first=False):
+            key = victim(tlb, entry_set, set_idx, owner, over_quota_first)
+            if owner is not None and key is None:
+                drops.append(tlb)
+            return key
+
+        monkeypatch.setattr(TLB, "_victim", spy)
+        rng = random.Random(22)
+
+        def runs(n):
+            # Pages recur within a 64-page pool, so hit spans land
+            # between repeated completions of one walk.
+            txs = []
+            while len(txs) < n:
+                base = BASE + rng.randrange(64) * PAGE_SIZE_4K
+                run = rng.choice([1, 2, 4, 16])
+                txs.extend((base + k * 256, 256) for k in range(run))
+            return txs[:n]
+
+        schedule = [(0, runs(800)), (5, runs(800)), (0, runs(400)), (5, runs(400))]
+        batched_state, reference_state = self.run_both_policied(
+            baseline_iommu_config(), qos, schedule,
+            make_tlb=lambda mmu: TLB(16, associativity=2, policy=mmu.share_policy),
+        )
+        assert batched_state == reference_state
+        # Both legs (batched first, then reference) dropped fills.
+        assert len({id(tlb) for tlb in drops}) == 2
 
     def test_every_share_policy_reaches_the_one_kernel(self):
         """A full_share and a static_partition PRMB burst dispatch to the

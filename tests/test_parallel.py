@@ -8,6 +8,7 @@ preserve the exact per-call semantics of the historical serial runner.
 """
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -150,7 +151,7 @@ class TestResultCache:
         (tmp_path / f"{key}.pkl").write_bytes(b"not a pickle")
         assert cache.get(key) is None
 
-    def test_key_stability_and_sensitivity(self):
+    def test_key_stability_and_sensitivity(self, monkeypatch):
         base = dict(
             label="tiny",
             mmu_config=neummu_config(),
@@ -167,6 +168,17 @@ class TestResultCache:
         assert key != request_key(
             **{**base, "npu_config": NPUConfig(dma_transaction_bytes=128)}
         )
+        # ``engine_mode`` is the one field an environment variable
+        # (NEUMMU_ENGINE) injects into otherwise-identical configs.
+        reference = replace(neummu_config(), engine_mode="reference")
+        columnar = replace(neummu_config(), engine_mode="columnar")
+        assert request_key(**{**base, "mmu_config": reference}) != request_key(
+            **{**base, "mmu_config": columnar}
+        )
+        # The completion calendar is unconditional: its retired knob no
+        # longer reaches the key.
+        monkeypatch.setenv("NEUMMU_CALENDAR", "0")
+        assert key == request_key(**base)
 
     def test_rejects_negative_jobs(self):
         with pytest.raises(ValueError):
