@@ -168,6 +168,7 @@ def _apply_engine_flag(args) -> None:
     environment variable, so setting it here covers every config the
     command builds — including ones constructed deep inside experiment
     functions and worker processes (the env propagates to them).
+    :func:`main` restores the variable when the command returns.
     """
     engine = getattr(args, "engine", None)
     if engine is not None:
@@ -647,9 +648,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handler = handlers.get(args.command)
     if handler is None:
         raise AssertionError(f"unhandled command {args.command!r}")
-    if getattr(args, "profile", False):
-        return _profiled(handler, args)
-    return handler(args)
+    # ``--engine`` sets NEUMMU_ENGINE for this command only: an in-process
+    # caller's later configs keep the engine mode it had before.
+    engine = os.environ.get("NEUMMU_ENGINE")
+    try:
+        if getattr(args, "profile", False):
+            return _profiled(handler, args)
+        return handler(args)
+    finally:
+        if engine is None:
+            os.environ.pop("NEUMMU_ENGINE", None)
+        else:
+            os.environ["NEUMMU_ENGINE"] = engine
 
 
 if __name__ == "__main__":

@@ -8,10 +8,13 @@ bandwidth and 100 cycles access latency at a 1 GHz NPU clock — i.e.
 
 The model is a simple multi-channel queueing server: each request occupies
 its channel for ``size / channel_bandwidth`` cycles and completes a fixed
-``latency`` after service starts.  Page-table walk reads (8-byte entry
-reads) and DMA data transactions share the same memory, so heavy walk
-traffic genuinely steals bandwidth from data — one of the effects PRMB's
-merging is designed to curb (Section IV-A).
+``latency`` after service starts.  Only DMA data transactions occupy the
+channels.  A page-table walk never does: it takes ``levels accessed x
+walk_latency_per_level`` cycles in the walker pool (``core/ptw.py``), and
+its level reads are charged only to energy (``walk_level_accesses`` in
+``energy/accounting.py``).  Walk traffic therefore steals no bandwidth
+from data in this model; PRMB's merging (Section IV-A) pays off as fewer
+walks and shorter walker stalls.
 """
 
 from __future__ import annotations
@@ -27,9 +30,6 @@ class MemoryConfig:
     channels: int = 8
     bandwidth_bytes_per_cycle: float = 600.0
     access_latency_cycles: int = 100
-    #: Bytes moved per page-table-entry read.  Entries are 8 bytes but DRAM
-    #: transfers a minimum burst; 64 B matches a DDR/HBM access granule.
-    walk_access_bytes: int = 64
 
     def __post_init__(self) -> None:
         if self.channels <= 0:
@@ -97,10 +97,6 @@ class MainMemory:
         self.total_bytes += size_bytes
         self.total_accesses += 1
         return start + transfer + self.config.access_latency_cycles
-
-    def walk_access(self, cycle: float, address: int | None = None) -> float:
-        """Issue one page-table-entry read; returns its completion cycle."""
-        return self.access(cycle, self.config.walk_access_bytes, address)
 
     def earliest_free(self) -> float:
         """Cycle at which at least one channel is idle."""

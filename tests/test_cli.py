@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import os
 import re
 
 import pytest
@@ -96,6 +97,18 @@ class TestDispatch:
         out = capsys.readouterr().out
         assert "Baseline NPU configuration" in out
         assert (tmp_path / "table1.txt").exists()
+
+    @pytest.mark.parametrize("before", [None, "columnar"])
+    def test_engine_flag_does_not_leak(self, capsys, monkeypatch, before):
+        from repro.core.mmu import MMUConfig
+
+        if before is None:
+            monkeypatch.delenv("NEUMMU_ENGINE", raising=False)
+        else:
+            monkeypatch.setenv("NEUMMU_ENGINE", before)
+        assert main(["run", "table1", "--engine", "reference"]) == 0
+        assert os.environ.get("NEUMMU_ENGINE") == before
+        assert MMUConfig().engine_mode == "columnar"
 
     def test_completion_line_tallies_the_runner(self, capsys, monkeypatch):
         """``neummu run`` reports what each runner-aware experiment simulated."""

@@ -74,13 +74,6 @@ class TestAccess:
         with pytest.raises(ValueError):
             mem.access(0, 0)
 
-    def test_walk_access_uses_burst_size(self):
-        cfg = MemoryConfig(channels=1, bandwidth_bytes_per_cycle=64, walk_access_bytes=64)
-        mem = MainMemory(cfg)
-        done = mem.walk_access(0, address=0)
-        assert done == pytest.approx(1 + cfg.access_latency_cycles)
-        assert mem.total_bytes == 64
-
 
 class TestBandwidthBound:
     def test_zero_bytes(self):
