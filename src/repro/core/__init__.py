@@ -35,7 +35,7 @@ from .mmu_cache import (
 )
 from .prmb import MergeBuffer, MergeBufferStats
 from .pts import PendingTranslationScoreboard
-from .ptw import WalkCompletion, WalkerPool, WalkerPoolStats
+from .ptw import WalkerPool, WalkerPoolStats
 from .qos import (
     ARBITRATION_POLICIES,
     SHARE_POLICIES,
@@ -90,7 +90,6 @@ __all__ = [
     "TranslationPathCache",
     "TranslationStats",
     "UnifiedPageTableCache",
-    "WalkCompletion",
     "WalkInfo",
     "WalkResolver",
     "WalkerPool",

@@ -37,14 +37,18 @@ Three execution paths
   occupancy update per walker — and a tight arithmetic loop over the
   memory channels.  Quota checks only add segment bounds, so full
   sharing is simply the policy whose bounds never bind.  PRMB-less,
-  path-cache-less MMUs (the baseline IOMMU) hand their miss runs to a
+  path-cache-less MMUs (the baseline IOMMU) hand the whole burst to a
   fused FIFO runner (:meth:`TranslationEngine._no_prmb_fifo_runner`).
 
-For fully contiguous uniform 256 B runs (the DMA's streaming output, as
-certified by :class:`~repro.npu.dma.TransactionStream` run metadata) a
-further *closed form* applies: when no channel queueing can occur, only
-the last ``n_channels`` transactions' finish times are observable, so the
-bulk of the run reduces to an exact issue-cycle spin.
+Same-page spans whose release latency is fixed — the oracle's runs
+(latency 0) and resident-page hit spans in the kernel and the FIFO
+runner (the TLB hit latency) — retire through one routine,
+:func:`_issue_span`.  For fully contiguous uniform 256 B runs (the DMA's
+streaming output, as certified by
+:class:`~repro.npu.dma.TransactionStream` run metadata) it applies a
+*closed form*: when no channel queueing can occur, only the last
+``n_channels`` transactions' finish times are observable, so the bulk of
+the run reduces to an exact issue-cycle spin.
 
 The paths are kept *bit-identical*: the fast paths perform exactly the
 floating-point operation sequence of the reference path for every
@@ -81,15 +85,11 @@ Transaction = Tuple[int, int]
 #: shootdown path.
 FaultHandler = Callable[[int, float, int], float]
 
-#: The fused FIFO segment runner the batched kernel hands PRMB-less,
-#: path-cache-less miss runs to, built per ASID by
+#: The fused FIFO runner the batched kernel hands PRMB-less,
+#: path-cache-less bursts to, built per ASID by
 #: :meth:`TranslationEngine._no_prmb_fifo_runner`.  Returns the updated
-#: ``(i, cycle, data_end, total_bytes, stall, faulted, rc, run_vpn,
-#: run_end, run_streamable)`` segment state.
-NoPrmbRunner = Callable[
-    ...,
-    Tuple[int, float, float, int, float, bool, int, int, int, bool],
-]
+#: ``(i, cycle, data_end, total_bytes, stall, faulted, rc)`` burst state.
+NoPrmbRunner = Callable[..., Tuple[int, float, float, int, float, bool, int]]
 
 
 def _run_bounds(
@@ -110,9 +110,10 @@ def _run_bounds(
     (``None`` meta falls back to scanning the column lists).  One
     derivation shared by the oracle shortcut, the batched kernel and the
     FIFO runner — copies would have to stay operation-identical for the
-    parity contract, so there is exactly one.  The kernel and the runner
-    memoize the result per run (``run_vpn``/``run_end``), so this runs
-    once per same-page run, not per transaction.
+    parity contract, so there is exactly one.  The oracle and the runner
+    call it once per run, at its head; the kernel re-enters a partially
+    consumed run after every segment break, so it memoizes the result per
+    run (``run_vpn``/``run_end``).
     """
     if meta is not None:
         while meta[rc][0] <= i:
@@ -130,6 +131,88 @@ def _run_bounds(
         and all(s == 256 for s in size_list[i:j])
     )
     return j, streamable, rc
+
+
+def _issue_span(
+    va_list: Sequence[int],
+    size_list: Sequence[int],
+    i: int,
+    span: int,
+    streamable: bool,
+    cycle: float,
+    latency: float,
+    interval: float,
+    data_end: float,
+    total_bytes: int,
+    channel_free: List[float],
+    n_channels: int,
+    ch_bw: float,
+    mem_latency: float,
+) -> Tuple[float, float, int]:
+    """Issue transactions ``[i, i + span)`` of one same-page run.
+
+    They issue one per ``interval`` from ``cycle``, and each is released
+    to its memory channel ``latency`` cycles after it issues: 0 for the
+    oracle, the TLB hit latency for a resident page.  Returns the updated
+    ``(cycle, data_end, total_bytes)``.
+
+    A contiguous uniform 256 B run (``streamable``) of at least 8
+    transactions walks the channels round-robin.  When every channel is
+    free by its first release, no queueing can occur, so only the last
+    ``n_channels`` finish times are observable and the rest of the run
+    reduces to the exact issue-cycle spin (the *streaming closed form*).
+    Otherwise each transaction takes the reference loop's channel
+    arithmetic.  Either way the float operations are the reference's
+    (``256 / ch_bw`` is its ``size / ch_bw`` for a 256 B transaction, and
+    ``cycle + 0`` is ``cycle``), which is what lets the oracle shortcut,
+    the FIFO runner and the kernel share this one copy.
+    """
+    if span >= 8 and streamable:
+        s_cycles = 256 / ch_bw
+        if span <= n_channels or n_channels * interval >= s_cycles:
+            base_ch = va_list[i] >> 8
+            lim = span if span < n_channels else n_channels
+            # Cheap dominating probe first: if every channel is free by
+            # the first release, later releases are only later.
+            ok = max(channel_free) <= cycle + latency
+            if not ok:
+                probe = cycle
+                ok = True
+                for k in range(lim):
+                    if channel_free[(base_ch + k) % n_channels] > (
+                        probe + latency
+                    ):
+                        ok = False
+                        break
+                    probe += interval
+            if ok:
+                for _ in range(span - lim):
+                    cycle += interval
+                for k in range(span - lim, span):
+                    finish = cycle + latency + s_cycles
+                    channel_free[(base_ch + k) % n_channels] = finish
+                    cycle += interval
+                done = finish + mem_latency
+                if done > data_end:
+                    data_end = done
+                return cycle, data_end, total_bytes + span * 256
+    # Indexing, not zipped slices: most spans taking this loop are
+    # shorter than 8, where building two slices costs more than the loop.
+    for k in range(i, i + span):
+        va = va_list[k]
+        size = size_list[k]
+        ready = cycle + latency
+        channel = (va >> 8) % n_channels
+        free_at = channel_free[channel]
+        start = ready if ready > free_at else free_at
+        finish = start + size / ch_bw
+        channel_free[channel] = finish
+        done = finish + mem_latency
+        if done > data_end:
+            data_end = done
+        total_bytes += size
+        cycle += interval
+    return cycle, data_end, total_bytes
 
 
 @dataclass
@@ -178,7 +261,7 @@ class TranslationEngine:
         #: A defaultdict so the per-transaction histogram update is one
         #: indexed increment instead of a get-plus-store.
         self.timeline: Dict[int, int] = defaultdict(int)
-        #: asid -> fused FIFO no-PRMB segment runner (closure over the
+        #: asid -> fused FIFO no-PRMB runner (closure over the
         #: MMU's stable structures; see :meth:`_no_prmb_fifo_runner`).
         self._np_runners: Dict[int, NoPrmbRunner] = {}
 
@@ -313,6 +396,8 @@ class TranslationEngine:
         path), matching :meth:`MMU.translate`'s per-request semantics: an
         unmapped page raises :class:`TranslationFault` and is counted in
         ``stats.faults`` without being counted as a completed request.
+        A present page's whole run then issues through
+        :func:`_issue_span` at release latency 0.
         """
         mmu = self.mmu
         memory = self.memory
@@ -327,16 +412,9 @@ class TranslationEngine:
         ch_bw = mem_cfg.channel_bandwidth
         mem_latency = mem_cfg.access_latency_cycles
 
-        # Precomputed service time of the DMA's default 256 B transaction;
-        # bit-identical to the reference's per-transaction ``size / ch_bw``
-        # because float division is deterministic.
-        s_cycles = 256 / ch_bw
-        stream_ok = n_channels * interval >= s_cycles
-
         cycle = start_cycle
         data_end = start_cycle
         total_bytes = 0
-        last_vpn = -1
         counted = 0
         n = len(transactions)
 
@@ -360,85 +438,19 @@ class TranslationEngine:
         try:
             i = 0
             while i < n:
-                va = va_list[i]
-                size = size_list[i]
-                vpn = va >> vpn_shift
-                if vpn != last_vpn:
-                    if resolve(vpn) is None:
-                        stats.faults += 1
-                        raise TranslationFault(vpn)
-                    last_vpn = vpn
-                channel = (va >> 8) % n_channels
-                free_at = channel_free[channel]
-                start = cycle if cycle > free_at else free_at
-                finish = start + size / ch_bw
-                channel_free[channel] = finish
-                done = finish + mem_latency
-                if done > data_end:
-                    data_end = done
-                total_bytes += size
-                cycle += interval
-                counted += 1
-                i += 1
-                # Same-page continuation (translation already proven
-                # present for this page; only the memory arithmetic runs).
-                if i >= n or va_list[i] >> vpn_shift != vpn:
-                    continue
+                vpn = va_list[i] >> vpn_shift
+                if resolve(vpn) is None:
+                    stats.faults += 1
+                    raise TranslationFault(vpn)
                 j, streamable, rc = _run_bounds(
                     va_list, size_list, i, n, vpn, vpn_shift, meta, rc
                 )
-                span = j - i
-                va0 = va_list[i]
-                if (
-                    span >= 8
-                    and streamable
-                    and (span <= n_channels or stream_ok)
-                ):
-                    # Streaming closed form: a contiguous uniform run walks
-                    # the channels round-robin, so when every channel is
-                    # free by its first arrival (probed below) only the
-                    # last ``n_channels`` transactions' finish times are
-                    # observable; the rest reduce to the exact cycle spin.
-                    base_ch = va0 >> 8
-                    lim = span if span < n_channels else n_channels
-                    # Cheap dominating probe first: if every channel is
-                    # free by the first arrival, no per-channel check is
-                    # needed (later arrivals are only later).
-                    ok = max(channel_free) <= cycle
-                    if not ok:
-                        probe = cycle
-                        ok = True
-                        for k in range(lim):
-                            if channel_free[(base_ch + k) % n_channels] > probe:
-                                ok = False
-                                break
-                            probe += interval
-                    if ok:
-                        for _ in range(span - lim):
-                            cycle += interval
-                        for k in range(span - lim, span):
-                            finish = cycle + s_cycles
-                            channel_free[(base_ch + k) % n_channels] = finish
-                            cycle += interval
-                        done = finish + mem_latency
-                        if done > data_end:
-                            data_end = done
-                        total_bytes += span * 256
-                        counted += span
-                        i = j
-                        continue
-                for va, size in zip(va_list[i:j], size_list[i:j]):
-                    channel = (va >> 8) % n_channels
-                    free_at = channel_free[channel]
-                    start = cycle if cycle > free_at else free_at
-                    finish = start + size / ch_bw
-                    channel_free[channel] = finish
-                    done = finish + mem_latency
-                    if done > data_end:
-                        data_end = done
-                    total_bytes += size
-                    cycle += interval
-                counted += span
+                cycle, data_end, total_bytes = _issue_span(
+                    va_list, size_list, i, j - i, streamable, cycle, 0,
+                    interval, data_end, total_bytes, channel_free,
+                    n_channels, ch_bw, mem_latency,
+                )
+                counted += j - i
                 i = j
         finally:
             # Successful transactions count even when a later one faults,
@@ -457,7 +469,7 @@ class TranslationEngine:
         )
 
     # ------------------------------------------------------------------ #
-    # fused FIFO runner (PRMB-less, path-cache-less miss runs)           #
+    # fused FIFO runner (PRMB-less, path-cache-less bursts)              #
     # ------------------------------------------------------------------ #
 
     def _no_prmb_fifo_runner(self, asid: int) -> NoPrmbRunner:
@@ -469,7 +481,10 @@ class TranslationEngine:
         is (nearly) a FIFO: the heappush/heappop pair per walk becomes a
         cursor over one sorted snapshot of the heap.  This is the path
         the columnar engine takes for the baseline IOMMU (Figure 8) and
-        every contended scenario built on it:
+        every contended scenario built on it.  The kernel enters it once
+        per burst, at the first transaction, and it runs to the end of
+        the burst; it stops early only at a faulting transaction, which
+        the kernel's leading step replays before entering it again.
 
         * **Closure binding.**  Every stable structure (heap, free list,
           scoreboard, TLB sets, channel table ...) binds once when the
@@ -493,10 +508,11 @@ class TranslationEngine:
         The runner is one loop; each pass takes exactly one phase, in
         the reference loop's order: *next page* (same-page run bounds),
         *retire* (``process_completions`` through the cursor), *hit
-        span* (resident page: bulk hits up to the next completion),
-        *walk start* (one transaction), *calendar gate* (a whole
-        saturated stretch retired by :mod:`repro.core.calendar`) or
-        *stall* (issue port blocked until the FIFO retry point).
+        span* (resident page: hits up to the next completion, one inline
+        or many through :func:`_issue_span`), *walk start* (one
+        transaction), *calendar gate* (a whole saturated stretch retired
+        by :mod:`repro.core.calendar`) or *stall* (issue port blocked
+        until the FIFO retry point).
         Consecutive retirements of the same walk object collapse to one
         TLB insert: with nothing interleaved the repeats are bare
         present-key LRU bumps (stamp renumbering is monotone, so victim
@@ -543,11 +559,10 @@ class TranslationEngine:
         inf = float("inf")
 
         run_bounds = _run_bounds
+        issue_span = _issue_span
         vpn_shift = mmu._vpn_shift
         tlb_touch = tlb.touch
         tlb_latency = mmu._tlb_latency
-        s_cycles = 256 / ch_bw
-        stream_ok = n_channels * interval >= s_cycles
         asid_bits = asid << ASID_SHIFT
 
         # Batched walker-completion calendar: whole saturated multi-run
@@ -575,21 +590,17 @@ class TranslationEngine:
             va_list: Sequence[int],
             size_list: Sequence[int],
             i: int,
-            j: int,
             n: int,
-            vpn: int,
-            tkey: int,
             cycle: float,
             data_end: float,
             total_bytes: int,
             stall: float,
             meta: Optional[Sequence[Tuple[int, bool]]],
             rc: int,
-            run_streamable: bool,
-            vas_col: Any = None,
-            sizes_col: Any = None,
-            uniform_size: Optional[int] = None,
-        ) -> Tuple[int, float, float, int, float, bool, int, int, int, bool]:
+            vas_col: Any,
+            sizes_col: Any,
+            uniform_size: Optional[int],
+        ) -> Tuple[int, float, float, int, float, bool, int]:
             nonlocal order, idx
             nonlocal pol_obj, pol_ver, my_quota, work_conserving, my_busy, others
             live = len(order) - idx
@@ -619,13 +630,10 @@ class TranslationEngine:
                     and (oq := walker_quota(other)) is not None
                 ]
             order_append = order.append
-            tlb_set = tlb_sets[tkey & tlb_set_mask]
-            my_walkers = pts_by_vpn.get(tkey)
             resolver = resolvers[asid]
             r_cache = resolver._cache
             r_resolve = resolver.resolve_vpn
-            run_vpn = vpn
-            run_end = j
+            j = i  # the first pass takes the next-page branch
             seq = pool._seq
             sc = stats.stall_cycles
             walk = None
@@ -653,8 +661,6 @@ class TranslationEngine:
                     j, run_streamable, rc = run_bounds(
                         va_list, size_list, i, n, vpn, vpn_shift, meta, rc
                     )
-                    run_vpn = vpn
-                    run_end = j
                     walk = None
                     my_walkers = pts_by_vpn.get(tkey)
                     prev_walk = None
@@ -722,9 +728,10 @@ class TranslationEngine:
                     # strictly before ``h``.
                     # simlint: disable=cyc-true-div -- completion/interval live in the float cycle domain; int() truncation is the reference semantics and // floors differently at float boundaries, breaking bit-identity
                     t = int((h - cycle) / interval) - 1 if h != inf else n
-                    if t <= 0:
-                        # A completion is due within two issue slots: one
-                        # hit (``h > cycle`` once retirement is done).
+                    if t <= 1 or i + 1 == j:
+                        # A span of one hit: a completion is due within
+                        # two issue slots (``h > cycle`` once retirement
+                        # is done), or one transaction is left in the run.
                         # Redundant walks of a page retire one per cycle
                         # while its run hits, so this is the common span
                         # of the saturated baseline IOMMU.
@@ -749,56 +756,11 @@ class TranslationEngine:
                     span = j - i
                     if span > t:
                         span = t
-                    closed = False
-                    va0 = va_list[i]
-                    if (
-                        span >= 8
-                        and run_streamable
-                        and (span <= n_channels or stream_ok)
-                    ):
-                        base_ch = va0 >> 8
-                        lim = span if span < n_channels else n_channels
-                        ok = max(channel_free) <= cycle + tlb_latency
-                        if not ok:
-                            probe = cycle
-                            ok = True
-                            for k in range(lim):
-                                if channel_free[
-                                    (base_ch + k) % n_channels
-                                ] > (probe + tlb_latency):
-                                    ok = False
-                                    break
-                                probe += interval
-                        if ok:
-                            closed = True
-                            for _ in range(span - lim):
-                                cycle += interval
-                            for k in range(span - lim, span):
-                                ready = cycle + tlb_latency
-                                finish = ready + s_cycles
-                                channel_free[
-                                    (base_ch + k) % n_channels
-                                ] = finish
-                                cycle += interval
-                            done = finish + mem_latency
-                            if done > data_end:
-                                data_end = done
-                            total_bytes += span * 256
-                    if not closed:
-                        for va, size in zip(
-                            va_list[i:i + span], size_list[i:i + span]
-                        ):
-                            ready = cycle + tlb_latency
-                            channel = (va >> 8) % n_channels
-                            free_at = channel_free[channel]
-                            start = ready if ready > free_at else free_at
-                            finish = start + size / ch_bw
-                            channel_free[channel] = finish
-                            done = finish + mem_latency
-                            if done > data_end:
-                                data_end = done
-                            total_bytes += size
-                            cycle += interval
+                    cycle, data_end, total_bytes = issue_span(
+                        va_list, size_list, i, span, run_streamable, cycle,
+                        tlb_latency, interval, data_end, total_bytes,
+                        channel_free, n_channels, ch_bw, mem_latency,
+                    )
                     stats.requests += span
                     stats.tlb_hits += span
                     tlb_touch(vpn, span, asid)
@@ -832,7 +794,7 @@ class TranslationEngine:
                             walk = r_resolve(vpn)
                             if walk is None:
                                 faulted = True
-                                break  # the reference step raises it
+                                break  # the kernel's leading step raises it
                         levels = walk.levels
                         dur = levels * walk_latency
                     ready = cycle + dur
@@ -910,8 +872,6 @@ class TranslationEngine:
                         dur = levels * walk_latency
                         tlb_set = tlb_sets[tkey & tlb_set_mask]
                         my_walkers = pts_by_vpn.get(tkey)
-                        run_vpn = vpn
-                        run_end = j
                         prev_walk = None
                         stalls_n += cal_stalls - cal_fresh_stalls
                         walks_n += cal_m - cal_fresh_pages
@@ -978,79 +938,10 @@ class TranslationEngine:
                 pts.hits += walks_n + stalls_n
             if stalls_n or fresh_stall_n:
                 stats.stall_events += stalls_n + fresh_stall_n
-            return (
-                i, cycle, data_end, total_bytes, stall, faulted,
-                rc, run_vpn, run_end, run_streamable,
-            )
+            return i, cycle, data_end, total_bytes, stall, faulted, rc
 
         self._np_runners[asid] = run
         return run
-
-    def _no_prmb_entry(
-        self,
-        transactions: Sequence[Transaction],
-        va_list: Sequence[int],
-        size_list: Sequence[int],
-        i: int,
-        n: int,
-        vpn: int,
-        tkey: int,
-        asid: int,
-        cycle: float,
-        data_end: float,
-        total_bytes: int,
-        stall: float,
-        meta: Optional[Sequence[Tuple[int, bool]]],
-        rc: int,
-        run_vpn: int,
-        run_end: int,
-        run_streamable: bool,
-    ) -> Tuple[int, float, float, int, float, int, int, int, bool, bool]:
-        """Run-bounds memoization + FIFO runner dispatch.
-
-        The kernel's one entry into :meth:`_no_prmb_fifo_runner`, taken
-        by PRMB-less, path-cache-less MMUs only (PRMB-less MMUs with a
-        path cache walk through the kernel's :meth:`MMU.translate`
-        reference step instead): refresh the caller's memoized
-        same-page run bounds and hand the rest of the burst to the
-        runner.  Returns the updated ``(i, cycle, data_end, total_bytes,
-        stall, rc, run_vpn, run_end, run_streamable, handled)``;
-        ``handled`` is False when the runner stopped at a faulting
-        transaction ``i``, which the caller replays through its fully
-        general reference step (raising or handling the fault).
-        """
-        if run_vpn != vpn or i >= run_end:
-            j, run_streamable, rc = _run_bounds(
-                va_list, size_list, i, n, vpn, self.mmu._vpn_shift, meta, rc
-            )
-            run_vpn = vpn
-            run_end = j
-        else:
-            j = run_end
-        runner = self._np_runners.get(asid)
-        if runner is None:
-            runner = self._no_prmb_fifo_runner(asid)
-        # Columnar streams feed the completion calendar's vectorized
-        # planning; per-object streams simply run without stretches.
-        vas_col = getattr(transactions, "vas", None)
-        if vas_col is not None:
-            sizes_col = getattr(transactions, "sizes", None)
-            uniform_size = getattr(transactions, "uniform_size", None)
-        else:
-            sizes_col = None
-            uniform_size = None
-        (
-            i, cycle, data_end, total_bytes, stall, faulted,
-            rc, run_vpn, run_end, run_streamable,
-        ) = runner(
-            va_list, size_list, i, j, n, vpn, tkey, cycle, data_end,
-            total_bytes, stall, meta, rc, run_streamable,
-            vas_col, sizes_col, uniform_size,
-        )
-        return (
-            i, cycle, data_end, total_bytes, stall,
-            rc, run_vpn, run_end, run_streamable, not faulted,
-        )
 
     # ------------------------------------------------------------------ #
     # batched kernel (every translated MMU, every share policy)          #
@@ -1061,45 +952,58 @@ class TranslationEngine:
     ) -> BurstResult:
         """Same-page run batching for translated MMUs under any share policy.
 
-        Each segment's leading transaction takes one fully general
-        reference step; the rest of its same-page run is retired in bulk
-        until the next interaction point:
+        PRMB-less, path-cache-less MMUs (the baseline IOMMU, whose walks
+        complete in FIFO order) hand the whole burst to the fused FIFO
+        runner (:meth:`_no_prmb_fifo_runner`), entering it once at the
+        first transaction.  It stops early only at a faulting transaction,
+        which the leading step below replays (raising the fault or handing
+        it to the fault handler) before the runner takes over again.
 
-        * **Hit runs** never extend past a walk completion: a policied
-          TLB fill selects victims from per-tenant LRU state, and in the
-          corner where the run's tenant holds a single entry in the
-          target set a deferred fill could evict the run page itself —
-          so fills are retired exactly when the reference loop would,
-          and a hit segment is bounded by the earliest in-flight
-          completion.  Between two completions a resident page stays
-          resident, so the segment is ``span`` identical lookups: one
-          MRU bump, bulk counters, the reference's channel arithmetic.
-        * **Merge runs** are bounded by this page's *own* earliest walk
-          completion (which flips the run to TLB hits) and, under a
-          policy, by the tenant's remaining PRMB-quota room.  Other
-          pages' retirements commute — they touch neither this page's
-          walkers nor the merge arithmetic — and the quota room they
-          release is recovered at the segment break, where the next
-          leading reference step retires the backlog at the same cycle
-          the reference loop would admit the freed capacity.
-        * PRMB-less, path-cache-less miss runs go to the fused FIFO
-          runner (:meth:`_no_prmb_entry`).
+        Every other MMU runs the kernel's own loop.  Each segment's leading
+        transaction takes one fully general step; the rest of its
+        same-page run is retired in bulk until the next interaction point.
+        The phases, each marked by a comment in the loop:
+
+        * **Leading step.**  The inlined :meth:`MMU.translate`: same
+          probes, counters and dispatch order (TLB → PTS/PRMB merge →
+          walker allocation → stall), with the method-call chain flattened
+          against locals.  The merge probe runs only with PRMB slots, and
+          the pool's quota checks and per-ASID bookkeeping only under a
+          policy.  Faults raise or go to the fault handler.
+        * **Channel.**  The leading transaction's memory-channel
+          arithmetic (:meth:`MainMemory.access`, inlined).
+        * **Hit span.**  Resident-page hits through :func:`_issue_span`,
+          never past a walk completion: a policied TLB fill selects
+          victims from per-tenant LRU state, and in the corner where the
+          run's tenant holds a single entry in the target set a deferred
+          fill could evict the run page itself — so fills are retired
+          exactly when the reference loop would, and a hit span is
+          bounded by the earliest in-flight completion.  Between two
+          completions a resident page stays resident, so the span is
+          ``span`` identical lookups: one MRU bump, bulk counters, the
+          reference's channel arithmetic.  A completion due within two
+          issue slots ends the span; the leading step takes that hit.
+        * **Merge segment.**  Bulk PRMB merges, bounded by this page's
+          *own* earliest walk completion (which flips the run to TLB
+          hits) and, under a policy, by the tenant's remaining PRMB-quota
+          room.  Other pages' retirements commute — they touch neither
+          this page's walkers nor the merge arithmetic — and the quota
+          room they release is recovered at the segment break, where the
+          next leading step retires the backlog at the same cycle the
+          reference loop would admit the freed capacity.  A PRMB-less
+          miss (a path-cache MMU's walk) is a leading step.
 
         Full sharing is the policy whose quotas never bind, so it skips
-        their queries and the pool's per-ASID bookkeeping.  Boundary
-        transactions (the last couple before a completion,
-        quota-exhausted merges, walk starts, stalls) fall back to one
-        reference step each — inlined for PRMB MMUs, :meth:`MMU.translate`
-        otherwise — keeping this path bit-identical to
-        :meth:`_run_burst_reference` under every share policy
-        (``tests/test_fastpath_parity.py``).
+        their queries and the pool's per-ASID bookkeeping.  Every phase
+        keeps the reference's operations and their order, so the kernel
+        is bit-identical to :meth:`_run_burst_reference` under every share
+        policy (``tests/test_fastpath_parity.py``).
         """
         mmu = self.mmu
         memory = self.memory
         vpn_shift = mmu._vpn_shift
         interval = self.issue_interval
         fault_handler = self.fault_handler
-        translate = mmu.translate
         process = mmu.process_completions
         stats = mmu.stats
         tlb = mmu.tlb
@@ -1130,7 +1034,6 @@ class TranslationEngine:
         ch_bw = mem_cfg.channel_bandwidth
         mem_latency = mem_cfg.access_latency_cycles
         s_cycles = 256 / ch_bw
-        stream_ok = n_channels * interval >= s_cycles
         merge_stream_ok = n_channels >= s_cycles
         asid_bits = asid << ASID_SHIFT
 
@@ -1141,12 +1044,10 @@ class TranslationEngine:
         tlb_set_mask = tlb._set_mask
         mirrored = tlb._mirrors is not None
 
-        # Structures of the inlined leading translate (PRMB MMUs).
-        resolver = mmu._resolvers.get(asid)
-        fused = prmb_capacity and resolver is not None
-        if resolver is not None:
-            resolver_resolve = resolver.resolve_vpn
-            r_cache = resolver._cache
+        # Structures of the inlined leading translate.
+        resolver = mmu.resolver_for(asid)
+        resolver_resolve = resolver.resolve_vpn
+        r_cache = resolver._cache
         pool_stats = pool.stats
         walk_of = pool._walk_of
         vpn_arr = pool._vpn
@@ -1184,6 +1085,18 @@ class TranslationEngine:
             meta = None
         rc = 0
 
+        if fifo:
+            runner = self._no_prmb_fifo_runner(asid)
+            # Columnar streams feed the completion calendar's vectorized
+            # planning; per-object streams simply run without stretches.
+            vas_col = getattr(transactions, "vas", None)
+            if vas_col is not None:
+                sizes_col = getattr(transactions, "sizes", None)
+                uniform_size = getattr(transactions, "uniform_size", None)
+            else:
+                sizes_col = None
+                uniform_size = None
+
         # Memoized same-page run bounds: re-entering the batch logic for a
         # partially-consumed run (after a segment break) must not rescan
         # the stream — 2 MB pages produce runs of ~8k transactions that
@@ -1194,42 +1107,71 @@ class TranslationEngine:
 
         i = 0
         while i < n:
+            if fifo:
+                # ---------------- FIFO runner ----------------
+                (
+                    i, cycle, data_end, total_bytes, stall, faulted, rc,
+                ) = runner(
+                    va_list, size_list, i, n, cycle, data_end, total_bytes,
+                    stall, meta, rc, vas_col, sizes_col, uniform_size,
+                )
+                if not faulted:
+                    break
             va = va_list[i]
             size = size_list[i]
             vpn = va >> vpn_shift
             tkey = vpn | asid_bits
-            if fifo and tkey not in tlb_sets[tkey & tlb_set_mask]:
-                # PRMB-less leading miss: the FIFO runner handles the
-                # page's fresh walk and everything after it directly,
-                # bypassing the translate dispatch.
-                (
-                    i, cycle, data_end, total_bytes, stall,
-                    rc, run_vpn, run_end, run_streamable, handled,
-                ) = self._no_prmb_entry(
-                    transactions, va_list, size_list, i, n, vpn, tkey, asid,
-                    cycle, data_end, total_bytes, stall, meta, rc, run_vpn,
-                    run_end, run_streamable,
-                )
-                if handled:
-                    continue
-                # The whole-burst runner may have crossed page boundaries
-                # before faulting, so transaction ``i`` is not
-                # necessarily the one this iteration derived its locals
-                # from: re-derive them before the reference-step replay.
-                va = va_list[i]
-                size = size_list[i]
-                vpn = va >> vpn_shift
-                tkey = vpn | asid_bits
-            # -- reference step for the segment's leading transaction ----
+            # ---------------- leading step ----------------
+            # The request count is settled per branch (translate nets it
+            # to zero on the stall and fault branches).
             if heap and heap[0][0] <= cycle:
                 process(cycle)
-            if not fused:
-                while True:
-                    try:
-                        ready, retry = translate(vpn, cycle, asid)
-                    except TranslationFault:
+            while True:
+                entry_set = tlb_sets[tkey & tlb_set_mask]
+                if tkey in entry_set:
+                    stats.requests += 1
+                    entry_set.move_to_end(tkey)
+                    if mirrored:
+                        tlb._bump_mirror(tkey, asid)
+                    tlb.hits += 1
+                    stats.tlb_hits += 1
+                    ready = cycle + tlb_latency
+                    break
+                tlb.misses += 1
+                pts.lookups += 1
+                walkers = pts_by_vpn.get(tkey)
+                if walkers:
+                    pts.hits += 1
+                    merged = False
+                    if prmb_capacity and (not policied or pool.can_merge(asid)):
+                        for walker in walkers:
+                            buf = buffers[walker]
+                            pos = buf._occupied
+                            if pos >= buf.slots:
+                                prmb_stats.rejects_full += 1
+                                continue
+                            pos += 1
+                            buf._occupied = pos
+                            prmb_stats.merges += 1
+                            if pos > prmb_stats.peak_occupancy:
+                                prmb_stats.peak_occupancy = pos
+                            if policied:
+                                prmb_occ[asid] = prmb_occ.get(asid, 0) + 1
+                            ready = completion_of[walker] + pos
+                            merged = True
+                            break
+                    if merged:
+                        stats.requests += 1
+                        stats.merges += 1
+                        break
+                if free_list and (not policied or pool.can_start(asid)):
+                    walk = r_cache.get(vpn)
+                    if walk is None:
+                        walk = resolver_resolve(vpn)
+                    if walk is None:
+                        stats.faults += 1
                         if fault_handler is None:
-                            raise
+                            raise TranslationFault(vpn)
                         resolved = fault_handler(vpn, cycle, asid)
                         # Post-fault state may be remapped: drop the
                         # memoized same-page-run metadata.
@@ -1239,120 +1181,52 @@ class TranslationEngine:
                         cycle = resolved
                         process(cycle)
                         continue
-                    if ready is None:
-                        stall += retry - cycle
-                        cycle = retry
-                        process(cycle)
-                        continue
-                    break
-            else:
-                # Inlined MMU.translate for PRMB MMUs: same probes, same
-                # counters, same dispatch order (TLB → PTS/PRMB merge →
-                # walker allocation → stall), with the method-call chain
-                # flattened against locals; the pool's quota checks and
-                # per-ASID bookkeeping run only under a policy.  The
-                # request count is settled per branch (translate nets it
-                # to zero on the stall and fault branches).
-                while True:
-                    entry_set = tlb_sets[tkey & tlb_set_mask]
-                    if tkey in entry_set:
-                        stats.requests += 1
-                        entry_set.move_to_end(tkey)
-                        if mirrored:
-                            tlb._bump_mirror(tkey, asid)
-                        tlb.hits += 1
-                        stats.tlb_hits += 1
-                        ready = cycle + tlb_latency
-                        break
-                    tlb.misses += 1
-                    pts.lookups += 1
-                    walkers = pts_by_vpn.get(tkey)
+                    stats.requests += 1
                     if walkers:
-                        pts.hits += 1
-                        merged = False
-                        if not policied or pool.can_merge(asid):
-                            for walker in walkers:
-                                buf = buffers[walker]
-                                pos = buf._occupied
-                                if pos >= buf.slots:
-                                    prmb_stats.rejects_full += 1
-                                    continue
-                                pos += 1
-                                buf._occupied = pos
-                                prmb_stats.merges += 1
-                                if pos > prmb_stats.peak_occupancy:
-                                    prmb_stats.peak_occupancy = pos
-                                if policied:
-                                    prmb_occ[asid] = prmb_occ.get(asid, 0) + 1
-                                ready = completion_of[walker] + pos
-                                merged = True
-                                break
-                        if merged:
-                            stats.requests += 1
-                            stats.merges += 1
-                            break
-                    if free_list and (not policied or pool.can_start(asid)):
-                        walk = r_cache.get(vpn)
-                        if walk is None:
-                            walk = resolver_resolve(vpn)
-                        if walk is None:
-                            stats.faults += 1
-                            if fault_handler is None:
-                                raise TranslationFault(vpn)
-                            resolved = fault_handler(vpn, cycle, asid)
-                            # Post-fault state may be remapped: drop the
-                            # memoized same-page-run metadata.
-                            run_vpn = -1
-                            run_end = 0
-                            stall += resolved - cycle
-                            cycle = resolved
-                            process(cycle)
-                            continue
-                        stats.requests += 1
-                        if walkers:
-                            stats.redundant_walk_requests += 1
-                        # Inlined WalkerPool.start_walk + PTS.register.
-                        walker = free_list.pop()
-                        if tpregs is not None:
-                            skip = tpregs[walker].lookup(walk)
-                        elif shared_cache is not None:
-                            skip = shared_cache.lookup(walk)
-                        else:
-                            skip = 0
-                        levels = walk.levels
-                        accessed = levels - (
-                            skip if skip < levels - 1 else levels - 1
-                        )
-                        ready = cycle + accessed * walk_latency
-                        pool_stats.walks += 1
-                        if walkers:
-                            pool_stats.redundant_walks += 1
-                        pool_stats.level_accesses += accessed
-                        pool_stats.levels_skipped += levels - accessed
-                        vpn_arr[walker] = vpn
-                        walk_of[walker] = walk
-                        completion_of[walker] = ready
-                        if policied:
-                            busy_by_asid.setdefault(asid, set()).add(walker)
-                        pool._seq += 1
-                        heappush_(heap, (ready, pool._seq, walker))
-                        if walkers:
-                            walkers.append(walker)
-                        else:
-                            pts_by_vpn[tkey] = [walker]
-                        pts._count += 1
-                        break
-                    # Fully blocked: translate's stall branch (the probe
-                    # counters above stand; the retried request recounts).
-                    if policied:
-                        retry = pool.earliest_retry_for(asid)
+                        stats.redundant_walk_requests += 1
+                    # Inlined WalkerPool.start_walk + PTS.register.
+                    walker = free_list.pop()
+                    if tpregs is not None:
+                        skip = tpregs[walker].lookup(walk)
+                    elif shared_cache is not None:
+                        skip = shared_cache.lookup(walk)
                     else:
-                        retry = heap[0][0] if heap else inf
-                    stats.stall_events += 1
-                    stats.stall_cycles += max(0.0, retry - cycle)
-                    stall += retry - cycle
-                    cycle = retry
-                    process(cycle)
+                        skip = 0
+                    levels = walk.levels
+                    accessed = levels - (
+                        skip if skip < levels - 1 else levels - 1
+                    )
+                    ready = cycle + accessed * walk_latency
+                    pool_stats.walks += 1
+                    if walkers:
+                        pool_stats.redundant_walks += 1
+                    pool_stats.level_accesses += accessed
+                    pool_stats.levels_skipped += levels - accessed
+                    vpn_arr[walker] = vpn
+                    walk_of[walker] = walk
+                    completion_of[walker] = ready
+                    if policied:
+                        busy_by_asid.setdefault(asid, set()).add(walker)
+                    pool._seq += 1
+                    heappush_(heap, (ready, pool._seq, walker))
+                    if walkers:
+                        walkers.append(walker)
+                    else:
+                        pts_by_vpn[tkey] = [walker]
+                    pts._count += 1
+                    break
+                # Fully blocked: translate's stall branch (the probe
+                # counters above stand; the retried request recounts).
+                if policied:
+                    retry = pool.earliest_retry_for(asid)
+                else:
+                    retry = heap[0][0] if heap else inf
+                stats.stall_events += 1
+                stats.stall_cycles += max(0.0, retry - cycle)
+                stall += retry - cycle
+                cycle = retry
+                process(cycle)
+            # ---------------- channel ----------------
             channel = (va >> 8) % n_channels
             free_at = channel_free[channel]
             start = ready if ready > free_at else free_at
@@ -1364,17 +1238,13 @@ class TranslationEngine:
             total_bytes += size
             cycle += interval
             i += 1
+            if fifo:
+                continue  # a replayed fault: the runner resumes
 
-            # -- bulk continuation between interaction points ------------
+            # Bulk continuation of the same-page run.
             while i < n and va_list[i] >> vpn_shift == vpn:
                 if tkey in tlb_sets[tkey & tlb_set_mask]:
-                    # Bulk TLB hits, bounded by the next walk completion:
-                    # fills are retired exactly where the reference loop
-                    # would retire them (a deferred policied fill could
-                    # in principle evict this very page).  Within the
-                    # segment no fill can land, so every transaction is a
-                    # plain resident lookup: one MRU bump and ``span``
-                    # hits, with the reference's channel arithmetic.
+                    # ---------------- hit span ----------------
                     h = heap[0][0] if heap else inf
                     if h <= cycle:
                         process(cycle)
@@ -1384,9 +1254,7 @@ class TranslationEngine:
                     # simlint: disable=cyc-true-div -- completion/interval live in the float cycle domain; int() truncation is the reference semantics and // floors differently at float boundaries, breaking bit-identity
                     t = int((h - cycle) / interval) - 1 if h != inf else n
                     if t <= 0:
-                        # A completion is due within two issue slots: the
-                        # leading reference step takes this hit.
-                        break
+                        break  # a completion due within two issue slots
                     if run_vpn != vpn or i >= run_end:
                         j, run_streamable, rc = _run_bounds(
                             va_list, size_list, i, n, vpn, vpn_shift, meta, rc
@@ -1398,74 +1266,19 @@ class TranslationEngine:
                     span = j - i
                     if span > t:
                         span = t
-                    closed = False
-                    va0 = va_list[i]
-                    if (
-                        span >= 8
-                        and run_streamable
-                        and (span <= n_channels or stream_ok)
-                    ):
-                        base_ch = va0 >> 8
-                        lim = span if span < n_channels else n_channels
-                        ok = max(channel_free) <= cycle + tlb_latency
-                        if not ok:
-                            probe = cycle
-                            ok = True
-                            for k in range(lim):
-                                if channel_free[(base_ch + k) % n_channels] > (
-                                    probe + tlb_latency
-                                ):
-                                    ok = False
-                                    break
-                                probe += interval
-                        if ok:
-                            closed = True
-                            for _ in range(span - lim):
-                                cycle += interval
-                            for k in range(span - lim, span):
-                                ready = cycle + tlb_latency
-                                finish = ready + s_cycles
-                                channel_free[(base_ch + k) % n_channels] = finish
-                                cycle += interval
-                            done = finish + mem_latency
-                            if done > data_end:
-                                data_end = done
-                            total_bytes += span * 256
-                    if not closed:
-                        for va, size in zip(
-                            va_list[i:i + span], size_list[i:i + span]
-                        ):
-                            ready = cycle + tlb_latency
-                            channel = (va >> 8) % n_channels
-                            free_at = channel_free[channel]
-                            start = ready if ready > free_at else free_at
-                            finish = start + size / ch_bw
-                            channel_free[channel] = finish
-                            done = finish + mem_latency
-                            if done > data_end:
-                                data_end = done
-                            total_bytes += size
-                            cycle += interval
+                    cycle, data_end, total_bytes = _issue_span(
+                        va_list, size_list, i, span, run_streamable, cycle,
+                        tlb_latency, interval, data_end, total_bytes,
+                        channel_free, n_channels, ch_bw, mem_latency,
+                    )
                     stats.requests += span
                     stats.tlb_hits += span
                     tlb.touch(vpn, span, asid)
                     i += span
                     continue
-
                 if not prmb_capacity:
-                    if not fifo:
-                        break  # path-cache walks: the reference step
-                    (
-                        i, cycle, data_end, total_bytes, stall,
-                        rc, run_vpn, run_end, run_streamable, handled,
-                    ) = self._no_prmb_entry(
-                        transactions, va_list, size_list, i, n, vpn, tkey,
-                        asid, cycle, data_end, total_bytes, stall, meta,
-                        rc, run_vpn, run_end, run_streamable,
-                    )
-                    if not handled:
-                        break  # a fault: the reference step raises or handles it
-                    continue  # the runner retired the rest of the burst
+                    break  # a path-cache walk: the leading step
+                # ---------------- merge segment ----------------
                 walkers = pts_by_vpn.get(tkey)
                 if not walkers:
                     break
@@ -1475,7 +1288,7 @@ class TranslationEngine:
                 # segment only breaks when one of *this page's* walks
                 # completes (flipping the run to TLB hits) — other pages'
                 # retirements commute and are deferred to the next
-                # reference step — and, under a policy, where the tenant's
+                # leading step — and, under a policy, where the tenant's
                 # merge-quota room runs out; that room only shrinks inside
                 # a segment (the drains that would grow it are themselves
                 # completions the next leading step retires first).
@@ -1623,12 +1436,12 @@ class TranslationEngine:
                         prmb_occ[asid] = prmb_occ.get(asid, 0) + merged_total
                     continue
                 # Nothing merged (walkers full / quota / completion): the
-                # next transaction takes the full reference step.
+                # next transaction takes the leading step.
                 break
 
         # Catch retirements deferred past merge segments up to the
         # reference path's end-of-burst point (the final transaction's
-        # issue cycle).  Within a burst the next reference step replays
+        # issue cycle).  Within a burst the next leading step replays
         # the backlog identically, but the next *burst* may start at an
         # earlier cycle — multi-tenant tenants run on independent clocks —
         # where a stale backlog would desynchronize walker allocation

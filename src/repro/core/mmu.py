@@ -492,13 +492,13 @@ class MMU:
     def process_completions(self, cycle: float) -> None:
         """Retire every walk completing at or before ``cycle``.
 
-        This is the walk-retirement hot loop (one iteration per finished
-        walk, millions per run), so the walker-pool bookkeeping of
-        :meth:`WalkerPool.complete_until` is fused inline rather than
-        consumed through the generator — same operations in the same
-        order, without the per-completion suspend/resume and record
-        allocation (``tests/test_pts_prmb_ptw.py`` pins the two paths to
-        each other).
+        The one walk-retirement path: each finished walk, in completion
+        order, fills its walker's path register or the shared path cache,
+        drains its PRMB, frees its walker, releases its scoreboard entry
+        and fills the TLB (unless the walk was shot down mid-flight).  It
+        runs millions of times per workload, so the walker-pool and
+        scoreboard bookkeeping is inlined.  ``tests/test_pts_prmb_ptw.py``
+        checks the walker, PRMB and path-register effects.
         """
         if self.config.oracle:
             return
@@ -549,13 +549,6 @@ class MMU:
                 del pts_by_vpn[key]
             pts._count -= 1
             tlb.insert(walk.vpn, walk.pfn, walk.asid)
-
-    def earliest_event(self) -> float:
-        """Next cycle at which MMU state changes (``inf`` when idle)."""
-        if self.config.oracle:
-            return float("inf")
-        assert self.pool is not None
-        return self.pool.earliest_completion()
 
     def drain(self) -> None:
         """Retire all in-flight walks (end of run)."""

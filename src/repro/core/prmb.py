@@ -48,11 +48,6 @@ class MergeBuffer:
         """Requests currently parked in this buffer."""
         return self._occupied
 
-    @property
-    def free_slots(self) -> int:
-        """Remaining mergeable capacity."""
-        return self.slots - self._occupied
-
     def try_merge(self) -> int:
         """Attempt to park one request.
 
@@ -68,12 +63,6 @@ class MergeBuffer:
         if self._occupied > self.stats.peak_occupancy:
             self.stats.peak_occupancy = self._occupied
         return self._occupied
-
-    def drain(self) -> int:
-        """Empty the buffer on walk completion; returns requests released."""
-        released = self._occupied
-        self._occupied = 0
-        return released
 
     #: Bytes per PRMB slot for the area model: VA tag plus request metadata
     #: is conservatively 8 bytes (Section IV-E).

@@ -18,7 +18,7 @@ two contexts walking the same VPN never merge into each other's walkers.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from ..memory.address import ASID_SHIFT
 
@@ -96,10 +96,6 @@ class PendingTranslationScoreboard:
     def distinct_pages(self) -> int:
         """Distinct VPNs with at least one walk in flight."""
         return len(self._by_vpn)
-
-    def iter_vpns(self) -> Iterator[int]:
-        """All ASID-tagged VPN keys with in-flight walks."""
-        return iter(self._by_vpn)
 
     def clear(self) -> None:
         """Drop all scoreboard state."""

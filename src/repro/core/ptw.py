@@ -16,23 +16,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .mmu_cache import NullPathCache, PathCache
 from .prmb import MergeBuffer, MergeBufferStats
 from .qos import SharePolicy
 from .tpreg import TPreg, TPregStats
 from .walk_info import WalkInfo
-
-
-@dataclass(slots=True)
-class WalkCompletion:
-    """One finished page-table walk, ready for MMU post-processing."""
-
-    cycle: float
-    walker: int
-    walk: WalkInfo
-    merged_requests: int
 
 
 @dataclass
@@ -141,11 +131,6 @@ class WalkerPool:
     def free_walkers(self) -> int:
         """Walkers currently idle."""
         return len(self._free)
-
-    @property
-    def busy_walkers(self) -> int:
-        """Walkers with a walk in flight."""
-        return self.n_walkers - len(self._free)
 
     def busy_walkers_of(self, asid: int) -> int:
         """Walks in flight for one address space (policy mode only)."""
@@ -294,35 +279,6 @@ class WalkerPool:
     def earliest_completion(self) -> float:
         """Cycle of the next walk completion (``inf`` when idle)."""
         return self.heap[0][0] if self.heap else float("inf")
-
-    def complete_until(self, cycle: float) -> Iterator[WalkCompletion]:
-        """Yield (and retire) every walk completing at or before ``cycle``.
-
-        On completion the walker's path register / shared cache is filled
-        and its PRMB drained; the walker returns to the free list.
-        """
-        while self.heap and self.heap[0][0] <= cycle:
-            completion, _, walker = heapq.heappop(self.heap)
-            walk = self._walk_of[walker]
-            assert walk is not None
-            if not self._no_path_cache:
-                if self._tpregs is not None:
-                    self._tpregs[walker].fill(walk)
-                else:
-                    self._shared_cache.fill(walk)
-            merged = self._buffers[walker].drain()
-            self._vpn[walker] = None
-            self._walk_of[walker] = None
-            if self._policy is not None:
-                busy = self._busy_by_asid.get(walk.asid)
-                if busy is not None:
-                    busy.discard(walker)
-                if merged:
-                    self._prmb_occ[walk.asid] -= merged
-            self._free.append(walker)
-            yield WalkCompletion(
-                cycle=completion, walker=walker, walk=walk, merged_requests=merged
-            )
 
     def shootdown_asid(self, asid: int) -> None:
         """Purge one context's path state from every walker (teardown).

@@ -140,10 +140,6 @@ class SharePolicy:
         """Registered ASIDs as a live view (no copy — hot-path iteration)."""
         return self._weights.keys()
 
-    def weight_of(self, asid: int) -> float:
-        """The tenant's registered weight (1.0 when unregistered)."""
-        return self._weights.get(asid, 1.0)
-
     # -- quotas --------------------------------------------------------- #
 
     def share_of(self, asid: int) -> Optional[float]:

@@ -201,10 +201,6 @@ class TensorLayout:
             vas = np.add.outer(vas, rows).ravel()
         return TileExtents(vas, run_bytes)
 
-    def full_extents(self) -> List[Extent]:
-        """The whole tensor as a single extent."""
-        return [Extent(self.base_va, self.nbytes)]
-
 
 def coalesce_extents(extents: Sequence[Extent]) -> List[Extent]:
     """Merge adjacent/overlapping extents (input need not be sorted).

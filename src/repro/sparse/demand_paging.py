@@ -170,10 +170,6 @@ class DemandPagingSimulator:
         return self.tier.migrated_bytes_of(0)
 
     @property
-    def _resident(self):
-        return self._tenant.resident
-
-    @property
     def _resident_bytes(self) -> int:
         return self._tenant.resident_bytes
 

@@ -50,12 +50,14 @@ N_PAGES = 96
 FAULT_BASE = BASE + (1 << 40)
 
 #: Design points spanning the engine's dispatch paths: the fused no-PRMB
-#: runner (baseline IOMMU), the merge-heavy NeuMMU point, and a
-#: walker/slot-starved point that exercises stall recycling.
+#: runner (baseline IOMMU), the merge-heavy NeuMMU point, a
+#: walker/slot-starved point that exercises stall recycling, and a
+#: PRMB-less path-cache point whose misses take the kernel's leading step.
 FUZZ_CONFIGS = [
     baseline_iommu_config(),
     neummu_config(),
     MMUConfig(name="w2s4", n_walkers=2, prmb_slots=4),
+    MMUConfig(name="tpreg0", n_walkers=6, prmb_slots=0, path_cache="tpreg"),
 ]
 
 

@@ -37,7 +37,9 @@ BASE = 0x7F00_0000_0000
 N_PAGES = 4000
 
 #: Configurations spanning every dispatch path of the batched engine:
-#: oracle, stall-heavy, merge-heavy, hit-heavy, path caches, tiny TLBs.
+#: oracle, stall-heavy, merge-heavy, hit-heavy, path caches (``tpreg0``
+#: is PRMB-less, so every miss takes the kernel's leading step), tiny
+#: TLBs.
 PARITY_CONFIGS = [
     oracle_config(),
     baseline_iommu_config(),
@@ -46,6 +48,7 @@ PARITY_CONFIGS = [
     MMUConfig(name="s1", n_walkers=8, prmb_slots=1),
     MMUConfig(name="w1s2", n_walkers=1, prmb_slots=2),
     MMUConfig(name="tpc", n_walkers=16, prmb_slots=8, path_cache="tpc"),
+    MMUConfig(name="tpreg0", n_walkers=6, prmb_slots=0, path_cache="tpreg"),
     MMUConfig(name="tiny_tlb", tlb_entries=4, n_walkers=4, prmb_slots=2),
     neummu_config(page_size=PAGE_SIZE_2M),
     baseline_iommu_config(page_size=PAGE_SIZE_2M),
@@ -311,7 +314,7 @@ class TestContendedPathParity:
 
     #: No-PRMB and merge-heavy design points, policied.  ``tpc0`` and
     #: ``tpreg0`` are PRMB-less with a path cache: their misses take the
-    #: kernel's MMU.translate reference-step fallback, not the FIFO runner.
+    #: kernel's inlined leading step, not the FIFO runner.
     CONTENDED_CONFIGS = [
         baseline_iommu_config(),
         neummu_config(),

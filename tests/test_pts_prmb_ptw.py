@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.mmu import MMU, MMUConfig
 from repro.core.prmb import MergeBuffer, MergeBufferStats
 from repro.core.pts import PendingTranslationScoreboard
 from repro.core.ptw import WalkerPool
@@ -22,6 +23,15 @@ def make_walk(vpn, levels=4):
         path=path,
         entry_pas=tuple(0x1000 * (i + 1) + vpn for i in range(levels)),
     )
+
+
+def make_mmu(n_walkers, prmb_slots=0, path_cache="none", qos="full_share"):
+    """An MMU without contexts: walks start from explicit ``WalkInfo``s
+    (``MMU.start_walk``) and retire through ``MMU.process_completions``."""
+    config = MMUConfig(
+        n_walkers=n_walkers, prmb_slots=prmb_slots, path_cache=path_cache, qos=qos
+    )
+    return MMU(config, None)
 
 
 class TestPTS:
@@ -79,10 +89,13 @@ class TestMergeBuffer:
         assert buf.try_merge() == 0  # full
 
     def test_drain_resets(self):
-        buf = MergeBuffer(slots=2)
+        mmu = make_mmu(n_walkers=1, prmb_slots=2)
+        walker, completion = mmu.start_walk(make_walk(1), 0.0)
+        buf = mmu.pool._buffers[walker]
         buf.try_merge()
         buf.try_merge()
-        assert buf.drain() == 2
+        assert buf.occupied == 2
+        mmu.process_completions(completion)
         assert buf.occupied == 0
         assert buf.try_merge() == 1
 
@@ -126,20 +139,23 @@ class TestWalkerPool:
             pool.start_walk(make_walk(3), 0.0)
 
     def test_completion_frees_walker(self):
-        pool = WalkerPool(n_walkers=1)
-        _, completion = pool.start_walk(make_walk(1), 0.0)
-        completions = list(pool.complete_until(completion))
-        assert len(completions) == 1
-        assert completions[0].walk.vpn == 1
-        assert pool.free_walkers == 1
+        mmu = make_mmu(n_walkers=1)
+        _, completion = mmu.start_walk(make_walk(1), 0.0)
+        assert mmu.pool.free_walkers == 0
+        mmu.process_completions(completion)
+        assert mmu.pool.free_walkers == 1
+        assert mmu.pts.in_flight == 0
+        assert mmu.tlb_contains(1)
 
-    def test_complete_until_respects_cycle(self):
-        pool = WalkerPool(n_walkers=2)
-        pool.start_walk(make_walk(1), 0.0)  # completes at 400
-        pool.start_walk(make_walk(2), 100.0)  # completes at 500
-        done = list(pool.complete_until(450.0))
-        assert [c.walk.vpn for c in done] == [1]
-        assert pool.earliest_completion() == pytest.approx(500.0)
+    def test_completion_respects_cycle(self):
+        mmu = make_mmu(n_walkers=2)
+        mmu.start_walk(make_walk(1), 0.0)  # completes at 400
+        mmu.start_walk(make_walk(2), 100.0)  # completes at 500
+        mmu.process_completions(450.0)
+        assert mmu.tlb_contains(1)
+        assert not mmu.tlb_contains(2)
+        assert mmu.pool.free_walkers == 1
+        assert mmu.pool.earliest_completion() == pytest.approx(500.0)
 
     def test_merge_ready_cycles_follow_drain_order(self):
         pool = WalkerPool(n_walkers=1, prmb_slots=2)
@@ -151,33 +167,41 @@ class TestWalkerPool:
         assert pool.merge_into(walker) == -1.0  # full
 
     def test_completion_reports_merged_count(self):
-        pool = WalkerPool(n_walkers=1, prmb_slots=4)
-        walker, completion = pool.start_walk(make_walk(1), 0.0)
+        # Under a share policy the tenant's parked-request count drops by
+        # the walk's merged count when it retires.
+        mmu = make_mmu(n_walkers=1, prmb_slots=4, qos="static_partition")
+        pool = mmu.pool
+        walker, completion = mmu.start_walk(make_walk(1), 0.0)
         pool.merge_into(walker)
         pool.merge_into(walker)
-        (done,) = pool.complete_until(completion)
-        assert done.merged_requests == 2
+        assert pool.prmb_occupancy_of(0) == 2
+        mmu.process_completions(completion)
+        assert pool.prmb_occupancy_of(0) == 0
+        assert pool._buffers[walker].occupied == 0
 
     def test_tpreg_reduces_second_walk(self):
-        pool = WalkerPool(n_walkers=1, walk_latency_per_level=100, use_tpreg=True)
-        walker, completion = pool.start_walk(make_walk(100), 0.0)
-        list(pool.complete_until(completion))
+        mmu = make_mmu(n_walkers=1, path_cache="tpreg")
+        _, completion = mmu.start_walk(make_walk(100), 0.0)
+        mmu.process_completions(completion)
         # Adjacent page: same L4/L3/L2 path, so only the leaf is read.
-        _, second = pool.start_walk(make_walk(101), completion)
+        _, second = mmu.start_walk(make_walk(101), completion)
         assert second - completion == pytest.approx(100.0)
-        assert pool.stats.levels_skipped == 3
+        assert mmu.pool.stats.levels_skipped == 3
 
     def test_tpreg_is_per_walker(self):
-        pool = WalkerPool(n_walkers=2, walk_latency_per_level=100, use_tpreg=True)
-        w0, c0 = pool.start_walk(make_walk(100), 0.0)
-        list(pool.complete_until(c0))
-        # Walker 1 never walked: its register is cold even though walker 0's
-        # is warm, so the walk takes all four levels.
-        free = pool._free[:]  # first free walker will be used next
-        _, c1 = pool.start_walk(make_walk(101), c0)
-        used = free[-1]
-        if used != w0:
-            assert c1 - c0 == pytest.approx(400.0)
+        mmu = make_mmu(n_walkers=2, path_cache="tpreg")
+        w0, c0 = mmu.start_walk(make_walk(100), 0.0)
+        mmu.process_completions(c0)
+        # The free list is LIFO: the warm walker takes the next walk, and
+        # only the leaf is read.
+        w1, c1 = mmu.start_walk(make_walk(101), c0)
+        assert w1 == w0
+        assert c1 - c0 == pytest.approx(100.0)
+        # The other walker never walked: its register is cold even though
+        # walker w0's is warm, so the walk takes all four levels.
+        w2, c2 = mmu.start_walk(make_walk(102), c0)
+        assert w2 != w0
+        assert c2 - c0 == pytest.approx(400.0)
 
     def test_stats_accumulate(self):
         pool = WalkerPool(n_walkers=4)
