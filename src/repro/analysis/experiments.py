@@ -18,7 +18,7 @@ from ..energy.accounting import energy_ratio, translation_energy
 from ..energy.cacti import neummu_overhead
 from ..memory.address import PAGE_SIZE_2M, PAGE_SIZE_4K
 from ..npu.config import NPUConfig
-from ..npu.simulator import MultiTenantSimulator, NPUSimulator, run_multi_tenant
+from ..npu.simulator import NPUSimulator
 from ..npu.spatial import SpatialArrayModel
 from ..sparse.demand_paging import DemandPagingConfig, demand_paging_cell
 from ..sparse.recsys import TRANSPORTS, RecSysSystem
@@ -857,6 +857,7 @@ def multi_tenant_contention(
     weights: Optional[Sequence[float]] = None,
     npu_config: Optional[NPUConfig] = None,
     mix: Optional[str] = None,
+    runner: Optional[ExperimentRunner] = None,
 ) -> FigureResult:
     """Extension: N tenant models contending for one shared MMU.
 
@@ -876,6 +877,10 @@ def multi_tenant_contention(
     ``qos``/``weights`` select the QoS share policy governing the shared
     structures (see :mod:`repro.core.qos`); the defaults reproduce the
     historical full-sharing run bit for bit.
+
+    ``runner`` shards the grid — one isolated run per distinct tenant
+    workload plus one shared cell per design point — across processes
+    when its ``jobs > 1``; results are bit-identical to the serial path.
     """
     from ..workloads.registry import DenseWorkloadFactory, mix_factories
 
@@ -912,25 +917,35 @@ def multi_tenant_contention(
             "translation contention",
         ],
     )
-    for config in (oracle_config(), baseline_iommu_config(), neummu_config()):
-        isolated_by_name: Dict[str, float] = {}
-        for factory in factories:
-            if factory.name not in isolated_by_name:
-                isolated_by_name[factory.name] = NPUSimulator(
-                    factory(), config, npu_config=npu_config
-                ).run().total_cycles
-        shared = run_multi_tenant(
-            factories,
-            config,
-            npu_config=npu_config,
+    runner = runner or ExperimentRunner(npu_config=npu_config or NPUConfig())
+    configs = (oracle_config(), baseline_iommu_config(), neummu_config())
+    # Tenants of one workload share its isolated run (a runner memo hit).
+    requests = [
+        RunRequest(
+            f"{config.name}/isolated/{factory.name}/b{batch:02d}", factory, config
+        )
+        for config in configs
+        for factory in factories
+    ] + [
+        TenantRunRequest(
+            label=f"{config.name}/{qos}/{label}/b{batch:02d}",
+            factories=tuple(factories),
+            mmu_config=config,
             arbitration=arbitration,
             qos=qos,
-            weights=weights,
+            weights=tuple(weights) if weights is not None else None,
         )
+        for config in configs
+    ]
+    results = runner.run_many(requests)
+    n = len(factories)
+    for c, config in enumerate(configs):
+        isolated = results[c * n: (c + 1) * n]
+        shared = results[len(configs) * n + c].result
         slowdowns = []
-        for factory, tenant in zip(factories, shared.tenants):
+        for tenant, iso in zip(shared.tenants, isolated):
             usage = tenant.usage
-            iso_cycles = isolated_by_name[factory.name]
+            iso_cycles = iso.total_cycles
             slowdown = tenant.total_cycles / iso_cycles
             slowdowns.append(slowdown)
             fig.add(

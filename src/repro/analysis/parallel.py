@@ -73,6 +73,7 @@ from ..npu.simulator import (
     NPUSimulator,
     RunResult,
 )
+from ..sparse.numa import nvlink_link
 
 #: Bump when simulation semantics change in a way that invalidates old
 #: cached results (the cache key embeds it).  2: the key now folds in the
@@ -339,24 +340,6 @@ def _profiled(fn: Callable, payload: Tuple):
         )
 
 
-def _build_tier(tiering: Optional[TieringConfig], mmu_config, npu_config):
-    """Private demand-paging tier for an isolated (single-tenant) run."""
-    # Deferred: repro.sparse imports repro.npu at package level.
-    from ..memory.tiering import LocalMemoryTier, MigrationFabric
-    from ..sparse.numa import nvlink_link
-
-    tier_cfg = tiering if tiering is not None else TieringConfig()
-    fabric = MigrationFabric(
-        nvlink_link(npu_config.interconnect), slots=tier_cfg.fabric_slots
-    )
-    return LocalMemoryTier(
-        fabric,
-        page_size=mmu_config.page_size,
-        fault_overhead_cycles=tier_cfg.fault_overhead_cycles,
-        eviction=tier_cfg.eviction,
-    )
-
-
 def _run_single(payload: Tuple) -> RunResult:
     (
         factory,
@@ -371,7 +354,9 @@ def _run_single(payload: Tuple) -> RunResult:
     kwargs = {}
     if tiering is not None or memory_budget is not None:
         tier_cfg = tiering if tiering is not None else TieringConfig()
-        kwargs["paging_tier"] = _build_tier(tiering, mmu_config, npu_config)
+        kwargs["paging_tier"] = tier_cfg.build_tier(
+            nvlink_link(npu_config.interconnect), mmu_config.page_size
+        )
         kwargs["memory_budget"] = (
             memory_budget
             if memory_budget is not None

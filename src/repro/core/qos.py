@@ -35,7 +35,6 @@ to the pre-QoS engine against golden captures (``tests/test_qos.py``).
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, KeysView, List, Optional, Sequence, Tuple
 
 #: Valid :class:`SharePolicy` kinds, in documentation order.
@@ -269,19 +268,7 @@ class Arbiter:
     :meth:`run` drives a list of stepwise tenant runs (duck-typed: each
     exposes ``done`` and ``advance() -> int``, the translation-request
     cost of the step just executed) to completion, deciding after every
-    step whose pipeline the shared DMA front-end services next.
-
-    The arbiters are *event-driven*: a run that additionally exposes
-    ``advance_quiet(limit) -> int`` (see
-    :meth:`repro.npu.simulator._TenantRun.advance_quiet`) is advanced to
-    its next **interaction point** — the first tile step that must touch
-    the shared walker pool, PRMB, TLB quotas or memory channels — in one
-    closed-form stretch, instead of being stepped through every
-    translation-slot quantum.  Quiet steps read and write only the run's
-    private pipeline state, so each arbiter hoists them in a way that
-    provably preserves its historical service order for the interacting
-    steps (documented per arbiter); plain runs without ``advance_quiet``
-    are scheduled exactly as before.
+    tile step whose pipeline the shared DMA front-end services next.
     """
 
     kind = "base"
@@ -295,45 +282,20 @@ class Arbiter:
 
 
 class RoundRobinArbiter(Arbiter):
-    """Strict turns, one whole tile step each (the PR 2 default).
+    """Strict turns, one whole tile step each (the default).
 
     Bursts from different tenants overlap in time, so walkers and memory
     channels see genuinely mixed traffic — the contention regime.
-
-    Event-driven form: when a run's next steps are quiet, the whole
-    stretch executes on its first turn and the run then *sits out* one
-    rotation turn per remaining hoisted step.  Every interacting step
-    therefore lands on exactly the rotation turn the one-step-per-turn
-    schedule would have given it, and since quiet steps touch no shared
-    state, the results are bit-identical to the historical arbiter.
     """
 
     kind = "round_robin"
 
     def run(self, runs: Sequence) -> None:
         pending = [run for run in runs if not run.done]
-        owed: Dict[int, int] = {}
         while pending:
             for run in list(pending):
-                # simlint: disable=det-hash-order -- id(run) is an opaque identity key for the owed-turns dict; it is only ever looked up, never ordered or iterated, so its value cannot affect scheduling order
-                key = id(run)
-                turns_owed = owed.get(key, 0)
-                if turns_owed:
-                    if turns_owed == 1:
-                        del owed[key]
-                        if run.done:
-                            pending.remove(run)
-                    else:
-                        owed[key] = turns_owed - 1
-                    continue
-                quiet = getattr(run, "advance_quiet", None)
-                executed = quiet() if quiet is not None else 0
-                if not executed:
-                    run.advance()
-                    executed = 1
-                if executed > 1:
-                    owed[key] = executed - 1
-                elif run.done:
+                run.advance()
+                if run.done:
                     pending.remove(run)
 
 
@@ -341,24 +303,31 @@ class PriorityArbiter(Arbiter):
     """Lower ASIDs run to completion first (strict time multiplexing).
 
     Later tenants inherit a polluted TLB/path-cache state but never
-    overlap with earlier ones.  (Service is already sequential, so quiet
-    stretches trivially preserve the order.)
+    overlap with earlier ones.
     """
 
     kind = "priority"
 
     def run(self, runs: Sequence) -> None:
         for run in runs:
-            quiet = getattr(run, "advance_quiet", None)
             while not run.done:
-                if quiet is None or not quiet():
-                    run.advance()
+                run.advance()
+
+
+#: Translation slots one unit of weight earns per ``weighted_quantum``
+#: rotation.
+QUANTUM = 2048
+#: How far past the laggard's clock ``weighted_quantum`` still services
+#: a tenant: this fraction of the laggard's elapsed clock, but never
+#: fewer than ``SKEW_FLOOR`` cycles.
+SKEW_WINDOW = 0.01
+SKEW_FLOOR = 20_000.0
 
 
 class WeightedQuantumArbiter(Arbiter):
     """Clock-ordered deficit round robin over translation-slot quanta.
 
-    Every rotation credits each live tenant ``weight * quantum``
+    Every rotation credits each live tenant ``weight * QUANTUM``
     translation slots.  Within the rotation the shared front-end always
     services the *eligible tenant whose pipeline clock is furthest
     behind* (each run's ``clock`` attribute), debiting the translation
@@ -374,9 +343,10 @@ class WeightedQuantumArbiter(Arbiter):
     share policies create) makes the laggard queue behind channel
     occupancy written at far-future cycles.  Two rules bound that skew:
 
-    * service goes to the eligible tenant with the minimum clock, and
-    * a tenant more than ``skew_window`` (a fraction of the laggard's
-      elapsed clock, floored at ``skew_floor`` cycles) ahead of the
+    * service goes to the eligible tenant with the minimum clock (ties
+      to the lowest index), and
+    * a tenant more than ``SKEW_WINDOW`` (a fraction of the laggard's
+      elapsed clock, floored at ``SKEW_FLOOR`` cycles) ahead of the
       laggard is ineligible even with credit; when nobody is eligible a
       new rotation refills every credit, so the laggard — by definition
       inside the window — always proceeds and deadlock is impossible.
@@ -390,136 +360,55 @@ class WeightedQuantumArbiter(Arbiter):
 
     kind = "weighted_quantum"
 
-    def __init__(
-        self,
-        weights: Optional[Sequence[float]] = None,
-        quantum: int = 2048,
-        skew_window: float = 0.01,
-        skew_floor: float = 20_000.0,
-    ) -> None:
-        if quantum <= 0:
-            raise ValueError(f"quantum must be positive, got {quantum}")
+    def __init__(self, weights: Optional[Sequence[float]] = None) -> None:
         if weights is not None and any(w <= 0 for w in weights):
             raise ValueError("arbitration weights must all be positive")
-        if skew_window < 0 or skew_floor < 0:
-            raise ValueError("skew_window and skew_floor cannot be negative")
         self.weights = list(weights) if weights is not None else None
-        self.quantum = quantum
-        self.skew_window = skew_window
-        self.skew_floor = skew_floor
 
     def run(self, runs: Sequence) -> None:
-        """Heap-ordered event loop over tenant clocks.
-
-        The historical decision procedure — find the laggard, filter by
-        credit and skew horizon, service the min-clock eligible tenant,
-        debit, refill when nobody is eligible — is preserved decision for
-        decision; what changed is how each decision is computed:
-
-        * pending runs live in a lazily-invalidated min-heap keyed by
-          ``(clock, index)``, so the laggard and the min-clock eligible
-          tenant come off the heap top instead of O(n) scans (entries go
-          stale when a run advances; a version counter skips them);
-        * after servicing a tenant, service *stays* with it — without
-          re-running the full decision — for as long as it holds credit
-          and its clock remains strictly below every other pending
-          tenant's: in that state it is the laggard (trivially inside
-          its own skew horizon) and the unique min-clock eligible, so
-          the reference procedure would pick it again.  Ties fall back
-          to the full decision, whose ``(clock, index)`` heap order
-          reproduces the reference's lowest-index tie-break.
-
-        Both shortcuts reproduce the historical service sequence exactly
-        (the decision-sequence unit tests and the bit-identical golden
-        captures lock this in).
-        """
         weights = self.weights or [1.0] * len(runs)
         if len(weights) != len(runs):
             raise ValueError(
                 f"got {len(weights)} arbitration weights for {len(runs)} "
                 f"tenants; pass exactly one positive weight per tenant"
             )
-        deficit = [0.0] * len(runs)
+        credit = [0.0] * len(runs)
         pending = [i for i, run in enumerate(runs) if not run.done]
-        version = [0] * len(runs)
-        heap = [(runs[i].clock, i, 0) for i in pending]
-        heapq.heapify(heap)
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        skew_floor = self.skew_floor
-        skew_window = self.skew_window
         while pending:
-            # -- one reference decision, off the heap ------------------- #
-            while heap and heap[0][2] != version[heap[0][1]]:
-                heappop(heap)
-            laggard = heap[0][0]
-            skew = skew_window * laggard
-            horizon = laggard + (skew_floor if skew_floor > skew else skew)
-            idx = -1
-            parked = None
-            while heap:
-                clock, i, v = heap[0]
-                if v != version[i]:
-                    heappop(heap)
-                    continue
-                if clock > horizon:
-                    break
-                if deficit[i] > 0:
-                    idx = i
-                    break
-                # Credit-exhausted tenant below the horizon: set it aside
-                # so the next-lowest clock surfaces, restore afterwards.
-                if parked is None:
-                    parked = []
-                parked.append(heappop(heap))
-            if idx >= 0:
-                # Consume idx's entry while it is still the heap top,
-                # before the parked (lower-clock) entries come back.
-                heappop(heap)
-                version[idx] += 1
-            if parked is not None:
-                for entry in parked:
-                    heappush(heap, entry)
-            if idx < 0:
+            clocks = {i: runs[i].clock for i in pending}
+            laggard = min(clocks.values())
+            skew = SKEW_WINDOW * laggard
+            horizon = laggard + (SKEW_FLOOR if SKEW_FLOOR > skew else skew)
+            eligible = [
+                i for i in pending if credit[i] > 0 and clocks[i] <= horizon
+            ]
+            if not eligible:
                 for i in pending:
-                    deficit[i] += weights[i] * self.quantum
+                    credit[i] += weights[i] * QUANTUM
                 continue
-            # -- service, staying with the strict laggard --------------- #
-            while heap and heap[0][2] != version[heap[0][1]]:
-                heappop(heap)
-            others_min = heap[0][0] if heap else float("inf")
+            # min() keeps the first of equal clocks: the lowest index.
+            idx = min(eligible, key=clocks.__getitem__)
             run = runs[idx]
-            credit = deficit[idx]
-            while True:
-                cost = run.advance()
-                credit -= cost if cost and cost > 1 else 1
-                if run.done:
-                    credit = 0.0
-                    pending.remove(idx)
-                    break
-                if credit <= 0 or run.clock >= others_min:
-                    break
-            deficit[idx] = credit
-            if not run.done:
-                heappush(heap, (run.clock, idx, version[idx]))
+            cost = run.advance()
+            credit[idx] -= cost if cost > 1 else 1
+            if run.done:
+                pending.remove(idx)
 
 
 def make_arbiter(
-    kind: str,
-    weights: Optional[Sequence[float]] = None,
-    quantum: int = 2048,
+    kind: str, weights: Optional[Sequence[float]] = None
 ) -> Arbiter:
     """Instantiate an arbiter by name (:data:`ARBITRATION_POLICIES`).
 
-    ``weights``/``quantum`` configure ``weighted_quantum`` and are
-    ignored by the other policies.
+    ``weights`` configures ``weighted_quantum`` and is ignored by the
+    other policies.
     """
     if kind == "round_robin":
         return RoundRobinArbiter()
     if kind == "priority":
         return PriorityArbiter()
     if kind == "weighted_quantum":
-        return WeightedQuantumArbiter(weights=weights, quantum=quantum)
+        return WeightedQuantumArbiter(weights=weights)
     raise ValueError(
         f"unknown arbitration policy {kind!r}; "
         f"choose from {', '.join(ARBITRATION_POLICIES)}"

@@ -139,6 +139,25 @@ class TieringConfig:
                 f"choose from {', '.join(EVICTION_POLICIES)}"
             )
 
+    def build_tier(
+        self,
+        link: MigrationLink,
+        page_size: int,
+        policy: Optional[FabricSharePolicy] = None,
+    ) -> "LocalMemoryTier":
+        """A fresh tier over its own fabric, both sized by this config.
+
+        ``policy`` governs the fabric's slot quotas (None: a private
+        fabric with no quotas).
+        """
+        fabric = MigrationFabric(link, slots=self.fabric_slots, policy=policy)
+        return LocalMemoryTier(
+            fabric,
+            page_size=page_size,
+            fault_overhead_cycles=self.fault_overhead_cycles,
+            eviction=self.eviction,
+        )
+
 
 @dataclass
 class FabricUsage:
@@ -190,22 +209,6 @@ class MigrationFabric:
     def in_flight_at(self, cycle: float) -> int:
         """Migrations still streaming at ``cycle``."""
         return sum(1 for free in self._free_at if free > cycle)
-
-    def busy_beyond(self, cycle: float) -> bool:
-        """True while any migration completes after ``cycle``.
-
-        The event-driven schedulers treat this as an interaction point:
-        a tenant pipeline never hoists a quiet stretch across an
-        in-flight migration (see
-        :meth:`repro.npu.simulator._TenantRun.advance_quiet`).  Idle
-        fabric — no tenant faulting — reports False, so quiet-stretch
-        batching is untouched on fault-free runs.
-        """
-        free_at = self._free_at
-        for free in free_at:
-            if free > cycle:
-                return True
-        return False
 
     def usage_of(self, asid: int) -> FabricUsage:
         """The tenant's usage record (created on first touch)."""

@@ -45,7 +45,7 @@ from ..core.stats import RunSummary
 from ..memory.allocator import AddressSpace
 from ..memory.dram import MainMemory
 from ..memory.layout import TensorLayout
-from ..memory.tiering import LocalMemoryTier, MigrationFabric, TieringConfig
+from ..memory.tiering import LocalMemoryTier, TieringConfig
 from .config import NPUConfig
 from .dma import DMAEngine, PageDivergence, distinct_pages
 from .systolic import SystolicArrayModel
@@ -324,8 +324,7 @@ class NPUSimulator:
         """
         run = _TenantRun(self)
         while not run.done:
-            if not run.advance_quiet():
-                run.advance()
+            run.advance()
         self.mmu.drain()
         return RunResult(
             workload=self.workload.name,
@@ -572,76 +571,6 @@ class _TenantRun:
             self._skip_empty_layers()
         return sim.mmu.stats.requests - requests_before
 
-    def advance_quiet(self, limit: Optional[int] = None) -> int:
-        """Execute up to ``limit`` consecutive *quiet* tile steps.
-
-        A quiet step cannot touch shared state: it is compute-only, or
-        its FAST-fidelity timing has converged so the memory phase is
-        replayed from the cache.  The stretch is the closed form of the
-        double-buffer recurrence — the same float operations
-        :meth:`advance` performs, run in a tight loop against locals —
-        and stops at the run's next *interaction point*: the first step
-        that must simulate against the shared MMU/memory system (or
-        completion).  Event-driven schedulers hoist these stretches out
-        of their service loops; because quiet steps read and write only
-        this run's private pipeline state, executing a stretch ahead of
-        other tenants' turns is observationally identical to
-        interleaving it (the bit-identity tests lock this in).
-
-        Returns the number of steps executed (0 when the next step must
-        interact, the run is finished, or fidelity is EXACT).
-
-        Migration completions are interaction points: while the paging
-        tier's fabric has a migration in flight past this run's clock,
-        no stretch is hoisted (the next step simulates, observing the
-        fabric/channel state the migration leaves behind).  An idle
-        fabric — no tenant faulting — skips the check's cost entirely,
-        so fault-free runs batch quiet stretches bit-identically to the
-        pre-paging scheduler.
-        """
-        sim = self.sim
-        if sim.fidelity is not Fidelity.FAST or self.done:
-            return 0
-        paging = sim._paging
-        if paging is not None and paging.fabric.busy_beyond(self.clock):
-            return 0
-        self._sync_timing_epochs()
-        converged = self.timing_cache.converged
-        gemm_cycles = sim.compute_model.gemm_cycles
-        schedules = sim._schedules
-        executed = 0
-        while limit is None or executed < limit:
-            if self.done:
-                break
-            step = schedules[self.layer_idx].steps[self.step_idx]
-            if step.fetches:
-                timing = converged.get(step.signature)
-                if timing is None:
-                    break  # interaction point: this step must simulate
-                mem_duration, issue_duration = timing
-            else:
-                mem_duration = 0.0
-                issue_duration = 0.0
-            mem_free = self.mem_free
-            prev_prev = self.prev_prev_comp_end
-            mem_start = mem_free if mem_free > prev_prev else prev_prev
-            mem_end = mem_start + mem_duration
-            self.mem_free = mem_start + issue_duration
-            compute = step.compute
-            compute_cycles = gemm_cycles(compute.m, compute.k, compute.n)
-            prev_comp_end = self.prev_comp_end
-            comp_start = mem_end if mem_end > prev_comp_end else prev_comp_end
-            self.layer_compute += compute_cycles
-            self.prev_prev_comp_end = prev_comp_end
-            self.prev_comp_end = comp_start + compute_cycles
-            self.step_idx += 1
-            self.step_counter += 1
-            executed += 1
-            if self.step_idx >= len(schedules[self.layer_idx].steps):
-                self._close_layer()
-                self._skip_empty_layers()
-        return executed
-
 
 class MultiTenantSimulator:
     """Runs N tenant workloads against one shared translation stack.
@@ -690,7 +619,6 @@ class MultiTenantSimulator:
         memory_bytes: int = 64 * 1024**3,
         qos: Optional[str] = None,
         weights: Optional[Sequence[float]] = None,
-        quantum: int = 2048,
         paging: Optional[TieringConfig] = None,
         memory_budgets: Optional[Sequence[int]] = None,
     ):
@@ -719,9 +647,7 @@ class MultiTenantSimulator:
         self.weights = tuple(weights) if weights is not None else tuple(
             1.0 for _ in workloads
         )
-        self.arbiter: Arbiter = make_arbiter(
-            arbitration, weights=self.weights, quantum=quantum
-        )
+        self.arbiter: Arbiter = make_arbiter(arbitration, weights=self.weights)
         self.shared = SharedMMU(
             mmu_config,
             MainMemory(self.npu_config.memory),
@@ -750,16 +676,10 @@ class MultiTenantSimulator:
             # Deferred: repro.sparse imports this module at package level.
             from ..sparse.numa import nvlink_link
 
-            fabric = MigrationFabric(
+            self.paging = tier_cfg.build_tier(
                 nvlink_link(self.npu_config.interconnect),
-                slots=tier_cfg.fabric_slots,
+                mmu_config.page_size,
                 policy=self.shared.share_policy,
-            )
-            self.paging = LocalMemoryTier(
-                fabric,
-                page_size=mmu_config.page_size,
-                fault_overhead_cycles=tier_cfg.fault_overhead_cycles,
-                eviction=tier_cfg.eviction,
             )
             self.shared.attach_paging(self.paging)
         self.tenants = [
@@ -784,15 +704,9 @@ class MultiTenantSimulator:
     def run(self) -> MultiTenantResult:
         """Execute all tenants to completion under the arbitration policy.
 
-        The arbiter hierarchy is event-driven (:class:`~repro.core.qos.Arbiter`):
-        each tenant run advances to its next *interaction point* — a tile
-        step that must simulate against the shared walker pool, PRMB,
-        TLB quotas or memory channels — in one closed-form stretch
-        (:meth:`_TenantRun.advance_quiet`), instead of being stepped one
-        translation-slot quantum at a time; within a simulated burst the
-        engine's batched paths bound their segments by the same
-        interaction points.  Service order for the interacting steps is
-        bit-identical to the historical quantum-by-quantum arbiters.
+        The :class:`~repro.core.qos.Arbiter` advances one tenant's
+        pipeline by one tile step (:meth:`_TenantRun.advance`) per
+        decision, until every tenant is done.
         """
         runs = [_TenantRun(tenant) for tenant in self.tenants]
         self.arbiter.run(runs)

@@ -46,9 +46,9 @@ class TileStep:
     def signature(self) -> Tuple:
         """Dedup key: identical signatures have identical timing class.
 
-        Cached: the timing caches and the event-driven scheduler's quiet
-        probes read it on every step instance (``cached_property``
-        writes through ``__dict__``, which frozen dataclasses permit).
+        Cached: the FAST-fidelity timing cache reads it on every step
+        instance (``cached_property`` writes through ``__dict__``, which
+        frozen dataclasses permit).
         """
         return tuple(f.signature for f in self.fetches) + (
             self.compute.m,

@@ -31,6 +31,10 @@ from repro.memory.tiering import LocalMemoryTier, MigrationFabric
 from repro.npu.simulator import MultiTenantSimulator, _TenantRun
 from repro.workloads.cnn import Workload
 from repro.workloads.layers import DenseLayer
+from tests.test_multi_tenant_fidelity import (
+    assert_step_rewarms,
+    warm_to_converged_step,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PAGE = PAGE_SIZE_4K
@@ -225,26 +229,15 @@ class TestContentionEpochRouting:
         """FAST-vs-EXACT: a re-weight is a regime change like a removal."""
         sim = self.make_sim()
         runs = [_TenantRun(tenant) for tenant in sim.tenants]
-        while (
-            runs[0].step_counter < 12
-            and not runs[0].done
-            and not runs[0].timing_cache.converged
-        ):
-            if not runs[0].advance_quiet(1):
-                runs[0].advance()
-        assert not runs[0].done, "workload too small to stop mid-run"
-        assert runs[0].timing_cache.history, "cache never warmed"
+        run = warm_to_converged_step(runs[0])
 
         sim.shared.set_tenant_weight(1, 4.0)
-        assert runs[0].timing_cache.epoch != sim.shared.contention_epoch
+        assert run.timing_cache.epoch != sim.shared.contention_epoch
 
-        # The stale cache must refuse to drive a quiet stretch and drop
-        # its converged timings wholesale (they were measured under the
-        # old weight split).
-        assert runs[0].advance_quiet() == 0
-        assert not runs[0].timing_cache.history
-        assert not runs[0].timing_cache.converged
-        assert runs[0].timing_cache.epoch == sim.shared.contention_epoch
+        # The stale cache must not replay the next step: its converged
+        # timings were measured under the old weight split, so they are
+        # dropped wholesale and the step simulates.
+        assert_step_rewarms(run, sim.shared.contention_epoch)
 
 
 class FixedLink:

@@ -1,11 +1,11 @@
 """FAST ≈ EXACT in multi-tenant mode, across the full QoS matrix.
 
-The event-driven scheduling core changed *how* tenant pipelines advance
-(closed-form quiet stretches, contended batched engine segments), not
-*what* they compute: FAST fidelity must still agree with EXACT within
-the usual tolerance for every (share policy × arbitration) combination,
-and the contention-epoch memoization must drop converged timings the
-moment the tenant mix changes (``SharedMMU.remove_tenant`` mid-run).
+FAST fidelity replays converged tile timings instead of simulating
+every tile step; under a shared MMU it must still agree with EXACT
+within the usual tolerance for every (share policy × arbitration)
+combination, and the contention-epoch memoization must drop converged
+timings the moment the tenant mix changes (``SharedMMU.remove_tenant``
+mid-run).
 """
 
 import pytest
@@ -158,6 +158,36 @@ class TestShootdownUnderContention:
             assert mine.compute_cycles == theirs.compute_cycles
 
 
+def warm_to_converged_step(run):
+    """Advance ``run`` until its next step would replay a converged timing.
+
+    The run stops mid-workload with a warmed FAST cache, so the next
+    :meth:`_TenantRun.advance` would issue no translation requests unless
+    an epoch bump drops the cache first.
+    """
+    schedules = run.sim.schedules
+    converged = run.timing_cache.converged
+    while True:
+        assert not run.done, "workload too small to stop mid-run"
+        assert run.step_counter < 64, "cache never converged"
+        step = schedules[run.layer_idx].steps[run.step_idx]
+        if step.fetches and step.signature in converged:
+            return run
+        run.advance()
+
+
+def assert_step_rewarms(run, epoch):
+    """The next step drops every cached timing, adopts ``epoch`` and
+    simulates (issues translation requests) instead of replaying."""
+    requests = run.advance()
+    cache = run.timing_cache
+    assert requests > 0
+    assert not cache.converged
+    # Only the step just simulated is left: one signature, one sample.
+    assert [len(samples) for samples in cache.history.values()] == [1]
+    assert cache.epoch == epoch
+
+
 class TestContentionEpoch:
     """Converged timings are scoped to one contention epoch."""
 
@@ -187,36 +217,21 @@ class TestContentionEpoch:
     def test_mid_run_remove_tenant_invalidates_memoization(self):
         sim = self.make_sim()
         runs = [_TenantRun(tenant) for tenant in sim.tenants]
-        # Warm tenant 0's cache past convergence, stopping mid-run.
-        while (
-            runs[0].step_counter < 12
-            and not runs[0].done
-            and not runs[0].timing_cache.converged
-        ):
-            if not runs[0].advance_quiet(1):
-                runs[0].advance()
-        assert not runs[0].done, "workload too small to stop mid-run"
-        assert runs[0].timing_cache.history, "cache never warmed"
-        warmed = dict(runs[0].timing_cache.history)
+        run = warm_to_converged_step(runs[0])
+        warmed = dict(run.timing_cache.history)
 
         # Tenant 1 departs mid-run: the contention regime changed, so
         # tenant 0's converged timings are stale.
         sim.shared.remove_tenant(1)
-        assert runs[0].timing_cache.epoch != sim.shared.contention_epoch
+        assert run.timing_cache.epoch != sim.shared.contention_epoch
 
-        # A quiet stretch cannot run from the stale cache...
-        assert runs[0].advance_quiet() == 0
-        assert not runs[0].timing_cache.history  # dropped wholesale
-        assert not runs[0].timing_cache.converged
-        assert runs[0].timing_cache.epoch == sim.shared.contention_epoch
-
-        # ...and the next simulated step re-warms from scratch.
-        runs[0].advance()
-        assert len(runs[0].timing_cache.history) <= len(warmed)
-        while not runs[0].done:
-            if not runs[0].advance_quiet():
-                runs[0].advance()
-        assert runs[0].done
+        # The next step, converged under the old regime, drops the cache
+        # wholesale, adopts the new epoch and simulates from scratch.
+        assert_step_rewarms(run, sim.shared.contention_epoch)
+        assert len(run.timing_cache.history) <= len(warmed)
+        while not run.done:
+            run.advance()
+        assert run.done
 
     def test_single_tenant_epoch_is_stable(self):
         """Without a shared MMU the cache never invalidates."""

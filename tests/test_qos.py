@@ -19,6 +19,7 @@ import pytest
 from repro.core.mmu import MMU, MMUConfig, SharedMMU, baseline_iommu_config, neummu_config
 from repro.core.qos import (
     ARBITRATION_POLICIES,
+    QUANTUM,
     SHARE_POLICIES,
     PriorityArbiter,
     RoundRobinArbiter,
@@ -425,6 +426,20 @@ class FakeRun:
         return self.cost
 
 
+class ClockedRun(FakeRun):
+    """A run whose clock advances by ``step`` cycles per tile step."""
+
+    def __init__(self, n, step, cost=1, clock=0.0):
+        super().__init__(n, cost=cost)
+        self.step = step
+        self.clock = clock
+
+    def advance(self):
+        cost = super().advance()
+        self.clock += self.step
+        return cost
+
+
 class TestArbiters:
     def test_factory_rejects_unknown_policy(self):
         with pytest.raises(ValueError, match="choose from"):
@@ -466,8 +481,8 @@ class TestArbiters:
         assert steps == [0, 0, 1, 1]
 
     def test_weighted_quantum_grants_proportional_bursts(self):
-        """Weight 3 gets three consecutive unit-cost steps per grant."""
-        runs = [FakeRun(6, cost=1), FakeRun(6, cost=1)]
+        """Weight 3 gets three consecutive quantum-cost steps per grant."""
+        runs = [FakeRun(6, cost=QUANTUM), FakeRun(6, cost=QUANTUM)]
         steps = []
         for i, run in enumerate(runs):
             orig = run.advance
@@ -477,45 +492,32 @@ class TestArbiters:
                 return orig()
 
             run.advance = wrapped
-        WeightedQuantumArbiter(weights=[3, 1], quantum=1).run(runs)
+        WeightedQuantumArbiter(weights=[3, 1]).run(runs)
         assert steps == [0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 1]
 
     def test_weighted_quantum_completes_everyone(self):
-        runs = [FakeRun(5), FakeRun(17), FakeRun(1)]
-        WeightedQuantumArbiter(weights=[1, 4, 2], quantum=3).run(runs)
+        # Three steps per unit of weight per grant.
+        cost = QUANTUM // 3 + 1
+        runs = [FakeRun(5, cost), FakeRun(17, cost), FakeRun(1, cost)]
+        WeightedQuantumArbiter(weights=[1, 4, 2]).run(runs)
         assert all(run.done for run in runs)
 
     def test_weighted_quantum_validation(self):
         with pytest.raises(ValueError, match="positive"):
             WeightedQuantumArbiter(weights=[1, -1])
-        with pytest.raises(ValueError, match="quantum"):
-            WeightedQuantumArbiter(quantum=0)
         with pytest.raises(ValueError, match="weight"):
             WeightedQuantumArbiter(weights=[1]).run([FakeRun(1), FakeRun(1)])
-        with pytest.raises(ValueError, match="skew"):
-            WeightedQuantumArbiter(skew_window=-0.1)
-        with pytest.raises(ValueError, match="skew"):
-            WeightedQuantumArbiter(skew_floor=-1.0)
 
-    def test_skew_window_holds_back_runaway_clock(self):
+    def test_skew_horizon_holds_back_runaway_clock(self):
         """A tenant far ahead of the laggard waits even with credit.
 
         Tenants couple through shared channel state keyed by their private
         clocks, so the arbiter must not service a run whose clock has
         raced past the laggard's skew horizon (see the qos module docs).
         """
-
-        class ClockedRun(FakeRun):
-            def __init__(self, n, step):
-                super().__init__(n)
-                self.step = step
-
-            def advance(self):
-                cost = super().advance()
-                self.clock += self.step
-                return cost
-
-        slow, fast = ClockedRun(8, step=1.0), ClockedRun(8, step=1e9)
+        # Two steps per grant.
+        slow = ClockedRun(8, step=1.0, cost=QUANTUM // 2)
+        fast = ClockedRun(8, step=1e9, cost=QUANTUM // 2)
         steps = []
         for i, run in enumerate((slow, fast)):
             orig = run.advance
@@ -525,7 +527,7 @@ class TestArbiters:
                 return orig()
 
             run.advance = wrapped
-        WeightedQuantumArbiter(weights=[1, 1], quantum=2).run([slow, fast])
+        WeightedQuantumArbiter(weights=[1, 1]).run([slow, fast])
         assert slow.done and fast.done
         # The fast run's first step leaves it ~1e9 ahead, outside the skew
         # horizon: every remaining slow step precedes its second step.
@@ -534,6 +536,45 @@ class TestArbiters:
         # All of slow's remaining steps run before fast's second step.
         assert steps[first + 1:].count(0) == 8 - first
         assert steps[-7:] == [1] * 7
+
+    @pytest.mark.parametrize(
+        "start, expected",
+        [
+            # Clocks below 2 Mcycles: the SKEW_FLOOR bounds the horizon.
+            (0.0, [0, 1, 2, 0, 0, 1, 0, 1, 1, 0, 0, 2, 0, 0, 1, 1, 0, 0,
+                   0, 0, 2, 1, 1, 1, 1, 2, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2]),
+            # Past 2 Mcycles the SKEW_WINDOW fraction of the laggard does.
+            (5e6, [0, 1, 2, 0, 0, 1, 0, 1, 1, 0, 0, 2, 0, 0, 1, 1, 1, 1,
+                   0, 0, 0, 0, 2, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2]),
+        ],
+    )
+    def test_weighted_quantum_service_order_on_diverging_clocks(
+        self, start, expected
+    ):
+        """Pins the clock-ordered DRR service sequence.
+
+        Three tenants advance their clocks at different rates and issue
+        different step costs (in translation slots, against the
+        2048-slot quantum), so credit, the skew horizon and the
+        min-clock pick all shape the order.
+        """
+        runs = [
+            ClockedRun(12, step=7_000.0, cost=1024, clock=start),
+            ClockedRun(12, step=15_000.0, cost=512, clock=start),
+            ClockedRun(12, step=40_000.0, cost=2048, clock=start),
+        ]
+        steps = []
+        for i, run in enumerate(runs):
+            orig = run.advance
+
+            def wrapped(i=i, orig=orig):
+                steps.append(i)
+                return orig()
+
+            run.advance = wrapped
+        WeightedQuantumArbiter(weights=[2, 1, 1]).run(runs)
+        assert all(run.done for run in runs)
+        assert steps == expected
 
 
 # --------------------------------------------------------------------- #

@@ -328,24 +328,6 @@ class TestPagedNPUSimulator:
         mapped = NPUSimulator(tiny_workload("p"), neummu_config()).run()
         assert paged.total_cycles > mapped.total_cycles
 
-    def test_inflight_migration_is_an_interaction_point(self):
-        fabric = MigrationFabric(FixedLink(), slots=1)
-        tier = LocalMemoryTier(fabric, page_size=PAGE)
-        sim = NPUSimulator(
-            tiny_workload("ip"), neummu_config(), paging_tier=tier
-        )
-        run = _TenantRun(sim)
-        # A migration in flight past this run's clock pins the scheduler
-        # to stepwise advances (no hoisted quiet stretch)...
-        fabric._free_at[0] = run.clock + 1e9
-        assert run.advance_quiet() == 0
-        # ...and an idle fabric restores quiet-stretch batching.
-        fabric._free_at[0] = 0.0
-        while not run.done:
-            if not run.advance_quiet():
-                run.advance()
-        assert run.done
-
     def test_run_multi_tenant_accepts_heterogeneous_lists(self):
         workloads = [tiny_workload("a"), tiny_workload("b", batch=2)]
         result = run_multi_tenant(workloads, neummu_config())
@@ -438,8 +420,7 @@ class TestPagedNPUSimulator:
         sim.shared.remove_tenant(1)
         sim.paging.unregister_tenant(1)
         while not runs[0].done:
-            if not runs[0].advance_quiet():
-                runs[0].advance()
+            runs[0].advance()
         sim.shared.mmu.drain()
         assert 1 not in sim.paging.tenants
         # The departed tenant's fabric attribution survives teardown.
