@@ -13,7 +13,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.mmu import MMUConfig, baseline_iommu_config, neummu_config, oracle_config
-from ..core.qos import SHARE_POLICIES, jain_index
+from ..core.qos import SHARE_POLICIES, default_arbitration, jain_index
 from ..energy.accounting import energy_ratio, translation_energy
 from ..energy.cacti import neummu_overhead
 from ..memory.address import PAGE_SIZE_2M, PAGE_SIZE_4K
@@ -852,7 +852,7 @@ def multi_tenant_contention(
     workload: str = "CNN-1",
     batch: int = 1,
     tenants: Optional[int] = None,
-    arbitration: str = "round_robin",
+    arbitration: Optional[str] = None,
     qos: str = "full_share",
     weights: Optional[Sequence[float]] = None,
     npu_config: Optional[NPUConfig] = None,
@@ -876,7 +876,9 @@ def multi_tenant_contention(
     slowdown is then measured against *its own* isolated run.
     ``qos``/``weights`` select the QoS share policy governing the shared
     structures (see :mod:`repro.core.qos`); the defaults reproduce the
-    historical full-sharing run bit for bit.
+    historical full-sharing run bit for bit.  ``arbitration`` defaults to
+    :func:`~repro.core.qos.default_arbitration` of ``weights``:
+    ``weighted_quantum`` under unequal weights, ``round_robin`` otherwise.
 
     ``runner`` shards the grid — one isolated run per distinct tenant
     workload plus one shared cell per design point — across processes
@@ -899,6 +901,8 @@ def multi_tenant_contention(
             raise ValueError("need at least one tenant")
         factories = [DenseWorkloadFactory(workload, batch)] * tenants
         label = f"{tenants} x {workload}"
+    if arbitration is None:
+        arbitration = default_arbitration(weights)
     qualifier = arbitration if qos == "full_share" else f"{arbitration}, {qos}"
     fig = FigureResult(
         figure_id="tenants",

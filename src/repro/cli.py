@@ -29,7 +29,7 @@ from .core.mmu import (
     neummu_config,
     oracle_config,
 )
-from .core.qos import ARBITRATION_POLICIES, SHARE_POLICIES
+from .core.qos import ARBITRATION_POLICIES, SHARE_POLICIES, default_arbitration
 from .npu.simulator import NPUSimulator
 from .workloads.registry import DENSE_WORKLOADS, dense_workload
 
@@ -155,9 +155,9 @@ def _validate_engine_flag(args, errors: List[str]) -> None:
     if engine is not None and engine not in ENGINE_MODES:
         errors.append(
             f"unknown engine mode {engine!r}; choose from "
-            f"{', '.join(sorted(ENGINE_MODES))} ('columnar' is the "
-            f"structure-of-arrays fast path, 'reference' the bit-identical "
-            f"per-object golden path)"
+            f"{', '.join(sorted(ENGINE_MODES))} ('columnar' runs the "
+            f"engine's fast paths, 'reference' the bit-identical "
+            f"per-transaction reference loop)"
         )
 
 
@@ -176,12 +176,12 @@ def _apply_engine_flag(args) -> None:
 
 
 def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
-    """``--engine``: select the translation engine's data-path."""
+    """``--engine``: select the translation engine's loop."""
     parser.add_argument(
         "--engine",
         default=None,
-        help="translation-engine data path: 'columnar' (structure-of-arrays "
-        "fast path, the default) or 'reference' (per-object golden path; "
+        help="translation-engine loop: 'columnar' (the fast paths, the "
+        "default) or 'reference' (the per-transaction reference loop; "
         "both produce bit-identical figures)",
     )
 
@@ -498,7 +498,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.tenants > 1:
         from .npu.simulator import run_multi_tenant
 
-        arbitration = args.arbitration or "round_robin"
+        arbitration = args.arbitration or default_arbitration(args.weights)
         qos = args.qos or "full_share"
         if arbitration == "round_robin" and qos == "full_share":
             regime = "round-robin arbitration"

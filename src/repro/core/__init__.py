@@ -14,7 +14,7 @@ Public surface:
   studies.
 """
 
-from .engine import BurstResult, FaultHandler, Transaction, TranslationEngine
+from .engine import BurstResult, FaultHandler, TranslationEngine
 from .mmu import (
     MMU,
     MMUConfig,
@@ -52,6 +52,7 @@ from .qos import (
     make_share_policy,
 )
 from .stats import RunSummary, TranslationStats, delta
+from .stream import Transaction
 from .tlb import TLB
 from .tpreg import TPreg, TPregStats
 from .walk_info import WalkInfo, WalkResolver

@@ -54,6 +54,7 @@ import numpy as np
 from ..memory.address import ASID_SHIFT
 from ..memory.dram import MainMemory
 from .mmu import MMU
+from .stream import TransactionStream
 from .tlb import TLB
 from .walk_info import WalkInfo
 
@@ -167,27 +168,25 @@ class CompletionCalendar:
         self,
         order: List[Tuple[float, int, int]],
         idx: int,
+        stream: TransactionStream,
         i: int,
         j: int,
-        n: int,
+        rc: int,
         cycle: float,
         vpn: int,
         tkey: int,
         walk0: Optional[WalkInfo],
         run_streamable: bool,
-        meta: Sequence[Tuple[int, bool]],
-        rc: int,
-        vas: Any,
-        sizes: Any,
-        uniform: Optional[int],
         policied: bool,
         my_quota: Optional[int],
         work_conserving: bool,
         my_busy: Optional[Set[int]],
         others: Sequence[Tuple[int, Set[int]]],
     ) -> int:
-        """Validate and plan a saturated stretch starting at transaction
-        ``i``; returns its length in transactions (0: no stretch applies).
+        """Validate and plan a saturated stretch of ``stream`` starting at
+        transaction ``i`` (whose same-page run ends at ``j``; ``rc`` is
+        the runner's cursor into ``stream.runs``); returns its length in
+        transactions (0: no stretch applies).
 
         Caller guarantees: the issue port is blocked at an integral
         ``cycle`` at a fresh page (the PTS probe missed — the page has no
@@ -197,8 +196,12 @@ class CompletionCalendar:
         (:meth:`WalkResolver.resolve_vpn` is pure and memoized, so
         resolving ahead of the reference point is unobservable).
         """
-        if not self._static_ok or (sizes is None and not uniform):
+        if not self._static_ok:
             return 0
+        vas = stream.vas
+        sizes = stream.sizes
+        uniform = stream.uniform_size
+        n = len(vas)
         W = len(order) - idx
         if W < 2 or n - i < _MIN_STRETCH:
             return 0
@@ -316,7 +319,7 @@ class CompletionCalendar:
             ch = (vas[i:i + lim] >> 8) % n_ch
             ready_f = (ready_col + dur).astype(np.float64)
             if sizes is None:
-                finish = ready_f + (uniform or 0) / ch_bw
+                finish = ready_f + uniform / ch_bw
             else:
                 finish = ready_f + sizes[i:i + lim] / ch_bw
             feasible = lim
@@ -365,6 +368,7 @@ class CompletionCalendar:
         set_mask = self._tlb_set_mask
         shift = self._vpn_shift
         asid_bits = asid << ASID_SHIFT
+        runs = stream.runs
         seen = set(window_keys)
         seen.add(tkey)
         pages: List[_PlannedRun] = []
@@ -408,9 +412,9 @@ class CompletionCalendar:
                     break  # faulting page: stop short, let the lead raise
             if nwalk.levels != levels:
                 break  # latency class changes: FIFO order not closed form
-            while meta[rc][0] <= nxt:
+            while runs[rc][0] <= nxt:
                 rc += 1
-            njend, nstream = meta[rc]
+            njend, nstream = runs[rc]
             seen.add(nkey)
             cur_start, cur_end = nxt, njend
             cur_key, cur_vpn, cur_walk = nkey, nvpn, nwalk
@@ -427,7 +431,7 @@ class CompletionCalendar:
         ch = ch[:m]
         finish = finish[:m]
         if sizes is None:
-            stretch_bytes = m * int(uniform or 0)
+            stretch_bytes = m * uniform
         else:
             stretch_bytes = int(sizes[i:i + m].sum())
 

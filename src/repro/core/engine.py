@@ -40,13 +40,19 @@ Three execution paths
   path-cache-less MMUs (the baseline IOMMU) hand the whole burst to a
   fused FIFO runner (:meth:`TranslationEngine._no_prmb_fifo_runner`).
 
+The fast paths read one input, the DMA's
+:class:`~repro.core.stream.TransactionStream`: its plain-list columns and
+its same-page runs, through one cursor (:func:`_run_bounds`).
+``run_burst`` wraps any other input once, at the MMU's page size, with
+:meth:`~repro.core.stream.TransactionStream.from_pairs`; the reference
+path iterates whatever it is given.
+
 Same-page spans whose release latency is fixed — the oracle's runs
 (latency 0) and resident-page hit spans in the kernel and the FIFO
 runner (the TLB hit latency) — retire through one routine,
 :func:`_issue_span`.  For fully contiguous uniform 256 B runs (the DMA's
-streaming output, as certified by
-:class:`~repro.npu.dma.TransactionStream` run metadata) it applies a
-*closed form*: when no channel queueing can occur, only the last
+streaming output, as certified by the stream's run metadata) it applies
+a *closed form*: when no channel queueing can occur, only the last
 ``n_channels`` transactions' finish times are observable, so the bulk of
 the run reduces to an exact issue-cycle spin.
 
@@ -65,16 +71,14 @@ import bisect
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..memory.address import ASID_SHIFT
 from ..memory.dram import MainMemory
 from .calendar import CompletionCalendar
 from .mmu import MMU, TranslationFault
+from .stream import Burst, TransactionStream
 from .tlb import TLB
-
-#: A DMA transaction: (virtual address, size in bytes).
-Transaction = Tuple[int, int]
 
 #: Demand-paging hook: ``(vpn, fault_cycle, asid) -> resolved_cycle``.  The
 #: hook must install the mapping (and shoot down the stale translation, e.g.
@@ -93,43 +97,19 @@ NoPrmbRunner = Callable[..., Tuple[int, float, float, int, float, bool, int]]
 
 
 def _run_bounds(
-    va_list: Sequence[int],
-    size_list: Sequence[int],
-    i: int,
-    n: int,
-    vpn: int,
-    vpn_shift: int,
-    meta: Optional[Sequence[Tuple[int, bool]]],
-    rc: int,
+    runs: Sequence[Tuple[int, bool]], i: int, rc: int
 ) -> Tuple[int, bool, int]:
-    """Bounds of the same-page run starting at index ``i``.
+    """Bounds of the same-page run holding transaction ``i``.
 
     Returns ``(j, streamable, rc)``: the run's end index, whether it is
     a contiguous uniform 256 B stream (the closed-form precondition),
-    and the advanced cursor into the DMA-provided ``meta`` run list
-    (``None`` meta falls back to scanning the column lists).  One
-    derivation shared by the oracle shortcut, the batched kernel and the
-    FIFO runner — copies would have to stay operation-identical for the
-    parity contract, so there is exactly one.  The oracle and the runner
-    call it once per run, at its head; the kernel re-enters a partially
-    consumed run after every segment break, so it memoizes the result per
-    run (``run_vpn``/``run_end``).
+    and the advanced cursor ``rc`` into the stream's ``runs``.  The
+    oracle shortcut, the batched kernel and the FIFO runner all read run
+    bounds through this one cursor.
     """
-    if meta is not None:
-        while meta[rc][0] <= i:
-            rc += 1
-        j, streamable = meta[rc]
-        return j, streamable, rc
-    j = i + 1
-    while j < n and va_list[j] >> vpn_shift == vpn:
-        j += 1
-    va0 = va_list[i]
-    streamable = (
-        j - i >= 2
-        and size_list[i] == 256
-        and va_list[j - 1] - va0 == (j - 1 - i) * 256
-        and all(s == 256 for s in size_list[i:j])
-    )
+    while runs[rc][0] <= i:
+        rc += 1
+    j, streamable = runs[rc]
     return j, streamable, rc
 
 
@@ -252,9 +232,8 @@ class TranslationEngine:
         self.fault_handler = fault_handler
         #: The one reference/fast switch: True runs the fast paths, False
         #: forces the per-transaction golden-reference path.  It starts
-        #: from ``engine_mode`` (``"reference"`` *is* the reference the
-        #: columnar representation is golden-diffed against); parity
-        #: checks flip it on a built engine.
+        #: from ``engine_mode`` (``"reference"`` selects the reference
+        #: loop); parity checks flip it on a built engine.
         self.batched = mmu.config.engine_mode != "reference"
         #: window index -> number of translation requests issued in it
         #: (Figure 7's burst histogram).  Populated when timeline_window > 0.
@@ -289,7 +268,7 @@ class TranslationEngine:
         return mmu.prefetcher is None and not mmu._two_level
 
     def run_burst(
-        self, transactions: Sequence[Transaction], start_cycle: float, asid: int = 0
+        self, transactions: Burst, start_cycle: float, asid: int = 0
     ) -> BurstResult:
         """Replay one burst for context ``asid``; returns its timing.
 
@@ -297,11 +276,21 @@ class TranslationEngine:
         cycles, subject to translation-bandwidth blocking.  ``asid`` selects
         the address-space context the burst translates under (0 = the
         single-tenant default); shared-MMU tenants each pass their own.
+        The fast paths take a :class:`TransactionStream` whose runs are at
+        the MMU's page size; anything else is wrapped once here.
         """
         if self.batched and self._batchable():
+            page_size = self.mmu.config.page_size
+            if (
+                isinstance(transactions, TransactionStream)
+                and transactions.page_size == page_size
+            ):
+                stream = transactions
+            else:
+                stream = TransactionStream.from_pairs(transactions, page_size)
             if self.mmu.config.oracle:
-                return self._run_burst_oracle(transactions, start_cycle, asid)
-            return self._run_burst_kernel(transactions, start_cycle, asid)
+                return self._run_burst_oracle(stream, start_cycle, asid)
+            return self._run_burst_kernel(stream, start_cycle, asid)
         return self._run_burst_reference(transactions, start_cycle, asid)
 
     # ------------------------------------------------------------------ #
@@ -309,7 +298,7 @@ class TranslationEngine:
     # ------------------------------------------------------------------ #
 
     def _run_burst_reference(
-        self, transactions: Sequence[Transaction], start_cycle: float, asid: int = 0
+        self, transactions: Burst, start_cycle: float, asid: int = 0
     ) -> BurstResult:
         mmu = self.mmu
         memory = self.memory
@@ -387,7 +376,7 @@ class TranslationEngine:
     # ------------------------------------------------------------------ #
 
     def _run_burst_oracle(
-        self, transactions: Sequence[Transaction], start_cycle: float, asid: int = 0
+        self, stream: TransactionStream, start_cycle: float, asid: int = 0
     ) -> BurstResult:
         """Oracle burst: translation is free but non-present pages fault.
 
@@ -416,23 +405,10 @@ class TranslationEngine:
         data_end = start_cycle
         total_bytes = 0
         counted = 0
-        n = len(transactions)
-
-        # Column projections (see _run_burst_kernel).
-        va_list = getattr(transactions, "va_list", None)
-        if va_list is not None:
-            size_list = transactions.size_list
-        else:
-            va_list = [t[0] for t in transactions]
-            size_list = [t[1] for t in transactions]
-
-        # DMA-provided run metadata (see _run_burst_kernel).
-        meta = getattr(transactions, "runs", None)
-        if meta is not None and (
-            not meta
-            or getattr(transactions, "page_size", 0) != 1 << vpn_shift
-        ):
-            meta = None
+        va_list = stream.va_list
+        size_list = stream.size_list
+        runs = stream.runs
+        n = len(va_list)
         rc = 0
 
         try:
@@ -442,9 +418,7 @@ class TranslationEngine:
                 if resolve(vpn) is None:
                     stats.faults += 1
                     raise TranslationFault(vpn)
-                j, streamable, rc = _run_bounds(
-                    va_list, size_list, i, n, vpn, vpn_shift, meta, rc
-                )
+                j, streamable, rc = _run_bounds(runs, i, rc)
                 cycle, data_end, total_bytes = _issue_span(
                     va_list, size_list, i, j - i, streamable, cycle, 0,
                     interval, data_end, total_bytes, channel_free,
@@ -463,7 +437,7 @@ class TranslationEngine:
             start_cycle=start_cycle,
             issue_end_cycle=cycle,
             data_end_cycle=data_end,
-            transactions=len(transactions),
+            transactions=n,
             bytes_moved=total_bytes,
             stall_cycles=0.0,
         )
@@ -480,7 +454,7 @@ class TranslationEngine:
         levels, so walks complete in start order and the completion heap
         is (nearly) a FIFO: the heappush/heappop pair per walk becomes a
         cursor over one sorted snapshot of the heap.  This is the path
-        the columnar engine takes for the baseline IOMMU (Figure 8) and
+        the fast engine takes for the baseline IOMMU (Figure 8) and
         every contended scenario built on it.  The kernel enters it once
         per burst, at the first transaction, and it runs to the end of
         the burst; it stops early only at a faulting transaction, which
@@ -587,22 +561,20 @@ class TranslationEngine:
         others = ()
 
         def run(
-            va_list: Sequence[int],
-            size_list: Sequence[int],
+            stream: TransactionStream,
             i: int,
-            n: int,
             cycle: float,
             data_end: float,
             total_bytes: int,
             stall: float,
-            meta: Optional[Sequence[Tuple[int, bool]]],
             rc: int,
-            vas_col: Any,
-            sizes_col: Any,
-            uniform_size: Optional[int],
         ) -> Tuple[int, float, float, int, float, bool, int]:
             nonlocal order, idx
             nonlocal pol_obj, pol_ver, my_quota, work_conserving, my_busy, others
+            va_list = stream.va_list
+            size_list = stream.size_list
+            runs = stream.runs
+            n = len(va_list)
             live = len(order) - idx
             if len(heap) != live or (
                 live
@@ -658,9 +630,7 @@ class TranslationEngine:
                     vpn = va_list[i] >> vpn_shift
                     tkey = vpn | asid_bits
                     tlb_set = tlb_sets[tkey & tlb_set_mask]
-                    j, run_streamable, rc = run_bounds(
-                        va_list, size_list, i, n, vpn, vpn_shift, meta, rc
-                    )
+                    j, run_streamable, rc = run_bounds(runs, i, rc)
                     walk = None
                     my_walkers = pts_by_vpn.get(tkey)
                     prev_walk = None
@@ -845,8 +815,6 @@ class TranslationEngine:
                 # (see ``core/calendar.py``).
                 if (
                     my_walkers is None
-                    and meta is not None
-                    and vas_col is not None
                     and not poisoned
                     and i >= cal_skip
                     and cycle.is_integer()
@@ -854,9 +822,8 @@ class TranslationEngine:
                     and stall.is_integer()
                 ):
                     planned = calendar.plan_stretch(
-                        order, idx, i, j, n, cycle, vpn, tkey, walk,
-                        run_streamable, meta, rc, vas_col, sizes_col,
-                        uniform_size, policied, my_quota,
+                        order, idx, stream, i, j, rc, cycle, vpn, tkey, walk,
+                        run_streamable, policied, my_quota,
                         work_conserving, my_busy, others,
                     )
                     if planned:
@@ -948,7 +915,7 @@ class TranslationEngine:
     # ------------------------------------------------------------------ #
 
     def _run_burst_kernel(
-        self, transactions: Sequence[Transaction], start_cycle: float, asid: int = 0
+        self, stream: TransactionStream, start_cycle: float, asid: int = 0
     ) -> BurstResult:
         """Same-page run batching for translated MMUs under any share policy.
 
@@ -1062,48 +1029,13 @@ class TranslationEngine:
         data_end = start_cycle
         stall = 0.0
         total_bytes = 0
-        n = len(transactions)
-
-        # Column projections: a columnar stream hands over its cached
-        # plain-list columns; an object stream is projected once per call
-        # (same values, so the loop bodies below are representation-blind).
-        va_list = getattr(transactions, "va_list", None)
-        if va_list is not None:
-            size_list = transactions.size_list
-        else:
-            va_list = [t[0] for t in transactions]
-            size_list = [t[1] for t in transactions]
-
-        # DMA-provided run metadata (TransactionStream): same-page run
-        # bounds and streamability known at linearization time, replacing
-        # the per-run scan in _run_bounds.  Only valid at matching page size.
-        meta = getattr(transactions, "runs", None)
-        if meta is not None and (
-            not meta
-            or getattr(transactions, "page_size", 0) != 1 << vpn_shift
-        ):
-            meta = None
+        va_list = stream.va_list
+        size_list = stream.size_list
+        runs = stream.runs
+        n = len(va_list)
         rc = 0
-
         if fifo:
             runner = self._no_prmb_fifo_runner(asid)
-            # Columnar streams feed the completion calendar's vectorized
-            # planning; per-object streams simply run without stretches.
-            vas_col = getattr(transactions, "vas", None)
-            if vas_col is not None:
-                sizes_col = getattr(transactions, "sizes", None)
-                uniform_size = getattr(transactions, "uniform_size", None)
-            else:
-                sizes_col = None
-                uniform_size = None
-
-        # Memoized same-page run bounds: re-entering the batch logic for a
-        # partially-consumed run (after a segment break) must not rescan
-        # the stream — 2 MB pages produce runs of ~8k transactions that
-        # are revisited once per PRMB refill.
-        run_vpn = -1
-        run_end = 0
-        run_streamable = False
 
         i = 0
         while i < n:
@@ -1111,10 +1043,7 @@ class TranslationEngine:
                 # ---------------- FIFO runner ----------------
                 (
                     i, cycle, data_end, total_bytes, stall, faulted, rc,
-                ) = runner(
-                    va_list, size_list, i, n, cycle, data_end, total_bytes,
-                    stall, meta, rc, vas_col, sizes_col, uniform_size,
-                )
+                ) = runner(stream, i, cycle, data_end, total_bytes, stall, rc)
                 if not faulted:
                     break
             va = va_list[i]
@@ -1173,10 +1102,6 @@ class TranslationEngine:
                         if fault_handler is None:
                             raise TranslationFault(vpn)
                         resolved = fault_handler(vpn, cycle, asid)
-                        # Post-fault state may be remapped: drop the
-                        # memoized same-page-run metadata.
-                        run_vpn = -1
-                        run_end = 0
                         stall += resolved - cycle
                         cycle = resolved
                         process(cycle)
@@ -1255,14 +1180,7 @@ class TranslationEngine:
                     t = int((h - cycle) / interval) - 1 if h != inf else n
                     if t <= 0:
                         break  # a completion due within two issue slots
-                    if run_vpn != vpn or i >= run_end:
-                        j, run_streamable, rc = _run_bounds(
-                            va_list, size_list, i, n, vpn, vpn_shift, meta, rc
-                        )
-                        run_vpn = vpn
-                        run_end = j
-                    else:
-                        j = run_end
+                    j, run_streamable, rc = _run_bounds(runs, i, rc)
                     span = j - i
                     if span > t:
                         span = t
@@ -1301,14 +1219,7 @@ class TranslationEngine:
                     # backlog and re-dispatch (the run flips to TLB hits).
                     process(cycle)
                     continue
-                if run_vpn != vpn or i >= run_end:
-                    j, run_streamable, rc = _run_bounds(
-                        va_list, size_list, i, n, vpn, vpn_shift, meta, rc
-                    )
-                    run_vpn = vpn
-                    run_end = j
-                else:
-                    j = run_end
+                j, run_streamable, rc = _run_bounds(runs, i, rc)
                 if policied:
                     quota = prmb_quota_of(asid, prmb_total)
                     if quota is not None:
@@ -1468,7 +1379,7 @@ class TranslationEngine:
 
     def run_bursts(
         self,
-        bursts: Sequence[Sequence[Transaction]],
+        bursts: Sequence[Burst],
         start_cycle: float,
         asid: int = 0,
     ) -> Tuple[List[BurstResult], float]:

@@ -29,7 +29,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Un
 if TYPE_CHECKING:  # runtime imports are deferred to avoid module cycles
     from ..memory.dram import MainMemory
     from ..memory.tiering import LocalMemoryTier
-    from .engine import BurstResult, Transaction
+    from .engine import BurstResult
+    from .stream import Burst
     from .walk_info import WalkInfo
 
 from ..memory.address import ASID_SHIFT, MAX_ASID, PAGE_SIZE_4K, page_offset_bits
@@ -51,9 +52,10 @@ from .walk_info import WalkResolver
 #: Valid ``path_cache`` settings.
 PATH_CACHE_KINDS = ("none", "tpreg", "tpc", "uptc")
 
-#: Valid ``engine_mode`` settings: ``columnar`` is the structure-of-arrays
-#: fast representation; ``reference`` is the per-object golden path the
-#: columnar engine is bit-identical to (the PR 1/PR 4 switch pattern).
+#: Valid ``engine_mode`` settings.  Both modes read the DMA's one
+#: transaction stream; the mode selects only the engine loop: ``columnar``
+#: runs the fast paths, ``reference`` the per-transaction reference loop
+#: they are bit-identical to.
 ENGINE_MODES = ("columnar", "reference")
 
 
@@ -103,11 +105,10 @@ class MMUConfig:
     #: :data:`~repro.core.qos.SHARE_POLICIES`.  ``full_share`` (the
     #: default) is bit-identical to the pre-QoS engine.
     qos: str = "full_share"
-    #: Transaction representation the engine runs on — one of
-    #: :data:`ENGINE_MODES`.  ``columnar`` threads structure-of-arrays
-    #: streams through DMA/TLB/PRMB/engine; ``reference`` keeps the
-    #: per-object path as the bit-identical golden reference.  Defaults
-    #: from the ``NEUMMU_ENGINE`` environment variable.
+    #: Engine loop — one of :data:`ENGINE_MODES`.  ``columnar`` runs the
+    #: engine's fast paths; ``reference`` runs the per-transaction
+    #: reference loop, the bit-identical golden semantics.  Defaults from
+    #: the ``NEUMMU_ENGINE`` environment variable.
     engine_mode: str = field(default_factory=default_engine_mode)
 
     def __post_init__(self) -> None:
@@ -761,7 +762,7 @@ class SharedMMU:
     def run_bursts(
         self,
         asid: int,
-        bursts: Sequence[Sequence[Transaction]],
+        bursts: Sequence[Burst],
         start_cycle: float,
     ) -> Tuple[List[BurstResult], float]:
         """Run one tenant's back-to-back bursts through the shared engine.

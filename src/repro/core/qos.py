@@ -413,3 +413,16 @@ def make_arbiter(
         f"unknown arbitration policy {kind!r}; "
         f"choose from {', '.join(ARBITRATION_POLICIES)}"
     )
+
+
+def default_arbitration(weights: Optional[Sequence[float]]) -> str:
+    """The arbitration of a shared-MMU run that names none.
+
+    ``weighted_quantum`` when ``weights`` are given and not all equal,
+    ``round_robin`` otherwise.  Round robin never reads the weights, and
+    under unequal shares its whole-tile-step turns let one tenant's clock
+    race ahead (see :class:`WeightedQuantumArbiter`).
+    """
+    if weights is not None and any(w != weights[0] for w in weights):
+        return "weighted_quantum"
+    return "round_robin"

@@ -16,16 +16,14 @@ pages a single tile touches — which is Figure 6's metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.stream import TransactionStream
 from ..memory.address import PAGE_SIZE_4K, Extent, page_number, page_offset_bits
 from ..memory.layout import TensorLayout, TileExtents
 from .config import NPUConfig
-
-#: One DMA transaction: (virtual address, size in bytes).
-Transaction = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -70,205 +68,6 @@ class FetchSpec:
         return self.layout.tile_extents(self.starts, self.sizes)
 
 
-class TransactionStream(List[Transaction]):
-    """A transaction list annotated with same-page *run* metadata.
-
-    ``runs`` partitions the stream into maximal same-page runs as
-    ``(end_index, streamable)`` pairs in index order; a run is *streamable*
-    when every transaction in it is 256 bytes and virtually contiguous with
-    its predecessor — the structure the translation engine's batched fast
-    path needs, known for free at linearization time.  ``page_size`` is the
-    page size the runs were computed for; consumers must ignore the
-    metadata when their own page size differs.
-
-    Being a ``list`` subclass, the stream is a drop-in transaction list for
-    every existing consumer.
-    """
-
-    __slots__ = ("runs", "page_size")
-
-    def __init__(self, page_size: int = PAGE_SIZE_4K):
-        super().__init__()
-        self.runs: List[Tuple[int, bool]] = []
-        self.page_size = page_size
-
-
-class ColumnarTransactionStream:
-    """Structure-of-arrays transaction stream (the ``columnar`` engine mode).
-
-    The canonical storage is a pair of parallel NumPy columns — ``vas``
-    (int64 virtual addresses) and ``sizes`` (int64 byte counts, or ``None``
-    with ``uniform_size`` set when every transaction is the same size, the
-    DMA's dominant 256 B shape) — plus per-*run* metadata derived once,
-    vectorized, at emission time: ``run_ends`` (exclusive end index of each
-    maximal same-page run) and ``run_streamable`` (whether the run is a
-    contiguous uniform 256 B stream, the closed-form precondition).  The
-    remaining logical columns of the representation are implicit: the run
-    VPNs are ``vas[start] >> log2(page_size)`` (see :meth:`run_vpns`), page
-    offsets are ``vas & (page_size - 1)`` (:meth:`offsets`), the ASID is a
-    per-burst scalar (a stream never mixes address spaces; the engine's
-    ``run_burst(asid=...)`` carries it), and issue cycles are affine in the
-    index (one transaction per ``issue_interval``).
-
-    The object :class:`TransactionStream` stays the golden representation;
-    this class is a *view*-style drop-in over the columns: ``len``,
-    indexing, slicing and iteration yield the same ``(va, size)`` tuples,
-    and :attr:`runs`/:attr:`page_size` present the same metadata shape, so
-    every per-object consumer works unchanged.  Hot engine loops instead
-    bind :attr:`va_list`/:attr:`size_list` — plain-list projections
-    materialized lazily, once per stream — and consume column slices
-    between interaction points.
-    """
-
-    __slots__ = (
-        "vas", "sizes", "uniform_size", "run_ends", "run_streamable",
-        "page_size", "_va_list", "_size_list", "_runs",
-    )
-
-    def __init__(
-        self,
-        vas: np.ndarray,
-        sizes: Optional[np.ndarray],
-        uniform_size: int,
-        page_size: int = PAGE_SIZE_4K,
-    ):
-        self.vas = vas
-        self.sizes = sizes
-        #: Common transaction size when ``sizes`` is None (0 otherwise).
-        self.uniform_size = uniform_size
-        self.page_size = page_size
-        self.run_ends, self.run_streamable = self._compute_runs(
-            vas, sizes, uniform_size, page_size
-        )
-        self._va_list: Optional[List[int]] = None
-        self._size_list: Optional[List[int]] = None
-        self._runs: Optional[List[Tuple[int, bool]]] = None
-
-    @staticmethod
-    def _compute_runs(
-        vas: np.ndarray,
-        sizes: Optional[np.ndarray],
-        uniform_size: int,
-        page_size: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized same-page run derivation.
-
-        Element-for-element the same partition and streamability the
-        scalar :meth:`DMAEngine.transactions` loop computes: a run breaks
-        at every page-number change; a run is streamable when each of its
-        transactions is 256 bytes and (except the run head) virtually
-        contiguous with its predecessor.
-        """
-        n = int(vas.shape[0])
-        if n == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-        page_bits = page_size.bit_length() - 1
-        pages = vas >> page_bits
-        head = np.empty(n, dtype=bool)
-        head[0] = True
-        np.not_equal(pages[1:], pages[:-1], out=head[1:])
-        run_starts = np.flatnonzero(head)
-        run_ends = np.empty(run_starts.shape[0], dtype=np.int64)
-        run_ends[:-1] = run_starts[1:]
-        run_ends[-1] = n
-        # A transaction breaks its run's streamability when it is not
-        # 256 B, or when it follows a same-page VA gap.
-        bad = np.empty(n, dtype=bool)
-        bad[0] = False
-        if sizes is None:
-            np.not_equal(vas[1:], vas[:-1] + uniform_size, out=bad[1:])
-            bad &= ~head
-            if uniform_size != 256:
-                bad[:] = True
-        else:
-            np.not_equal(vas[1:], vas[:-1] + sizes[:-1], out=bad[1:])
-            bad &= ~head
-            bad |= sizes != 256
-        csum = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(bad, out=csum[1:])
-        run_streamable = csum[run_ends] == csum[run_starts]
-        return run_ends, run_streamable
-
-    # -- plain-list projections (lazy, cached) ------------------------- #
-
-    @property
-    def va_list(self) -> List[int]:
-        """Virtual addresses as a plain list (hot-loop projection)."""
-        out = self._va_list
-        if out is None:
-            out = self._va_list = self.vas.tolist()
-        return out
-
-    @property
-    def size_list(self) -> List[int]:
-        """Transaction sizes as a plain list (hot-loop projection)."""
-        out = self._size_list
-        if out is None:
-            if self.sizes is None:
-                out = [self.uniform_size] * int(self.vas.shape[0])
-            else:
-                out = self.sizes.tolist()
-            self._size_list = out
-        return out
-
-    @property
-    def runs(self) -> List[Tuple[int, bool]]:
-        """Legacy ``(end_index, streamable)`` run metadata view."""
-        out = self._runs
-        if out is None:
-            out = self._runs = list(
-                zip(self.run_ends.tolist(), self.run_streamable.tolist())
-            )
-        return out
-
-    # -- derived columns ----------------------------------------------- #
-
-    def run_vpns(self) -> np.ndarray:
-        """Virtual page number of each run (at :attr:`page_size`)."""
-        page_bits = self.page_size.bit_length() - 1
-        if self.run_ends.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
-        starts = np.empty_like(self.run_ends)
-        starts[0] = 0
-        starts[1:] = self.run_ends[:-1]
-        return self.vas[starts] >> page_bits
-
-    def offsets(self) -> np.ndarray:
-        """Per-transaction page offsets (at :attr:`page_size`)."""
-        return self.vas & (self.page_size - 1)
-
-    # -- per-object drop-in protocol ----------------------------------- #
-
-    def __len__(self) -> int:
-        return int(self.vas.shape[0])
-
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return list(zip(self.va_list[idx], self.size_list[idx]))
-        return (self.va_list[idx], self.size_list[idx])
-
-    def __iter__(self):
-        return iter(zip(self.va_list, self.size_list))
-
-    def __eq__(self, other):
-        return list(self) == list(other)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    @classmethod
-    def from_pairs(
-        cls, pairs: Sequence[Transaction], page_size: int = PAGE_SIZE_4K
-    ) -> "ColumnarTransactionStream":
-        """Columns from an object-path transaction list (tests, replay)."""
-        n = len(pairs)
-        vas = np.fromiter((va for va, _ in pairs), dtype=np.int64, count=n)
-        size_arr = np.fromiter((s for _, s in pairs), dtype=np.int64, count=n)
-        if n and (size_arr == size_arr[0]).all():
-            return cls(vas, None, int(size_arr[0]), page_size)
-        return cls(vas, size_arr, 0, page_size)
-
-
 class DMAEngine:
     """Decomposes fetches into bounded, page-local transactions."""
 
@@ -277,116 +76,33 @@ class DMAEngine:
         #: Transactions never cross this boundary so one transaction always
         #: lives in one page (valid for both 4 KB and 2 MB translation).
         self.split_boundary = PAGE_SIZE_4K
-        #: Page size used for the run metadata attached to generated
-        #: streams (the MMU's translation page size; set by the simulator).
+        #: Page size of the run metadata of emitted streams (the MMU's
+        #: translation page size; set by the simulator).
         self.run_page_size = PAGE_SIZE_4K
-        #: When True, :meth:`transactions` emits columns natively
-        #: (:class:`ColumnarTransactionStream`) instead of the per-object
-        #: stream — set by the simulator for ``engine_mode="columnar"``.
-        self.emit_columns = False
-        #: Optional ``id(fetch) -> ColumnarTransactionStream`` memo, set by
-        #: the simulator when its schedules come from the construction
-        #: cache (pinned fetch identities).  Columnar streams are immutable
-        #: array bundles, so sharing them across runs is safe; the mutable
-        #: object-mode stream is never cached.
-        self._stream_cache: Optional[Dict[int, ColumnarTransactionStream]] = None
+        #: Optional ``id(fetch) -> TransactionStream`` memo, set by the
+        #: simulator when its schedules come from the construction cache
+        #: (pinned fetch identities).  Streams are never mutated, so
+        #: sharing them across runs is safe.
+        self._stream_cache: Optional[Dict[int, TransactionStream]] = None
 
     def transactions(self, fetch: FetchSpec) -> TransactionStream:
         """All transactions of one tile fetch, in DMA issue order.
 
         Inline arithmetic equivalent of
-        :meth:`repro.memory.address.Extent.split_transactions` — this runs
-        for every simulated tile, so object churn is avoided.  The result
-        carries same-page run metadata (:class:`TransactionStream`).
+        :meth:`repro.memory.address.Extent.split_transactions` over the
+        fetch's extents (``tests/test_dma.py`` pins the two to each
+        other); this runs for every simulated tile, so object churn is
+        avoided.  The dominant aligned-256 B extents are emitted as column
+        ranges, and the stream derives its same-page run metadata at
+        :attr:`run_page_size` vectorized over the finished columns.
         """
-        if self.emit_columns:
-            cache = self._stream_cache
-            if cache is None:
-                return self._transactions_columnar(fetch)
+        cache = self._stream_cache
+        if cache is not None:
             # simlint: disable=det-hash-order -- id(fetch) is an opaque memo key (keyed lookup only, never ordered or iterated); the fetch list outlives the memo so the id cannot be recycled
             key = id(fetch)
             stream = cache.get(key)
-            if stream is None:
-                stream = cache[key] = self._transactions_columnar(fetch)
-            return stream
-        max_bytes = self.config.dma_transaction_bytes
-        boundary = self.split_boundary
-        offset_mask = boundary - 1
-        page_size = self.run_page_size
-        page_mask = ~(page_size - 1)
-        txs = TransactionStream(page_size)
-        runs = txs.runs
-        append = txs.append
-        extend = txs.extend
-        vector_ok = max_bytes == 256
-        idx = 0
-        run_page = -1
-        streamable = True
-        prev_end = -1
-        for extent in fetch.extents():
-            va = extent.va
-            remaining = extent.length
-            if vector_ok and not va & 255 and remaining >= 256:
-                # Vectorized emission of the dominant shape: a 256 B
-                # aligned extent yields uniform back-to-back 256 B
-                # transactions, whose same-page runs fall at page
-                # boundaries computable arithmetically.  Bit-identical
-                # to the scalar loop below (tests/test_dma.py), which
-                # still handles the sub-256 B tail and unaligned heads.
-                n_full = remaining >> 8
-                end = va + (n_full << 8)
-                page = va & page_mask
-                if page != run_page:
-                    if run_page >= 0:
-                        runs.append((idx, streamable))
-                    run_page = page
-                    streamable = True
-                elif va != prev_end:
-                    streamable = False  # same page, but a gap in VA
-                next_boundary = (va | (page_size - 1)) + 1
-                if next_boundary < end:
-                    for b in range(next_boundary, end, page_size):
-                        runs.append((idx + ((b - va) >> 8), streamable))
-                        streamable = True
-                    run_page = (end - 256) & page_mask
-                extend([(v, 256) for v in range(va, end, 256)])
-                idx += n_full
-                prev_end = end
-                va = end
-                remaining -= n_full << 8
-            while remaining > 0:
-                room = boundary - (va & offset_mask)
-                chunk = room if room < max_bytes else max_bytes
-                if chunk > remaining:
-                    chunk = remaining
-                page = va & page_mask
-                if page != run_page:
-                    if run_page >= 0:
-                        runs.append((idx, streamable))
-                    run_page = page
-                    streamable = True
-                elif va != prev_end:
-                    streamable = False  # same page, but a gap in VA
-                if chunk != 256:
-                    streamable = False
-                append((va, chunk))
-                prev_end = va + chunk
-                va = prev_end
-                remaining -= chunk
-                idx += 1
-        if run_page >= 0:
-            runs.append((idx, streamable))
-        return txs
-
-    def _transactions_columnar(self, fetch: FetchSpec) -> ColumnarTransactionStream:
-        """Native column emission for one tile fetch.
-
-        Same transaction sequence as the scalar path
-        (``tests/test_columnar.py`` pins them to each other), but the
-        dominant aligned-256 B extents are emitted as ``np.arange`` column
-        segments instead of per-object tuples, and the same-page run
-        metadata is derived vectorized over the finished columns.
-        """
+            if stream is not None:
+                return stream
         max_bytes = self.config.dma_transaction_bytes
         boundary = self.split_boundary
         offset_mask = boundary - 1
@@ -454,8 +170,12 @@ class DMAEngine:
                     np.fromiter(seg_size, dtype=np.int64, count=m), counts
                 )
             )
-        return ColumnarTransactionStream(vas, sizes, 256 if uniform else 0,
-                                         self.run_page_size)
+        stream = TransactionStream(
+            vas, sizes, 256 if uniform else 0, self.run_page_size
+        )
+        if cache is not None:
+            cache[key] = stream
+        return stream
 
     def transaction_count(self, fetch: FetchSpec) -> int:
         """Number of transactions without materializing them."""

@@ -145,7 +145,7 @@ def normalized_performance(oracle: RunResult, candidate: RunResult) -> float:
 
 
 #: (id(workload), page_size, memory_bytes, npu config) -> (workload,
-#: address space, schedules, columnar stream cache).  See NPUSimulator.
+#: address space, schedules, transaction-stream cache).  See NPUSimulator.
 _CONSTRUCTION_CACHE: Dict[tuple, tuple] = {}
 
 class NPUSimulator:
@@ -207,12 +207,9 @@ class NPUSimulator:
             prebuilt_schedules = None
             stream_cache = {}
         self.dma = DMAEngine(self.npu_config)
-        # Run metadata on generated streams must match the MMU's page size
-        # for the engine's batched fast path to use it.
+        # Streams carry their run metadata at the MMU's page size, so the
+        # engine's fast paths take them as emitted.
         self.dma.run_page_size = mmu_config.page_size
-        # Columnar engine mode: the DMA emits structure-of-arrays streams
-        # natively; the reference mode keeps the per-object golden path.
-        self.dma.emit_columns = mmu_config.engine_mode == "columnar"
         self._shared = shared_mmu
         if shared_mmu is not None:
             # Multi-tenant mode: this simulator is one tenant of a shared
@@ -252,10 +249,9 @@ class NPUSimulator:
                     workload, self.address_space, self._schedules,
                     stream_cache,
                 )
-        if construction_key is not None and self.dma.emit_columns:
-            # Columnar streams are immutable array bundles, so tile
-            # fetches of a cached schedule can share them across runs;
-            # the object-mode stream is rebuilt per run as before.
+        if construction_key is not None:
+            # Streams are never mutated, so tile fetches of a cached
+            # schedule share them across runs and engine modes.
             self.dma._stream_cache = stream_cache
 
     # ------------------------------------------------------------------ #

@@ -25,11 +25,12 @@ from typing import List, Optional, Sequence, Tuple
 from ..core.engine import BurstResult, TranslationEngine
 from ..core.mmu import MMU, MMUConfig
 from ..core.stats import RunSummary
+from ..core.stream import Transaction
 from ..memory.address import PAGE_SIZE_4K, page_number
 from ..memory.dram import MainMemory
 from ..memory.page_table import PageTable
 from .config import NPUConfig
-from .dma import DMAEngine, Transaction
+from .dma import DMAEngine
 
 #: Trace-file format marker (first line of every saved trace).
 _MAGIC = "neummu-trace-v1"
@@ -117,7 +118,7 @@ def capture_trace(workload, npu_config: Optional[NPUConfig] = None) -> Translati
     for schedule in sim.schedules:
         for step in schedule.steps:
             for fetch in step.fetches:
-                trace.bursts.append(dma.transactions(fetch))
+                trace.bursts.append(list(dma.transactions(fetch)))
     return trace
 
 

@@ -133,8 +133,7 @@ class DemandPagingSimulator:
         # in repro.memory.tiering; this simulator is its single tenant
         # (ASID 0) on a one-lane fabric.  Faults and evictions route
         # through MMU.shootdown, so no cached translation can ever serve
-        # a stale remote PFN; the engine drops its batched-run memo on
-        # every fault for the same reason.
+        # a stale remote PFN.
         self.fabric = MigrationFabric(self._link, slots=1)
         self.tier = LocalMemoryTier(
             self.fabric,

@@ -29,10 +29,10 @@ from repro.core.calendar import CompletionCalendar
 from repro.core.engine import TranslationEngine
 from repro.core.mmu import MMU, MMUConfig, baseline_iommu_config
 from repro.core.qos import ARBITRATION_POLICIES, SHARE_POLICIES
+from repro.core.stream import TransactionStream
 from repro.memory.address import PAGE_SIZE_4K
 from repro.memory.dram import MainMemory
 from repro.memory.page_table import PageTable
-from repro.npu.dma import ColumnarTransactionStream
 
 BASE = 0x7F00_0000_0000
 N_PAGES = 256
@@ -152,7 +152,7 @@ def run_calendar_mode(calendar_on, config, qos, schedule):
         engine.fault_handler = demand_map
         results = []
         for i, (asid, burst) in enumerate(schedule):
-            txs = ColumnarTransactionStream.from_pairs(
+            txs = TransactionStream.from_pairs(
                 materialize(burst), PAGE_SIZE_4K
             )
             results.append(engine.run_burst(txs, float(i * 7), asid))

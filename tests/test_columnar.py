@@ -1,22 +1,23 @@
-"""Differential fuzzing: columnar engine mode vs the per-object reference.
+"""Differential fuzzing: the engine's fast paths vs the reference loop.
 
-The columnar path (``MMUConfig.engine_mode="columnar"``) threads a
-structure-of-arrays transaction representation from the DMA through
-TLB/PRMB/engine; the object path (``engine_mode="reference"``) is the
-bit-identical golden reference.  Hypothesis drives random bursts spanning
-multiple ASIDs, page sizes, QoS share policies, injected translation
-faults and mid-run policy events (re-weights, context teardown) through
-both modes and requires identical service order and statistics — the
-same ``BurstResult`` sequences, ``RunSummary``, channel state, TLB
-contents *in LRU order*, PTS counters and PRMB statistics.
+``MMUConfig.engine_mode="columnar"`` runs the engine's fast paths (the
+oracle shortcut, the batched kernel and the FIFO runner) over the DMA's
+:class:`~repro.core.stream.TransactionStream`; ``engine_mode="reference"``
+runs the per-transaction reference loop, the bit-identical golden
+semantics.  Both modes read the same stream.  Hypothesis drives random
+bursts spanning multiple ASIDs, page sizes, QoS share policies, injected
+translation faults and mid-run policy events (re-weights, context
+teardown) through both modes and requires identical service order and
+statistics — the same ``BurstResult`` sequences, ``RunSummary``, channel
+state, TLB contents *in LRU order*, PTS counters and PRMB statistics.
 
 Two layers are fuzzed:
 
-* representation: :class:`ColumnarTransactionStream` must project the
-  exact ``(va, size)`` tuples and run metadata the scalar DMA loop
-  derives, for arbitrary streams;
-* engine: full translation runs must retire bit-identically whether the
-  engine consumes columns in columnar mode or objects in reference mode.
+* representation: :class:`~repro.core.stream.TransactionStream` must
+  yield the exact ``(va, size)`` tuples it was built from and the run
+  metadata :func:`golden_runs` derives, for arbitrary streams;
+* engine: full translation runs must retire bit-identically in both
+  modes.
 """
 
 from dataclasses import replace
@@ -34,10 +35,10 @@ from repro.core.mmu import (
     baseline_iommu_config,
     neummu_config,
 )
+from repro.core.stream import TransactionStream
 from repro.memory.address import PAGE_SIZE_2M, PAGE_SIZE_4K
 from repro.memory.dram import MainMemory
 from repro.memory.page_table import PageTable
-from repro.npu.dma import ColumnarTransactionStream, TransactionStream
 from repro.npu.simulator import NPUSimulator
 from repro.workloads.cnn import Workload
 from repro.workloads.layers import DenseLayer
@@ -123,7 +124,8 @@ def materialize(burst):
 
 
 def golden_runs(txs, page_size):
-    """The scalar DMA loop's run metadata, re-derived independently."""
+    """Same-page ``(end_index, streamable)`` runs of ``(va, size)`` pairs,
+    derived one transaction at a time."""
     runs = []
     mask = ~(page_size - 1)
     run_page, streamable, prev_end = -1, True, -1
@@ -153,32 +155,19 @@ class TestColumnarRepresentation:
     @settings(max_examples=60, deadline=None)
     def test_columns_project_golden_tuples_and_runs(self, burst, page_size):
         txs = materialize(burst)
-        stream = ColumnarTransactionStream.from_pairs(txs, page_size)
+        stream = TransactionStream.from_pairs(txs, page_size)
         assert list(stream) == txs
         assert len(stream) == len(txs)
-        assert stream[len(txs) // 2] == txs[len(txs) // 2]
-        assert stream[1:] == txs[1:]
+        assert list(stream)[len(txs) // 2] == txs[len(txs) // 2]
+        assert list(stream)[1:] == txs[1:]
         assert stream.runs == golden_runs(txs, page_size)
-
-    @given(_burst)
-    @settings(max_examples=30, deadline=None)
-    def test_derived_columns_match_scalars(self, burst):
-        txs = materialize(burst)
-        stream = ColumnarTransactionStream.from_pairs(txs, PAGE_SIZE_4K)
-        assert stream.offsets().tolist() == [
-            va & (PAGE_SIZE_4K - 1) for va, _ in txs
-        ]
-        starts = [0] + [end for end, _ in stream.runs[:-1]]
-        assert stream.run_vpns().tolist() == [
-            txs[s][0] >> 12 for s in starts
-        ]
 
     def test_uniform_size_collapses_column(self):
         txs = [(BASE + k * 256, 256) for k in range(32)]
-        stream = ColumnarTransactionStream.from_pairs(txs)
+        stream = TransactionStream.from_pairs(txs)
         assert stream.sizes is None and stream.uniform_size == 256
         assert stream.size_list == [256] * 32
-        mixed = ColumnarTransactionStream.from_pairs(txs + [(BASE, 64)])
+        mixed = TransactionStream.from_pairs(txs + [(BASE, 64)])
         assert mixed.sizes is not None and mixed.uniform_size == 0
 
 
@@ -230,7 +219,7 @@ def run_mode(mode, config, qos, schedule, page_size, epoch_ops=None):
         if asid not in removed:
             txs = materialize(burst)
             if mode == "columnar":
-                txs = ColumnarTransactionStream.from_pairs(txs, page_size)
+                txs = TransactionStream.from_pairs(txs, page_size)
             results.append(engine.run_burst(txs, float(i * 7), asid))
         op = (epoch_ops or {}).get(i)
         if op is not None:
@@ -332,7 +321,7 @@ class TestPipelineModes:
 
     @pytest.mark.parametrize("base", [baseline_iommu_config, neummu_config])
     def test_simulator_modes_bit_identical(self, base):
-        """engine_mode only changes the data path, never any figure."""
+        """engine_mode only selects the engine loop, never any figure."""
         workload = Workload(
             name="mode_fc",
             batch=1,
@@ -344,23 +333,8 @@ class TestPipelineModes:
         results = {}
         for mode in ENGINE_MODES:
             sim = NPUSimulator(workload, replace(base(), engine_mode=mode))
-            assert sim.dma.emit_columns == (mode == "columnar")
             results[mode] = sim.run()
         ref, col = results["reference"], results["columnar"]
         assert col.total_cycles == ref.total_cycles
         assert col.mmu_summary == ref.mmu_summary
         assert [l.cycles for l in col.layers] == [l.cycles for l in ref.layers]
-
-    def test_columnar_dma_emits_columns(self):
-        workload = Workload(
-            name="col_fc",
-            batch=1,
-            layers=(DenseLayer("fc", 1, 512, 256),),
-        )
-        sim = NPUSimulator(workload, neummu_config())
-        step = sim._schedules[0].steps[0]
-        stream = sim.dma.transactions(step.fetches[0])
-        assert isinstance(stream, ColumnarTransactionStream)
-        obj = TransactionStream(stream.page_size)
-        obj.extend(iter(stream))
-        assert list(obj) == list(stream)

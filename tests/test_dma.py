@@ -20,6 +20,7 @@ from repro.npu.dma import (
     distinct_pages,
     page_divergence_of_fetches,
 )
+from tests.test_columnar import golden_runs
 
 
 def fetch_2d(rows, cols, elem=4, base=0x10_0000_0000, starts=(0, 0), sizes=None):
@@ -32,7 +33,7 @@ class TestTransactions:
     def test_cover_fetch_exactly(self):
         dma = DMAEngine(NPUConfig(dma_transaction_bytes=256))
         fetch = fetch_2d(8, 1024)
-        txs = dma.transactions(fetch)
+        txs = list(dma.transactions(fetch))
         assert sum(size for _, size in txs) == fetch.nbytes
         # In order, no gaps within the contiguous region.
         for (va_a, sz_a), (va_b, _) in zip(txs, txs[1:]):
@@ -85,6 +86,58 @@ class TestTransactions:
         for va, size in txs:
             assert size <= tx_bytes
             assert page_number(va) == page_number(va + size - 1)
+
+    @given(
+        st.sampled_from([64, 256, 1024]),
+        st.sampled_from([PAGE_SIZE_4K, PAGE_SIZE_2M]),
+        st.sampled_from([1, 2, 4]),
+        st.integers(1, 4),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_stream_matches_split_transactions(
+        self, max_bytes, run_page_size, elem, ndim, data
+    ):
+        """The emitter is ``Extent.split_transactions`` over the fetch's
+        extents, in order, and its runs are the pairs' same-page runs.
+
+        Bases sit within 16 KB of a 2 MB boundary, so tiles cross 4 KB
+        and 2 MB pages, misaligned or 256 B aligned.
+        """
+        shape = [data.draw(st.integers(1, 4)) for _ in range(ndim - 1)]
+        shape.append(
+            data.draw(
+                st.one_of(
+                    st.integers(1, 3 * PAGE_SIZE_4K // elem),
+                    st.integers(1, 48).map(lambda k: k * 256 // elem),
+                )
+            )
+        )
+        starts, sizes = [], []
+        for dim in shape:
+            start = data.draw(st.one_of(st.just(0), st.integers(0, dim - 1)))
+            starts.append(start)
+            sizes.append(data.draw(st.integers(1, dim - start)))
+        base = (
+            0x10_0000_0000
+            + data.draw(st.integers(1, 3)) * PAGE_SIZE_2M
+            + data.draw(st.integers(-64, 64))
+            * data.draw(st.sampled_from([1, 4, 256]))
+        )
+        layout = TensorLayout("t", base, tuple(shape), elem)
+        fetch = FetchSpec("w", layout, tuple(starts), tuple(sizes))
+        dma = DMAEngine(NPUConfig(dma_transaction_bytes=max_bytes))
+        dma.run_page_size = run_page_size
+        stream = dma.transactions(fetch)
+        expected = [
+            (piece.va, piece.length)
+            for extent in fetch.extents()
+            for piece in extent.split_transactions(max_bytes)
+        ]
+        assert list(stream) == expected
+        assert len(stream) == len(expected)
+        assert stream.page_size == run_page_size
+        assert stream.runs == golden_runs(expected, run_page_size)
 
 
 class TestSignature:

@@ -1,10 +1,14 @@
 """Golden diff: paper figures bit-identical across engine modes.
 
-The columnar engine is a representation change, not a model change: every
+The engine's fast paths are an optimization, not a model change: every
 figure must come out *bit-identical* (exact float equality, not approx)
-whether the transaction core runs the structure-of-arrays fast path or
-the per-object reference path.  Each experiment here runs twice on
-trimmed grids — once per ``NEUMMU_ENGINE`` mode, with a fresh
+whether the engine runs its fast paths (``columnar``) or the
+per-transaction reference loop (``reference``).  Both modes read the same
+DMA emitter and the same cached transaction streams, so these diffs
+check the engine loops only; the absolute goldens (the report, Figures
+12a and 16, fairness, tenants) cover what both modes share.  Each
+experiment here runs twice on trimmed grids — once per
+``NEUMMU_ENGINE`` mode, with a fresh
 :class:`~repro.analysis.runner.ExperimentRunner` per run, so each mode
 starts from a cold result memo and simulates every cell itself (the
 memo key covers the engine mode too) — and the rendered figures are

@@ -23,11 +23,11 @@ from repro.core.mmu import (
     neummu_config,
     oracle_config,
 )
+from repro.core.stream import TransactionStream
 from repro.core.tlb import TLB
 from repro.memory.address import PAGE_SIZE_2M, PAGE_SIZE_4K
 from repro.memory.dram import MainMemory, MemoryConfig
 from repro.memory.page_table import PageTable
-from repro.npu.dma import TransactionStream
 from repro.npu.simulator import NPUSimulator
 from repro.workloads.cnn import Workload
 from repro.workloads.layers import DenseLayer
@@ -85,28 +85,6 @@ def random_stream(seed, n):
 def streaming_stream(n):
     """Fully contiguous 256 B transactions (the closed-form target)."""
     return [(BASE + k * 256, 256) for k in range(n)]
-
-
-def annotate(txs, page_size):
-    """Run metadata as the DMA would attach it."""
-    stream = TransactionStream(page_size)
-    stream.extend(txs)
-    mask = ~(page_size - 1)
-    run_page, streamable, prev_end = -1, True, -1
-    for idx, (va, size) in enumerate(txs):
-        page = va & mask
-        if page != run_page:
-            if run_page >= 0:
-                stream.runs.append((idx, streamable))
-            run_page, streamable = page, True
-        elif va != prev_end:
-            streamable = False
-        if size != 256:
-            streamable = False
-        prev_end = va + size
-    if run_page >= 0:
-        stream.runs.append((len(txs), streamable))
-    return stream
 
 
 def make_engine(mmu, memory, batched, **kwargs):
@@ -179,17 +157,22 @@ class TestBurstParity:
         assert batched_state == reference_state
 
     @pytest.mark.parametrize(
-        "config",
-        [baseline_iommu_config(), neummu_config(), oracle_config(),
-         neummu_config(page_size=PAGE_SIZE_2M)],
-        ids=lambda c: f"{c.name}/{c.page_size}",
+        "config", PARITY_CONFIGS, ids=lambda c: f"{c.name}/{c.page_size}"
     )
-    def test_dma_annotated_streams_match_plain_lists(self, config):
-        """Run metadata is an access-path hint, never a semantic change."""
+    def test_streams_left_unchanged(self, config):
+        """No engine path writes to the stream it reads: the simulator
+        shares one stream per tile fetch across runs and engine modes."""
         txs = random_stream(11, 1800) + streaming_stream(700)
-        annotated = annotate(txs, config.page_size)
-        batched_state, reference_state = run_both(config, [annotated], [txs])
-        assert batched_state == reference_state
+        stream = TransactionStream.from_pairs(txs, config.page_size)
+        runs = list(stream.runs)
+        vas = stream.vas.copy()
+        for batched in (True, False):
+            mmu = MMU(config, build_table())
+            engine = make_engine(mmu, MainMemory(), batched)
+            engine.run_burst(stream, 0.0)
+            assert list(stream) == txs
+            assert stream.runs == runs
+            assert (stream.vas == vas).all()
 
     def test_direct_mapped_tlb_falls_back(self):
         """A direct-mapped TLB (one way per set) stays bit-identical."""

@@ -24,6 +24,7 @@ from repro.core.qos import (
     PriorityArbiter,
     RoundRobinArbiter,
     WeightedQuantumArbiter,
+    default_arbitration,
     jain_index,
     make_arbiter,
     make_share_policy,
@@ -575,6 +576,57 @@ class TestArbiters:
         WeightedQuantumArbiter(weights=[2, 1, 1]).run(runs)
         assert all(run.done for run in runs)
         assert steps == expected
+
+
+class TestDefaultArbitration:
+    """A shared-MMU run that names no arbitration arbitrates by quantum
+    under unequal weights: round robin never reads the weights."""
+
+    def test_rule(self):
+        assert default_arbitration(None) == "round_robin"
+        assert default_arbitration([2.0]) == "round_robin"
+        assert default_arbitration([1.5, 1.5, 1.5]) == "round_robin"
+        assert default_arbitration([3.0, 1.0]) == "weighted_quantum"
+        assert default_arbitration((1, 1, 2)) == "weighted_quantum"
+
+    @staticmethod
+    def tenant_arbitrations(**kwargs):
+        """The arbitration of every shared cell ``run tenants`` requests."""
+        from repro.analysis import multi_tenant_contention
+        from repro.analysis.parallel import TenantRunRequest
+
+        class Stop(Exception):
+            pass
+
+        class RecordingRunner:
+            requests = []
+
+            def run_many(self, requests):
+                self.requests = list(requests)
+                raise Stop
+
+        runner = RecordingRunner()
+        with pytest.raises(Stop):
+            multi_tenant_contention(tenants=2, runner=runner, **kwargs)
+        return {
+            request.arbitration
+            for request in runner.requests
+            if isinstance(request, TenantRunRequest)
+        }
+
+    def test_tenants_unequal_weights_take_weighted_quantum(self):
+        assert self.tenant_arbitrations(qos="weighted", weights=(3, 1)) == {
+            "weighted_quantum"
+        }
+
+    def test_tenants_keep_round_robin_otherwise(self):
+        assert self.tenant_arbitrations() == {"round_robin"}
+        assert self.tenant_arbitrations(qos="weighted", weights=(2, 2)) == {
+            "round_robin"
+        }
+        assert self.tenant_arbitrations(
+            qos="weighted", weights=(3, 1), arbitration="priority"
+        ) == {"priority"}
 
 
 # --------------------------------------------------------------------- #
