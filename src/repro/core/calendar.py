@@ -3,37 +3,82 @@
 The fused FIFO runner (:meth:`TranslationEngine._no_prmb_fifo_runner`)
 already collapses the per-walk ``heappush``/``heappop`` pair into a cursor
 over one sorted snapshot, but its loop still takes one stall, one
-retirement and one walk start per transaction in the saturated regime.
-This module batches that per-event work at the runner's calendar gate:
-in the saturated no-PRMB regime every walk in flight has the same
+retirement and one walk start or hit per transaction once the tenant's
+walkers are all busy.  This module batches that per-event work at the
+runner's calendar gate.  Every walk in a planned stretch has the same
 latency class (``levels * walk_latency_per_level``), so completions are
-FIFO per latency class and the completion sequence is *closed form* —
-retiring the head at ready cycle ``c`` restarts the same walker with
-ready ``c + dur``, so the calendar evolves as ``W`` interleaved arithmetic
-progressions with common step ``dur``:
+FIFO and the whole event sequence is *closed form*.  Two regimes cover
+the two states in which the gate finds the issue port blocked:
 
-    ``C(t) = heads[t mod W] + (t // W) * dur``
+* **Chain** (blocked at a *fresh* page, no walk of it in flight).  Each
+  transaction stalls until the window's head walk completes, retires it
+  and restarts the same walker for its own page, so the calendar evolves
+  as ``W`` interleaved arithmetic progressions with common step ``dur``:
 
-A whole stretch of ``m`` transactions (crossing same-page run boundaries)
-can therefore be planned as NumPy int64 columns — ready-cycle, walker-id,
-seq — validated against every interaction point the runner's loop would
-honour (TLB flips, policy quota exhaustion, channel queueing, page
-faults, poisoned walkers), and retired as one bucket.
-A stretch may retire only a prefix of the window (``m < W``) when the
-miss cluster ends before the in-flight window wraps.
+      ``C(t) = heads[t mod W] + (t // W) * dur``
+
+  A stretch crosses same-page run boundaries and ends where a run is
+  longer than ``W`` (its transaction ``W`` would retire the run's own
+  first walk: the TLB flip).  It may retire only a prefix of the window
+  (``m < W``) when the miss cluster ends before the window wraps.
+* **Cadence** (blocked at a *flip*: the tenant's in-flight walks are
+  exactly ``W`` walks of the current page, started at consecutive issue
+  slots).  This is the baseline IOMMU's redundant-walk pattern (Section
+  III-C, Figure 8) on a streak of fresh pages whose runs are longer than
+  ``W``.  Page ``k`` entered at cycle ``a_k`` issues ``W`` walk starts at
+  ``a_k .. a_k + W - 1`` (while the previous run was shorter than
+  ``2W``, each start first retires one of its redundant walks), stalls
+  until ``a_k + dur``, fills the TLB, and issues its remaining
+  ``L_k - W`` transactions as hits while its redundant walks retire, so
+  ``a_{k+1} = a_k + dur + (L_k - W) * interval``.  The stretch ends at a
+  later page's flip stall, the runner's state at entry.
+
+Both regimes plan against the tenant's *own window*: the in-flight walks
+that retire inside the stretch.  Every other in-flight walk must belong
+to another tenant and complete after the stretch's last event (the
+stretch is capped before the first such completion), so those walks are
+inert: the other tenants' busy sets, the TLB and the PTS see nothing of
+them.  ``W`` is then the own-busy count at which the runner's startable
+predicate turns false while the other tenants' state is fixed: the pool
+minus the foreign-held walkers under full sharing, the quota under a
+hard partition, the quota plus the borrowable slack under ``weighted``.
+A regime plans only when one retirement re-opens a start and the restart
+closes it again.  Under full sharing a chain window may also hold
+another tenant's walks that complete within one walk latency of the
+head: without busy sets a retired walker restarts for this tenant
+whoever held it.
+
+Each stretch is validated against every interaction point the runner's
+loop would honour — recurrence, residency, fault, latency class, channel
+queueing, the other tenants' first completion, ``_STRETCH_CAP`` — and
+retired as one bucket.
 
 Bit-identity contract
 ---------------------
 The drain performs exactly the state transitions the per-event loop
 would: the same ``TLB.insert`` calls in the same order (with the same
-per-page ``prev_walk`` dedup and set-MRU same-PFN elision), the same PTS
-map contents and dict key order, the same walker-array/busy-set/channel
-final states, and the same float values for every observable timing
-quantity.  The closed form is only entered when the entry cycle and both
-stall accumulators are integral and all planned cycle values are exact
-small integers, so the vectorized int64 arithmetic is exact and the
-stall sums are reassociation-free; any configuration with fractional
-cycle arithmetic falls back to the runner's per-event loop.
+per-page ``prev_walk`` dedup and set-MRU same-PFN elision, which make a
+page's redundant retirements no-ops), the page's hits as one bulk touch
+(stamp renumbering stays monotone), the same PTS map contents and dict
+key order, the same walker ids (the free list's LIFO pops and appends
+replayed), the same busy-set and channel final states, and the same
+float values for every observable timing quantity.
+
+*Exactness.*  Every cycle the runner computes in a stretch is the entry
+cycle ``c`` plus an integer (an integral interval and walk latency, and
+window completions verified to be ``c`` plus integers).  ``c`` is a
+multiple of ``1/den`` for a power of two ``den`` (1 when integral), so
+``c + k`` is exactly representable for every integer ``k >= 0`` with
+``c + k < 2**53 / den``: below the end of ``c``'s binade when ``c`` uses
+its full mantissa, below ``2**53`` when it is an integer
+(:func:`_exact_limit`).  A stretch stays below that bound, so each
+per-event ``+ interval``, ``+ dur`` and ``retry - cycle`` is exact and
+equals the closed form's value.  The stall accumulators take the
+reference's one float operation for the entry stall and then only
+integral increments; they too must stay below their own bound, so the
+telescoped sums are reassociation-free.  Derived values (hit release
+``cycle + tlb latency``, channel finish ``release + size / bandwidth``)
+are computed by the same float operation on the same operands.
 ``tests/test_calendar.py`` differential-fuzzes the calendar against the
 per-event path; the figure-level golden diffs enforce it end to end.
 
@@ -43,10 +88,18 @@ Calendar buckets may only be consumed through :meth:`drain_stretch` (the
 designated drain, mirroring the epoch-bump discipline): the ``cal_*``
 bucket columns and cursor are written nowhere else, and the simlint rule
 ``cyc-calendar-retire`` enforces that statically.
+
+Counts
+------
+Each calendar counts its attempts, plans and drained transactions per
+regime and its declines by reason (:data:`DECLINE_REASONS`).  They are
+observation only: no simulation path reads them.
 """
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_right
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -70,14 +123,69 @@ _FIRST_CHUNK = 256
 #: NumPy setup outweighs the per-transaction savings).
 _MIN_STRETCH = 12
 
-#: Largest cycle value the planner accepts: integers below 2**52 are
-#: exactly representable as float64 with headroom for dur/interval sums.
-_MAX_CYCLE = float(1 << 52)
+#: Why a plan declined, the keys of :attr:`CompletionCalendar.declines`:
+#: ``short`` — the page scan (recurrence, residency, fault, latency
+#: class, a run no longer than the window) ends the stretch too early;
+#: ``window`` — the in-flight walks are not a window the regime models;
+#: ``exact`` — a cycle or stall sum would leave the exactly representable
+#: range (or the configuration's interval or latency is fractional);
+#: ``horizon`` — another tenant's walk completes too soon; ``channel`` —
+#: a memory channel would queue too soon.
+DECLINE_REASONS = ("short", "window", "exact", "horizon", "channel")
 
-#: One planned same-page run: ``(tkey, vpn, walk, a, b, run_end,
-#: streamable)`` with ``[a, b)`` the transaction span relative to the
-#: stretch base and ``run_end`` the run's true end index in the stream.
+_INF = float("inf")
+
+#: One planned same-page run of the chain regime: ``(tkey, vpn, walk, a,
+#: b, run_end, streamable)`` with ``[a, b)`` the transaction span relative
+#: to the stretch base and ``run_end`` the run's true end index.
 _PlannedRun = Tuple[int, int, WalkInfo, int, int, int, bool]
+
+#: One page of a cadence stretch: ``(tkey, vpn, walk, length, run_end,
+#: streamable, rc)``.  ``length`` is the page's transactions inside the
+#: stretch (hits only for the entry page, its whole run for the others)
+#: and ``rc`` the runner's cursor into ``stream.runs`` at the page.
+_CadencePage = Tuple[int, int, WalkInfo, int, int, bool, int]
+
+#: A fresh run a stretch may take: ``(tkey, vpn, walk, run_end,
+#: streamable, rc)``.
+_Run = Tuple[int, int, WalkInfo, int, bool, int]
+
+
+def _exact_limit(x: float) -> float:
+    """Bound below which ``x + k`` is exact for every integer ``k >= 0``.
+
+    ``x`` is ``num / den`` with ``den`` a power of two, so ``x + k`` is
+    ``(num + k * den) / den``: representable while the numerator stays
+    below ``2**53``.
+    """
+    return float(1 << 53) / x.as_integer_ratio()[1]
+
+
+def _feasible(release: Any, finish: Any, ch: Any, channel_free: List[float],
+              n_ch: int) -> int:
+    """Length of the prefix in which no memory channel queues.
+
+    Transaction ``t`` is released at ``release[t]`` to channel ``ch[t]``
+    and finishes at ``finish[t]``; it must not start before its channel
+    frees (``channel_free`` for the first, its predecessor's finish for
+    the rest).  Any prefix of a feasible stretch stays feasible.
+    """
+    feasible = int(release.shape[0])
+    for c in range(n_ch):
+        idxs = np.flatnonzero(ch == c)
+        if not idxs.size:
+            continue
+        r = release[idxs]
+        bad = np.empty(idxs.size, dtype=bool)
+        bad[0] = bool(r[0] < channel_free[c])
+        if idxs.size > 1:
+            bad[1:] = r[1:] < finish[idxs[:-1]]
+        w = np.flatnonzero(bad)
+        if w.size:
+            v = int(idxs[w[0]])
+            if v < feasible:
+                feasible = v
+    return feasible
 
 
 class CompletionCalendar:
@@ -85,23 +193,28 @@ class CompletionCalendar:
 
     Binds the same stable structures the fused runner closes over (walker
     arrays, TLB sets, PTS map, channel table) once at construction; each
-    :meth:`plan_stretch` validates a saturated multi-run stretch and fills
+    :meth:`plan_stretch` validates a chain or cadence stretch and fills
     the bucket columns, and :meth:`drain_stretch` — the only consumer of
     those columns — applies the whole bucket to simulator state.
     """
 
     __slots__ = (
         "asid", "_walk_of", "_vpn_arr", "_completion_of",
-        "_free_list", "_busy_by_asid", "_pts_by_vpn", "_tlb_sets",
-        "_tlb_set_mask", "_tlb_insert", "_resolvers", "_walk_latency",
+        "_free_list", "_pts_by_vpn", "_tlb_sets",
+        "_tlb", "_tlb_set_mask", "_tlb_insert", "_fills_land",
+        "_resolvers", "_walk_latency", "_tlb_latency",
         "_vpn_shift", "_channel_free", "_n_channels", "_ch_bw",
-        "_mem_latency", "_interval", "_interval_int", "_static_ok",
+        "_mem_latency", "_interval_int", "_static_ok",
         "cal_ready", "cal_walker", "cal_seq", "cal_cursor",
-        "_plan_m", "_plan_pages", "_plan_window_walks",
-        "_plan_window_walkers", "_plan_window_keys", "_plan_heads0",
-        "_plan_dur", "_plan_levels", "_plan_ch", "_plan_finish",
-        "_plan_bytes", "_plan_policied", "_plan_my_busy", "_plan_rc",
-        "_plan_stall_events", "_plan_fresh_stalls",
+        "_plan_cadence", "_plan_base", "_plan_m", "_plan_pages",
+        "_plan_window_walks",
+        "_plan_window_walkers", "_plan_window_keys", "_plan_inert",
+        "_plan_head", "_plan_dur", "_plan_levels", "_plan_ch",
+        "_plan_finish", "_plan_bytes", "_plan_rc", "_plan_rest",
+        "_plan_stall_events", "_plan_fresh_stalls", "_plan_hits",
+        "chain_attempts", "chain_plans", "chain_drained",
+        "cadence_attempts", "cadence_plans", "cadence_drained",
+        "declines",
     )
 
     def __init__(
@@ -116,22 +229,26 @@ class CompletionCalendar:
         self._vpn_arr = pool._vpn
         self._completion_of = pool._completion_of
         self._free_list = pool._free
-        self._busy_by_asid = pool._busy_by_asid
         self._pts_by_vpn = pts._by_vpn
         self._tlb_sets = tlb._sets
         self._tlb_set_mask = tlb._set_mask
         self._tlb_insert = tlb.insert
+        self._tlb = tlb
+        # A cadence page hits right after its fill, so the fill must
+        # land: only a policied set-associative TLB may drop one (an
+        # at-quota tenant with no entry in the target set).
+        self._fills_land = tlb._mirrors is None or tlb._set_mask == 0
         self._resolvers = mmu._resolvers
         self._walk_latency = pool.walk_latency_per_level
+        self._tlb_latency = mmu._tlb_latency
         self._vpn_shift = mmu._vpn_shift
         mem_cfg = memory.config
         self._channel_free = memory._channel_free
         self._n_channels = mem_cfg.channels
         self._ch_bw = mem_cfg.channel_bandwidth
         self._mem_latency = mem_cfg.access_latency_cycles
-        self._interval = issue_interval
         self._interval_int = int(issue_interval)
-        # The closed form relies on exact integer cycle arithmetic; a
+        # The closed form relies on integral cycle increments; a
         # fractional issue interval or walk latency disables it outright.
         self._static_ok = (
             float(issue_interval).is_integer()
@@ -143,22 +260,152 @@ class CompletionCalendar:
         self.cal_walker = empty
         self.cal_seq = empty
         self.cal_cursor = 0
+        self._plan_cadence = False
+        self._plan_base = 0.0
         self._plan_m = 0
-        self._plan_pages: List[_PlannedRun] = []
+        self._plan_pages: List[Any] = []
         self._plan_window_walks: List[WalkInfo] = []
         self._plan_window_walkers: List[int] = []
         self._plan_window_keys: Dict[int, int] = {}
-        self._plan_heads0 = 0.0
+        self._plan_inert: List[Tuple[float, int, int]] = []
+        self._plan_head = 0.0
         self._plan_dur = 0
         self._plan_levels = 0
         self._plan_ch: Any = None
         self._plan_finish: Any = None
         self._plan_bytes = 0
-        self._plan_policied = False
-        self._plan_my_busy: Optional[Set[int]] = None
         self._plan_rc = 0
+        self._plan_rest = 0
         self._plan_stall_events = 0
         self._plan_fresh_stalls = 0
+        self._plan_hits = 0
+        self.chain_attempts = 0
+        self.chain_plans = 0
+        self.chain_drained = 0
+        self.cadence_attempts = 0
+        self.cadence_plans = 0
+        self.cadence_drained = 0
+        self.declines: Dict[str, int] = dict.fromkeys(DECLINE_REASONS, 0)
+
+    # ------------------------------------------------------------------ #
+    # counts (observation only)                                          #
+    # ------------------------------------------------------------------ #
+
+    def counts(self) -> Dict[str, int]:
+        """The calendar's counts as one flat mapping."""
+        out = {
+            "chain_attempts": self.chain_attempts,
+            "chain_plans": self.chain_plans,
+            "chain_drained": self.chain_drained,
+            "cadence_attempts": self.cadence_attempts,
+            "cadence_plans": self.cadence_plans,
+            "cadence_drained": self.cadence_drained,
+        }
+        for reason, count in self.declines.items():
+            out["decline_" + reason] = count
+        return out
+
+    def _decline(self, reason: str) -> None:
+        self.declines[reason] += 1
+
+    # ------------------------------------------------------------------ #
+    # shared validation                                                  #
+    # ------------------------------------------------------------------ #
+
+    def _window(
+        self,
+        order: List[Tuple[float, int, int]],
+        idx: int,
+        W: int,
+        own_only: bool,
+        policied: bool,
+        my_quota: Optional[int],
+        work_conserving: bool,
+        others: Sequence[Tuple[int, Set[int]]],
+    ) -> Optional[float]:
+        """Validate ``order[idx:idx + W]`` as a stretch's window; return
+        the horizon, the first completion after the window (infinity
+        when there is none), or None after counting a decline.
+
+        With ``own_only`` every window walk is the tenant's own.  Every
+        walk after the window must be another tenant's (it is inert until
+        the horizon).  One own retirement must re-open a walk start: the
+        blocked caller holds ``W`` own walks, and after one retires it
+        holds ``W - 1`` with one more free walker.  The restart then
+        returns to the blocked state, and a start with fewer own walks
+        and more free walkers is startable too, so ``W`` is the
+        threshold of the runner's startable predicate.
+        """
+        asid = self.asid
+        walk_of = self._walk_of
+        live = len(order) - idx
+        if W > live:
+            self._decline("window")
+            return None
+        if own_only:
+            for entry in order[idx:idx + W]:
+                wk = walk_of[entry[2]]
+                if wk is None or wk.asid != asid:
+                    # Another tenant's walk completes among our own.
+                    self._decline("horizon" if wk is not None else "window")
+                    return None
+        for entry in order[idx + W:]:
+            wk = walk_of[entry[2]]
+            if wk is None or wk.asid == asid:
+                self._decline("window")
+                return None
+        if policied and my_quota is not None and W - 1 >= my_quota:
+            reserved_unmet = 0
+            for other_quota, other_busy in others:
+                shortfall = other_quota - len(other_busy)
+                if shortfall > 0:
+                    reserved_unmet += shortfall
+            if not work_conserving or len(self._free_list) < reserved_unmet:
+                self._decline("window")
+                return None
+        return order[idx + W][0] if W < live else _INF
+
+    @staticmethod
+    def _rooms(
+        cycle: float, d0: float, sc: float, stall: float
+    ) -> Tuple[float, float]:
+        """Exactness rooms: how far the stretch's cycles may rise above
+        the entry ``cycle``, and how much integral stall the accumulators
+        may take after the entry stall ``d0``."""
+        sc1 = sc + d0
+        stall1 = stall + d0
+        return _exact_limit(cycle) - cycle, min(
+            _exact_limit(sc1) - sc1, _exact_limit(stall1) - stall1
+        )
+
+    def _fresh_run(
+        self,
+        va_list: List[int],
+        runs: List[Tuple[int, bool]],
+        nxt: int,
+        rc: int,
+        seen: Set[int],
+        levels: int,
+    ) -> Optional[_Run]:
+        """The same-page run starting at ``nxt`` when a stretch may take
+        it: a page not yet in the stretch, not resident, mapped, and in
+        the stretch's latency class.  None at any interaction point."""
+        nvpn = va_list[nxt] >> self._vpn_shift
+        nkey = nvpn | (self.asid << ASID_SHIFT)
+        if nkey in seen or nkey in self._tlb_sets[nkey & self._tlb_set_mask]:
+            return None
+        resolver = self._resolvers[self.asid]
+        nwalk = resolver._cache.get(nvpn)
+        if nwalk is None:
+            nwalk = resolver.resolve_vpn(nvpn)
+            if nwalk is None:
+                return None  # faulting page: the runner raises it
+        if nwalk.levels != levels:
+            return None  # latency class changes: FIFO order not closed form
+        while runs[rc][0] <= nxt:
+            rc += 1
+        njend, nstream = runs[rc]
+        return nkey, nvpn, nwalk, njend, nstream, rc
 
     # ------------------------------------------------------------------ #
     # planning                                                           #
@@ -177,39 +424,93 @@ class CompletionCalendar:
         tkey: int,
         walk0: Optional[WalkInfo],
         run_streamable: bool,
+        my_walkers: Optional[List[int]],
         policied: bool,
         my_quota: Optional[int],
         work_conserving: bool,
         my_busy: Optional[Set[int]],
         others: Sequence[Tuple[int, Set[int]]],
+        sc: float,
+        stall: float,
     ) -> int:
-        """Validate and plan a saturated stretch of ``stream`` starting at
-        transaction ``i`` (whose same-page run ends at ``j``; ``rc`` is
-        the runner's cursor into ``stream.runs``); returns its length in
-        transactions (0: no stretch applies).
+        """Validate and plan a stretch of ``stream`` starting at the
+        blocked transaction ``i`` (whose same-page run ends at ``j``;
+        ``rc`` is the runner's cursor into ``stream.runs``); returns its
+        length in transactions (0: no stretch applies).
 
-        Caller guarantees: the issue port is blocked at an integral
-        ``cycle`` at a fresh page (the PTS probe missed — the page has no
-        in-flight walks), all due completions are retired, no walkers are
-        poisoned, and the stall accumulators are integral.  Planning
-        mutates nothing except the page table's walk memo
+        ``my_walkers`` is the page's PTS entry: None selects the chain
+        regime (a fresh page), a list the cadence (a flip).  Caller
+        guarantees: the issue port is blocked, all due completions are
+        retired and no walkers are poisoned.  Planning mutates nothing
+        except the page table's walk memo
         (:meth:`WalkResolver.resolve_vpn` is pure and memoized, so
         resolving ahead of the reference point is unobservable).
         """
+        if my_walkers is None:
+            self.chain_attempts += 1
+            plan = self._plan_chain(
+                order, idx, stream, i, j, rc, cycle, vpn, tkey, walk0,
+                run_streamable, policied, my_quota, work_conserving,
+                my_busy, others, sc, stall,
+            )
+            if plan is None:
+                return 0
+            self.chain_plans += 1
+            self._plan_cadence = False
+        else:
+            self.cadence_attempts += 1
+            plan = self._plan_cadence_pages(
+                order, idx, stream, i, j, rc, cycle, tkey, run_streamable,
+                my_walkers, policied, my_quota, work_conserving, others, sc,
+                stall,
+            )
+            if plan is None:
+                return 0
+            self.cadence_plans += 1
+            self._plan_cadence = True
+        self.cal_ready = plan[0]
+        self.cal_walker = plan[1]
+        self.cal_seq = plan[2]
+        self.cal_cursor = 0
+        return self._plan_m
+
+    def _plan_chain(
+        self,
+        order: List[Tuple[float, int, int]],
+        idx: int,
+        stream: TransactionStream,
+        i: int,
+        j: int,
+        rc: int,
+        cycle: float,
+        vpn: int,
+        tkey: int,
+        walk0: Optional[WalkInfo],
+        run_streamable: bool,
+        policied: bool,
+        my_quota: Optional[int],
+        work_conserving: bool,
+        my_busy: Optional[Set[int]],
+        others: Sequence[Tuple[int, Set[int]]],
+        sc: float,
+        stall: float,
+    ) -> Optional[Tuple[Any, Any, Any]]:
+        """The chain regime: stall, retire the head, restart, per
+        transaction, from a fresh page across run boundaries."""
         if not self._static_ok:
-            return 0
+            self._decline("exact")
+            return None
+        va_list = stream.va_list
         vas = stream.vas
         sizes = stream.sizes
         uniform = stream.uniform_size
-        n = len(vas)
-        W = len(order) - idx
-        if W < 2 or n - i < _MIN_STRETCH:
-            return 0
-        window = order[idx:]
-        h0 = window[0][0]
-        if not h0 > cycle:
-            return 0
+        n = len(va_list)
         asid = self.asid
+        live = len(order) - idx
+        if live < 2 or n - i < _MIN_STRETCH:
+            self._decline("short" if live >= 2 else "window")
+            return None
+        h0 = order[idx][0]
         if j - i < _MIN_STRETCH:
             # Short page tail: the stretch only reaches _MIN_STRETCH if
             # the next page extends it, which a resident, in-flight, or
@@ -217,68 +518,64 @@ class CompletionCalendar:
             # validation (quota-bound regimes hit this on every re-walk
             # of an evicted page tail).
             if j >= n:
-                return 0
-            nvpn = int(vas[j]) >> self._vpn_shift
-            nkey = nvpn | (asid << ASID_SHIFT)
+                self._decline("short")
+                return None
+            nkey = (va_list[j] >> self._vpn_shift) | (asid << ASID_SHIFT)
             if (
                 nkey == tkey
                 or nkey in self._tlb_sets[nkey & self._tlb_set_mask]
                 or nkey in self._pts_by_vpn
             ):
-                return 0
-
-        # -- regime invariance: every retire+restart must leave the
-        # startable/blocked predicates exactly where they are now --------
-        if policied and my_quota is not None:
-            # Quota-bound tenant: the window is every in-flight walk, so
-            # the foreign count is exactly ``W - len(my_busy)`` and each
-            # foreign retirement transfers one walker to us permanently
-            # (busy counts move monotonically) — every per-transaction
-            # start stays under quota iff the final occupancy ``W`` does.
-            # An all-own window leaves busy counts invariant and may also
-            # ride work-conserving borrowing.
-            assert my_busy is not None
-            if W > my_quota:
-                if W != len(my_busy) or not work_conserving:
-                    return 0
-                reserved_unmet = 0
-                for other_quota, other_busy in others:
-                    shortfall = other_quota - len(other_busy)
-                    if shortfall > 0:
-                        reserved_unmet += shortfall
-                if len(self._free_list) + 1 <= reserved_unmet:
-                    return 0
-        elif self._free_list:
-            # Quota-free regimes are only blocked by pool exhaustion; a
-            # free walker here means the caller's blocked state hinges on
-            # policy state the closed form does not model.
-            return 0
+                self._decline("short")
+                return None
 
         # -- latency class of the stretch ---------------------------------
         resolver = self._resolvers[asid]
-        r_cache = resolver._cache
-        r_resolve = resolver.resolve_vpn
         if walk0 is None:
-            walk0 = r_cache.get(vpn)
+            walk0 = resolver._cache.get(vpn)
             if walk0 is None:
-                walk0 = r_resolve(vpn)
+                walk0 = resolver.resolve_vpn(vpn)
                 if walk0 is None:
-                    return 0  # faulting lead: the runner's loop raises it
+                    # Faulting lead: the runner's loop raises it.
+                    self._decline("short")
+                    return None
         levels = walk0.levels
-        dur_f = levels * self._walk_latency
-        if not float(dur_f).is_integer():
-            return 0
-        dur = int(dur_f)
+        dur = levels * self._walk_latency
+        if h0 + dur < self._channel_free[(va_list[i] >> 8) % self._n_channels]:
+            # The first restart's transfer would queue.
+            self._decline("channel")
+            return None
+
+        # -- the window: every walk completing within one walk latency of
+        # the head retires in the stretch (under a policy, exactly the
+        # tenant's own walks); the rest must be inert --------------------
+        if policied:
+            assert my_busy is not None
+            W = len(my_busy)
+            if W >= 2 and W <= live and order[idx + W - 1][0] - h0 > dur:
+                W = 0  # an own walk outside the progression
+        else:
+            W = bisect_right(order, (h0 + dur, _INF), idx) - idx
+        if W < 2:
+            self._decline("window")
+            return None
+        horizon = self._window(
+            order, idx, W, policied, policied, my_quota, work_conserving,
+            others,
+        )
+        if horizon is None:
+            return None
+        window = order[idx:idx + W]
 
         # -- exact-arithmetic and FIFO-progression guards ------------------
         heads = np.array([entry[0] for entry in window])
-        if not bool((np.abs(heads) < _MAX_CYCLE).all()):
-            return 0  # non-finite or too large for exact float arithmetic
-        heads_int = heads.astype(np.int64)
-        if not bool((heads_int == heads).all()):
-            return 0
-        if window[-1][0] - h0 > dur:
-            return 0  # appended completions would not stay at the tail
+        offs = heads - cycle
+        offs_int = offs.astype(np.int64)
+        if not bool((offs_int == offs).all()) or not bool(
+            (cycle + offs_int.astype(np.float64) == heads).all()
+        ):
+            self._decline("exact")
+            return None
         # Circular completion spacing must be at least the issue interval:
         # then the issue clock never overruns the next completion, each
         # transaction retires exactly one walk (a stall when the spacing
@@ -287,65 +584,76 @@ class CompletionCalendar:
         # values follow the closed form in both cases.
         interval_int = self._interval_int
         cdiffs = np.empty(W, dtype=np.int64)
-        cdiffs[0] = int(heads_int[0]) + dur - int(heads_int[-1])
-        cdiffs[1:] = np.diff(heads_int)
+        cdiffs[0] = int(offs_int[0]) + dur - int(offs_int[-1])
+        cdiffs[1:] = np.diff(offs_int)
         if int(cdiffs.min()) < interval_int:
-            return 0  # coincident dues: not a one-retire-per-issue chain
+            self._decline("window")  # coincident dues
+            return None
+        # Exactness bounds: ready offsets (the largest planned cycles)
+        # and the telescoped stall sums stay exactly representable.
+        ready_room, stall_room = self._rooms(cycle, h0 - cycle, sc, stall)
 
-        # -- channel timing: validate the no-queueing hypothesis over a
-        # lazily extended candidate prefix *before* the page scan (the
-        # check depends only on the closed-form ready column and the
-        # address stream, and bounding the scan by the feasible prefix
-        # keeps a busy channel table from costing a full scan per plan) --
+        # -- channel timing, the horizon and exactness: validate the
+        # no-queueing hypothesis over a lazily extended candidate prefix
+        # *before* the page scan (the checks depend only on the
+        # closed-form ready column and the address stream, and bounding
+        # the scan by the feasible prefix keeps a busy channel table from
+        # costing a full scan per plan) --------------------------------
         cap_total = _STRETCH_CAP if n - i > _STRETCH_CAP else n - i
         n_ch = self._n_channels
         channel_free = self._channel_free
         ch_bw = self._ch_bw
         ready_col: Any = None
-        ready_f: Any = None
         finish: Any = None
         ch: Any = None
+        bound = "short"
 
         def _validate(lim: int) -> int:
-            # Returns the channel-feasible prefix length (<= lim); a cut
-            # only removes constraints because each per-channel chain
-            # keeps its predecessors, so any prefix stays validated.
-            nonlocal ready_col, ready_f, finish, ch
+            # Returns the feasible prefix length (<= lim) and records
+            # which limit bound it.
+            nonlocal ready_col, finish, ch, bound
             k = -(-lim // W)
             ready_col = (
                 np.arange(k, dtype=np.int64)[:, None] * dur
-                + heads_int[None, :]
+                + offs_int[None, :]
             ).ravel()[:lim]
             ch = (vas[i:i + lim] >> 8) % n_ch
-            ready_f = (ready_col + dur).astype(np.float64)
+            release = cycle + (ready_col + dur).astype(np.float64)
             if sizes is None:
-                finish = ready_f + uniform / ch_bw
+                finish = release + uniform / ch_bw
             else:
-                finish = ready_f + sizes[i:i + lim] / ch_bw
+                finish = release + sizes[i:i + lim] / ch_bw
             feasible = lim
-            for c in range(n_ch):
-                idxs = np.flatnonzero(ch == c)
-                if not idxs.size:
-                    continue
-                r = ready_f[idxs]
-                f = finish[idxs]
-                bad = np.empty(idxs.size, dtype=bool)
-                bad[0] = bool(r[0] < channel_free[c])
-                if idxs.size > 1:
-                    bad[1:] = r[1:] < f[:-1]
-                w = np.flatnonzero(bad)
-                if w.size:
-                    v = int(idxs[w[0]])
-                    if v < feasible:
-                        feasible = v
+            bound = "short"
+            limits = (
+                ("exact", int(np.searchsorted(
+                    ready_col + dur, ready_room, "left"
+                ))),
+                ("exact", int(np.count_nonzero(
+                    ready_col - ready_col[0]
+                    - np.arange(lim, dtype=np.int64) * interval_int
+                    < stall_room
+                ))),
+                ("horizon", int(np.searchsorted(
+                    cycle + ready_col.astype(np.float64), horizon, "left"
+                ))),
+                ("channel", _feasible(
+                    release, finish, ch, channel_free, n_ch
+                )),
+            )
+            for reason, limit_at in limits:
+                if limit_at < feasible:
+                    feasible = limit_at
+                    bound = reason
             return feasible
 
         limit = _FIRST_CHUNK if cap_total > _FIRST_CHUNK else cap_total
         cap = _validate(limit)
         if cap < _MIN_STRETCH:
-            return 0
+            self._decline(bound)
+            return None
 
-        # -- window pages: every in-flight walk is accounted for ----------
+        # -- window pages: every window walk is accounted for -------------
         walk_of = self._walk_of
         pts_by_vpn = self._pts_by_vpn
         window_walks: List[WalkInfo] = []
@@ -353,21 +661,19 @@ class CompletionCalendar:
         for entry in window:
             wk = walk_of[entry[2]]
             if wk is None:
-                return 0
+                self._decline("window")
+                return None
             window_walks.append(wk)
             dkey = wk.vpn | (wk.asid << ASID_SHIFT)
             window_keys[dkey] = window_keys.get(dkey, 0) + 1
         for dkey, cnt in window_keys.items():
             registered = pts_by_vpn.get(dkey)
             if registered is None or len(registered) != cnt:
-                return 0
+                self._decline("window")
+                return None
 
         # -- page scan: collect whole same-page runs until an interaction
         # point (recurrence, residency, fault, depth change) --------------
-        tlb_sets = self._tlb_sets
-        set_mask = self._tlb_set_mask
-        shift = self._vpn_shift
-        asid_bits = asid << ASID_SHIFT
         runs = stream.runs
         seen = set(window_keys)
         seen.add(tkey)
@@ -400,27 +706,15 @@ class CompletionCalendar:
             m += take
             if stop or cur_end >= n:
                 break
-            nxt = cur_end
-            nvpn = int(vas[nxt]) >> shift
-            nkey = nvpn | asid_bits
-            if nkey in seen or nkey in tlb_sets[nkey & set_mask]:
+            nxt_run = self._fresh_run(va_list, runs, cur_end, rc, seen, levels)
+            if nxt_run is None:
                 break
-            nwalk = r_cache.get(nvpn)
-            if nwalk is None:
-                nwalk = r_resolve(nvpn)
-                if nwalk is None:
-                    break  # faulting page: stop short, let the lead raise
-            if nwalk.levels != levels:
-                break  # latency class changes: FIFO order not closed form
-            while runs[rc][0] <= nxt:
-                rc += 1
-            njend, nstream = runs[rc]
-            seen.add(nkey)
-            cur_start, cur_end = nxt, njend
-            cur_key, cur_vpn, cur_walk = nkey, nvpn, nwalk
-            cur_stream = nstream
+            cur_key, cur_vpn, cur_walk, njend, cur_stream, rc = nxt_run
+            seen.add(cur_key)
+            cur_start, cur_end = cur_end, njend
         if m < _MIN_STRETCH:
-            return 0
+            self._decline("short" if m < cap else bound)
+            return None
 
         # -- slice the validated columns to the scanned stretch -----------
         ready_col = ready_col[:m]
@@ -447,27 +741,240 @@ class CompletionCalendar:
             if stall_flags[prun[3]]:
                 fresh_stalls += 1
 
-        self.cal_ready = ready_col
-        self.cal_walker = walker_col
-        self.cal_seq = np.arange(1, m + 1, dtype=np.int64)
-        self.cal_cursor = 0
+        self._plan_base = cycle
         self._plan_m = m
         self._plan_pages = pages
         self._plan_window_walks = window_walks
         self._plan_window_walkers = [entry[2] for entry in window]
         self._plan_window_keys = window_keys
-        self._plan_heads0 = h0
+        self._plan_inert = order[idx + W:]
+        self._plan_head = h0
         self._plan_dur = dur
         self._plan_levels = levels
         self._plan_ch = ch
         self._plan_finish = finish
         self._plan_bytes = stretch_bytes
-        self._plan_policied = policied
-        self._plan_my_busy = my_busy
         self._plan_rc = rc
+        self._plan_rest = (
+            int(ready_col[-1]) - int(ready_col[0]) - (m - 1) * interval_int
+        )
         self._plan_stall_events = stall_events
         self._plan_fresh_stalls = fresh_stalls
-        return m
+        self._plan_hits = 0
+        return ready_col, walker_col, np.arange(1, m + 1, dtype=np.int64)
+
+    def _plan_cadence_pages(
+        self,
+        order: List[Tuple[float, int, int]],
+        idx: int,
+        stream: TransactionStream,
+        i: int,
+        j: int,
+        rc: int,
+        cycle: float,
+        tkey: int,
+        run_streamable: bool,
+        my_walkers: List[int],
+        policied: bool,
+        my_quota: Optional[int],
+        work_conserving: bool,
+        others: Sequence[Tuple[int, Set[int]]],
+        sc: float,
+        stall: float,
+    ) -> Optional[Tuple[Any, Any, Any]]:
+        """The cadence regime: per page, ``W`` walk starts, one stall,
+        the fill and the run's remaining transactions as hits, from the
+        flip stall of the current page to a later page's flip stall."""
+        va_list = stream.va_list
+        n = len(va_list)
+        W = len(my_walkers)
+        walk_of = self._walk_of
+        # -- O(1) pre-checks before any NumPy work --------------------------
+        if not self._static_ok or not self._fills_land:
+            self._decline("exact" if not self._static_ok else "window")
+            return None
+        if j >= n:
+            self._decline("short")
+            return None
+        walk0 = walk_of[my_walkers[0]]
+        if walk0 is None:
+            self._decline("window")
+            return None
+        levels = walk0.levels
+        dur = levels * self._walk_latency
+        interval_int = self._interval_int
+        per_page_stall = dur - W * interval_int
+        if per_page_stall <= 0:
+            self._decline("window")  # the fill would land before the flip
+            return None
+        seen = {tkey}
+        runs = stream.runs
+        first = self._fresh_run(va_list, runs, j, rc, seen, levels)
+        if first is None or first[3] - j <= W:
+            self._decline("short")
+            return None
+
+        # -- the own window: exactly this page's walks, at consecutive
+        # issue slots, ahead of an inert foreign suffix --------------------
+        h0 = order[idx][0]
+        if h0 + self._tlb_latency < self._channel_free[
+            (va_list[i] >> 8) % self._n_channels
+        ]:
+            # The first hit would queue (another tenant's transfers
+            # backlog the channels): decline before the window walk.
+            self._decline("channel")
+            return None
+        horizon = self._window(
+            order, idx, W, True, policied, my_quota, work_conserving, others,
+        )
+        if horizon is None:
+            return None
+        for t in range(W):
+            entry = order[idx + t]
+            if (
+                entry[2] != my_walkers[t]
+                or entry[0] != h0 + t * interval_int
+                or walk_of[entry[2]] is not walk0
+            ):
+                self._decline("window")
+                return None
+        d0 = h0 - cycle
+        off0 = int(d0) if d0.is_integer() else -1
+        ready_room, stall_room = self._rooms(cycle, d0, sc, stall)
+        if off0 <= 0 or cycle + float(off0) != h0 or not (
+            off0 + (W - 1) * interval_int < ready_room
+        ):
+            self._decline("exact")
+            return None
+
+        # -- page scan: fresh same-class pages whose runs exceed W, in
+        # chunks that grow while every constraint holds over the scanned
+        # pages (a channel queued by another tenant usually cuts a plan
+        # within its first pages, so a decline scans only the first chunk).
+        h_first = j - i
+        pages: List[_CadencePage] = [
+            (tkey, walk0.vpn, walk0, h_first, j, run_streamable, rc)
+        ]
+        total = h_first
+        nxt_run: Optional[_Run] = first
+        n_ch = self._n_channels
+        sizes = stream.sizes
+        chunk = _FIRST_CHUNK // 4
+        while True:
+            while nxt_run is not None and total < chunk:
+                nkey, nvpn, nwalk, njend, nstream, nrc = nxt_run
+                length = njend - pages[-1][4]
+                pages.append((nkey, nvpn, nwalk, length, njend, nstream, nrc))
+                seen.add(nkey)
+                total += length
+                if total >= _STRETCH_CAP or njend >= n:
+                    nxt_run = None
+                    break
+                nxt_run = self._fresh_run(
+                    va_list, runs, njend, nrc, seen, levels
+                )
+                if nxt_run is not None and nxt_run[3] - njend <= W:
+                    nxt_run = None  # a run no longer than W ends the cadence
+
+            # -- closed-form columns over the scanned pages ----------------
+            S = len(pages) - 1
+            lengths = np.fromiter((p[3] for p in pages), np.int64, S + 1)
+            hits = lengths.copy()
+            hits[1:] -= W
+            # Page k >= 1 enters at a_k (offsets from the entry cycle).
+            a = np.empty(S + 1, dtype=np.int64)
+            a[0] = off0 - dur
+            a[1:] = off0 + np.cumsum(hits[:-1] * interval_int + dur) - dur
+            starts = np.zeros(S + 1, dtype=np.int64)
+            starts[1:] = np.cumsum(lengths[:-1])
+            M = total
+            pos = np.arange(M, dtype=np.int64) - np.repeat(starts, lengths)
+            pos[:h_first] += W  # the entry page holds hits only
+            is_start = pos < W
+            issue = np.repeat(a, lengths) + np.where(
+                is_start, pos * interval_int, dur + (pos - W) * interval_int
+            )
+            cyc_f = cycle + issue.astype(np.float64)
+            release = cyc_f + np.where(is_start, dur, self._tlb_latency)
+            ch = (stream.vas[i:i + M] >> 8) % n_ch
+            if sizes is None:
+                finish = release + stream.uniform_size / self._ch_bw
+            else:
+                finish = release + sizes[i:i + M] / self._ch_bw
+
+            # -- the last page K: every constraint is monotone in K --------
+            # A stretch ending at page K's flip holds m_K = starts[K] + W
+            # transactions; its largest cycle is the last start's ready.
+            m_k = starts[1:] + W
+            last_ready = a[1:] + (W - 1) * interval_int + dur
+            limits = (
+                ("short", int(np.searchsorted(m_k, _STRETCH_CAP, "right"))),
+                ("exact", int(np.searchsorted(
+                    last_ready, ready_room, "left"
+                ))),
+                ("exact", int(np.count_nonzero(
+                    np.arange(S, dtype=np.int64) * per_page_stall
+                    < stall_room
+                ))),
+                ("horizon", int(np.searchsorted(
+                    m_k, int(np.searchsorted(cyc_f, horizon, "left")),
+                    "right",
+                ))),
+                ("channel", int(np.searchsorted(
+                    m_k,
+                    _feasible(release, finish, ch, self._channel_free, n_ch),
+                    "right",
+                ))),
+            )
+            K = S
+            bound = "short"
+            for reason, limit_at in limits:
+                if limit_at < K:
+                    K = limit_at
+                    bound = reason
+            if K < S or nxt_run is None:
+                break
+            chunk *= 4
+        if K < 1 or int(m_k[K - 1]) < _MIN_STRETCH:
+            self._decline(bound)
+            return None
+        m = int(m_k[K - 1])
+
+        # Walker ids: page k's hits retire its walks in start order onto
+        # the free list; the next page's starts first restart the walkers
+        # its due retirements free, then pop the rest LIFO.
+        walkers = list(my_walkers)
+        for h in hits[:K].tolist():
+            if h >= W:
+                walkers.reverse()
+            else:
+                walkers = walkers[h:] + walkers[h - 1::-1]
+        final_ready = a[K] + dur + np.arange(W, dtype=np.int64) * interval_int
+
+        pages = pages[:K + 1]
+        self._plan_base = cycle
+        self._plan_m = m
+        self._plan_pages = pages
+        self._plan_window_walkers = list(my_walkers)
+        self._plan_inert = order[idx + W:]
+        self._plan_head = h0
+        self._plan_dur = dur
+        self._plan_levels = levels
+        self._plan_ch = ch[:m]
+        self._plan_finish = finish[:m]
+        if sizes is None:
+            self._plan_bytes = m * stream.uniform_size
+        else:
+            self._plan_bytes = int(sizes[i:i + m].sum())
+        self._plan_rest = (K - 1) * per_page_stall
+        self._plan_stall_events = K
+        self._plan_fresh_stalls = 0
+        self._plan_hits = int(hits[:K].sum())
+        return (
+            final_ready,
+            np.array(walkers, dtype=np.int64),
+            np.arange((K - 1) * W + 1, K * W + 1, dtype=np.int64),
+        )
 
     # ------------------------------------------------------------------ #
     # the designated drain                                               #
@@ -487,18 +994,83 @@ class CompletionCalendar:
         prev_walk: Optional[WalkInfo],
     ) -> Tuple[
         int, float, float, int, float, float, int,
-        int, int, int, bool, int, WalkInfo, int, int, int, int, int,
+        int, int, int, bool, int, WalkInfo, int,
+        Tuple[int, int, int, int, int],
     ]:
         """Retire the planned bucket in one pass (the only consumer of the
         ``cal_*`` columns) and return the runner's updated segment state.
 
         Returns ``(i, cycle, data_end, total_bytes, stall, sc, seq, vpn,
-        tkey, j, run_streamable, rc, walk, levels, m, pages, stall_events,
-        fresh_stalls)`` — the last four feeding the runner's deferred
-        counters.
+        tkey, j, run_streamable, rc, walk, levels, counts)`` with
+        ``counts = (started, fresh_started, stalls, fresh_stalls, hits)``
+        feeding the runner's deferred counters (every planned start
+        replaces a retired walk, so as many walks retire as start).
         """
         m = self._plan_m
-        pages = self._plan_pages
+        base = self._plan_base
+        if self._plan_cadence:
+            self.cadence_drained += m
+            tail, started, fresh, last = self._drain_cadence(base, seq)
+        else:
+            self.chain_drained += m
+            tail, started, fresh, last = self._drain_chain(
+                order, idx, seq, prev_walk
+            )
+        # The walks in flight at the stretch end, merged with the inert
+        # suffix (every key is distinct, so sorting is pop order).
+        inert = self._plan_inert
+        order[idx:] = list(heapq.merge(tail, inert)) if inert else tail
+        self.cal_cursor = m
+
+        # Channel table: under the validated no-queueing hypothesis only
+        # the last transaction per channel is observable.
+        ch = self._plan_ch
+        finish = self._plan_finish
+        channel_free = self._channel_free
+        for c in range(self._n_channels):
+            idxs = np.flatnonzero(ch == c)
+            if idxs.size:
+                channel_free[c] = float(finish[int(idxs[-1])])
+        mx_done = float(finish.max()) + self._mem_latency
+        if mx_done > data_end:
+            data_end = mx_done
+        total_bytes += self._plan_bytes
+
+        # Stall accumulation: the first increment is the reference's one
+        # float op for the entry stall; every later increment is integral
+        # and the accumulators were validated to stay exact, so the
+        # telescoped remainder is exact regardless of association.
+        d0 = self._plan_head - cycle
+        rest = float(self._plan_rest)
+        sc += d0
+        sc += rest
+        stall += d0
+        stall += rest
+
+        last_key, last_vpn, last_walk, last_end, last_stream, last_rc, end = last
+        return (
+            i + m, base + float(end), data_end, total_bytes, stall, sc,
+            seq + started, last_vpn, last_key, last_end, last_stream,
+            last_rc, last_walk, self._plan_levels,
+            (
+                started, fresh, self._plan_stall_events,
+                self._plan_fresh_stalls, self._plan_hits,
+            ),
+        )
+
+    def _drain_chain(
+        self,
+        order: List[Tuple[float, int, int]],
+        idx: int,
+        seq: int,
+        prev_walk: Optional[WalkInfo],
+    ) -> Tuple[
+        List[Tuple[float, int, int]], int, int,
+        Tuple[int, int, WalkInfo, int, bool, int, int],
+    ]:
+        m = self._plan_m
+        base = self._plan_base
+        pages: List[_PlannedRun] = self._plan_pages
         window_walks = self._plan_window_walks
         window_walkers = self._plan_window_walkers
         W = len(window_walks)
@@ -509,28 +1081,11 @@ class CompletionCalendar:
         tlb_sets = self._tlb_sets
         set_mask = self._tlb_set_mask
         tlb_insert = self._tlb_insert
-        asid = self.asid
         ready_col = self.cal_ready
         walker_col = self.cal_walker
         seq_col = self.cal_seq
         boundary = m - W
         lim = W if W < m else m
-
-        # Busy-set ownership transfers: each retired foreign walk's walker
-        # restarts under our ASID (quota-bound regimes were validated to
-        # stay under quota, so this also fires in mixed quota windows).
-        if self._plan_policied:
-            my_busy = self._plan_my_busy
-            assert my_busy is not None
-            busy_by_asid = self._busy_by_asid
-            for walker, done_walk in zip(
-                window_walkers[:lim], window_walks[:lim]
-            ):
-                if done_walk.asid != asid:
-                    other_busy = busy_by_asid.get(done_walk.asid)
-                    if other_busy is not None:
-                        other_busy.discard(walker)
-                    my_busy.add(walker)
 
         # Retired-walk runs in retire order: the first ``lim`` window
         # walks (transactions 0..lim-1, grouped by object adjacency),
@@ -581,7 +1136,8 @@ class CompletionCalendar:
                     break  # the retire run continues into the next page
 
         pts_by_vpn = self._pts_by_vpn
-        final_ready = ready_col + dur
+        final_ready = (base + (ready_col + dur).astype(np.float64)).tolist()
+        tail: List[Tuple[float, int, int]] = []
         if boundary >= 0:
             # Full-window retirement: window pages drain completely;
             # pages fully retired inside the stretch net out to nothing
@@ -600,18 +1156,15 @@ class CompletionCalendar:
                     in_flight.append(walker)
                     walk_of[walker] = pwalk
                     vpn_arr[walker] = pvpn
-                    completion_of[walker] = float(final_ready[t])
+                    completion_of[walker] = final_ready[t]
                 pts_by_vpn[pkey] = in_flight
             # Calendar suffix: exactly the final W in-flight completions,
             # in ready order (the closed form appends monotonically).
-            del order[idx:]
-            tail_ready = final_ready[boundary:].tolist()
-            tail_seq = seq_col[boundary:].tolist()
-            tail_walkers = walker_col[boundary:].tolist()
             for ready_t, seq_t, walker_t in zip(
-                tail_ready, tail_seq, tail_walkers
+                final_ready[boundary:], seq_col[boundary:].tolist(),
+                walker_col[boundary:].tolist(),
             ):
-                order.append((float(ready_t), seq + seq_t, walker_t))
+                tail.append((ready_t, seq + seq_t, walker_t))
         else:
             # Partial-window retirement (m < W): the first m window walks
             # retire one-per-transaction while the window suffix stays in
@@ -620,7 +1173,6 @@ class CompletionCalendar:
             # The replay reproduces transient-empty deletions, so a key
             # that drains and refills moves to the dict tail exactly when
             # the per-event path would move it.
-            ready_list = final_ready.astype(np.float64).tolist()
             pg = 0
             pg_key, pg_vpn, pg_walk = pages[0][0], pages[0][1], pages[0][2]
             pg_b = pages[0][4]
@@ -645,45 +1197,63 @@ class CompletionCalendar:
                 slst.append(walker)
                 walk_of[walker] = pg_walk
                 vpn_arr[walker] = pg_vpn
-                completion_of[walker] = ready_list[t]
-            del order[idx:idx + m]
-            for t, ready_t in enumerate(ready_list):
-                order.append((ready_t, seq + t + 1, window_walkers[t]))
-        self.cal_cursor = m
+                completion_of[walker] = final_ready[t]
+            tail = order[idx + m:idx + W]
+            for t, ready_t in enumerate(final_ready):
+                tail.append((ready_t, seq + t + 1, window_walkers[t]))
 
-        # Channel table: under the validated no-queueing hypothesis only
-        # the last transaction per channel is observable.
-        ch = self._plan_ch
-        finish = self._plan_finish
-        channel_free = self._channel_free
-        for c in range(self._n_channels):
-            idxs = np.flatnonzero(ch == c)
-            if idxs.size:
-                channel_free[c] = float(finish[int(idxs[-1])])
-        mx_done = float(finish.max()) + self._mem_latency
-        if mx_done > data_end:
-            data_end = mx_done
-        total_bytes += self._plan_bytes
-
-        # Stall accumulation: the first increment is the reference's one
-        # float op for the lead stall; every later increment is integral
-        # and the accumulators were validated integral, so the telescoped
-        # remainder is exact regardless of association.
-        d0 = self._plan_heads0 - cycle
-        rest = float(
-            int(ready_col[-1]) - int(ready_col[0]) - (m - 1) * self._interval_int
-        )
-        sc += d0
-        sc += rest
-        stall += d0
-        stall += rest
-        cycle = float(ready_col[-1]) + self._interval
-
-        # Runner segment state at the stretch end.
+        # Runner segment state at the stretch end: the cycle after the
+        # last restart.
         last_key, last_vpn, last_walk, a, b, last_end, last_stream = pages[-1]
-        return (
-            i + m, cycle, data_end, total_bytes, stall, sc, seq + m,
-            last_vpn, last_key, last_end, last_stream, self._plan_rc,
-            last_walk, self._plan_levels, m, len(pages),
-            self._plan_stall_events, self._plan_fresh_stalls,
+        end = int(ready_col[-1]) + self._interval_int
+        return tail, m, len(pages), (
+            last_key, last_vpn, last_walk, last_end, last_stream,
+            self._plan_rc, end,
+        )
+
+    def _drain_cadence(
+        self, base: float, seq: int
+    ) -> Tuple[
+        List[Tuple[float, int, int]], int, int,
+        Tuple[int, int, WalkInfo, int, bool, int, int],
+    ]:
+        pages: List[_CadencePage] = self._plan_pages
+        K = len(pages) - 1
+        W = len(self._plan_window_walkers)
+        tlb_insert = self._tlb_insert
+
+        # TLB: each completed page's first retirement fills it.  The fill
+        # leaves the page set-MRU (and tenant-MRU with the newest stamp),
+        # so its hits only count, and its redundant retirements are
+        # no-ops (set-MRU with the same PFN, or the ``prev_walk`` dedup).
+        for k in range(K):
+            pwalk = pages[k][2]
+            tlb_insert(pwalk.vpn, pwalk.pfn, pwalk.asid)
+        self._tlb.hits += self._plan_hits
+
+        # Every earlier page's walks retire inside the stretch; the last
+        # page's W walks are in flight on the replayed walker ids.
+        pts_by_vpn = self._pts_by_vpn
+        del pts_by_vpn[pages[0][0]]
+        last_key, last_vpn, last_walk, length, last_end, last_stream, last_rc = (
+            pages[K]
+        )
+        walkers = self.cal_walker.tolist()
+        ready = (base + self.cal_ready.astype(np.float64)).tolist()
+        seqs = self.cal_seq.tolist()
+        walk_of = self._walk_of
+        vpn_arr = self._vpn_arr
+        completion_of = self._completion_of
+        tail: List[Tuple[float, int, int]] = []
+        for walker, ready_t, seq_t in zip(walkers, ready, seqs):
+            walk_of[walker] = last_walk
+            vpn_arr[walker] = last_vpn
+            completion_of[walker] = ready_t
+            tail.append((ready_t, seq + seq_t, walker))
+        pts_by_vpn[last_key] = walkers
+        # The runner resumes blocked at the last page's flip.
+        end = int(self.cal_ready[0]) - self._plan_dur + W * self._interval_int
+        return tail, K * W, K, (
+            last_key, last_vpn, last_walk, last_end, last_stream, last_rc,
+            end,
         )

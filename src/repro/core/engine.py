@@ -95,6 +95,12 @@ FaultHandler = Callable[[int, float, int], float]
 #: ``(i, cycle, data_end, total_bytes, stall, faulted, rc)`` burst state.
 NoPrmbRunner = Callable[..., Tuple[int, float, float, int, float, bool, int]]
 
+#: Completion-calendar backoff: after this many consecutive declines the
+#: FIFO runner skips the next ``_CAL_BACKOFF_RUNS`` same-page runs before
+#: it plans again (a single decline skips the rest of its run).
+_CAL_MAX_FAILS = 6
+_CAL_BACKOFF_RUNS = 64
+
 
 def _run_bounds(
     runs: Sequence[Tuple[int, bool]], i: int, rc: int
@@ -243,6 +249,9 @@ class TranslationEngine:
         #: asid -> fused FIFO no-PRMB runner (closure over the
         #: MMU's stable structures; see :meth:`_no_prmb_fifo_runner`).
         self._np_runners: Dict[int, NoPrmbRunner] = {}
+        #: asid -> that runner's completion calendar, whose counts
+        #: (:meth:`CompletionCalendar.counts`) observe its planning.
+        self.calendars: Dict[int, CompletionCalendar] = {}
 
     # ------------------------------------------------------------------ #
     # dispatch                                                           #
@@ -482,11 +491,24 @@ class TranslationEngine:
         The runner is one loop; each pass takes exactly one phase, in
         the reference loop's order: *next page* (same-page run bounds),
         *retire* (``process_completions`` through the cursor), *hit
-        span* (resident page: hits up to the next completion, one inline
-        or many through :func:`_issue_span`), *walk start* (one
-        transaction), *calendar gate* (a whole saturated stretch retired
-        by :mod:`repro.core.calendar`) or *stall* (issue port blocked
-        until the FIFO retry point).
+        span* (resident page: hits up to the next completion, through
+        :func:`_issue_span`), *walk start* (one transaction), *calendar
+        gate* or *stall* (issue port blocked until the FIFO retry
+        point).  The calendar gate is entered in either blocked state
+        and retires a whole stretch as one bucket
+        (:mod:`repro.core.calendar`):
+
+        * at a *fresh* page, with no walk of it in flight — the chain
+          regime: each transaction stalls for the head walk, retires
+          it and restarts its walker for its own page;
+        * at a page's *flip*, with its walks in flight — the cadence:
+          the page's first walk fills the TLB and its run hits while
+          its redundant walks retire, then each later page of a streak
+          repeats walk starts, one stall and hits.
+
+        A declined plan falls through to the stall; the gate then skips
+        the rest of the run, and after six consecutive declines the
+        next ``_CAL_BACKOFF_RUNS`` runs.
         Consecutive retirements of the same walk object collapse to one
         TLB insert: with nothing interleaved the repeats are bare
         present-key LRU bumps (stamp renumbering is monotone, so victim
@@ -542,6 +564,7 @@ class TranslationEngine:
         # Batched walker-completion calendar: whole saturated multi-run
         # stretches retire as one planned bucket.
         calendar = CompletionCalendar(mmu, memory, asid, interval)
+        self.calendars[asid] = calendar
 
         # Persistent completion snapshot: ``order[idx:]`` mirrors the heap
         # between calls (see the revalidation check below).
@@ -619,8 +642,8 @@ class TranslationEngine:
             levels_sum = 0
             released_n = 0
             prev_walk = None
-            cal_skip = 0  # plan-failure hysteresis: retry at the next run
-            cal_fails = 0  # consecutive declines this burst (backoff gate)
+            cal_skip = 0  # plan-failure hysteresis: the next index to try
+            cal_fails = 0  # consecutive declines (backoff gate)
 
             while True:
                 if i >= j:
@@ -695,37 +718,13 @@ class TranslationEngine:
                     prev_walk = None
                     h = order[idx][0] if idx < n_ord else inf
                     # Conservative count of the transactions that issue
-                    # strictly before ``h``.
+                    # strictly before ``h``; the current one always does
+                    # (``h > cycle`` once retirement is done).
                     # simlint: disable=cyc-true-div -- completion/interval live in the float cycle domain; int() truncation is the reference semantics and // floors differently at float boundaries, breaking bit-identity
                     t = int((h - cycle) / interval) - 1 if h != inf else n
-                    if t <= 1 or i + 1 == j:
-                        # A span of one hit: a completion is due within
-                        # two issue slots (``h > cycle`` once retirement
-                        # is done), or one transaction is left in the run.
-                        # Redundant walks of a page retire one per cycle
-                        # while its run hits, so this is the common span
-                        # of the saturated baseline IOMMU.
-                        stats.requests += 1
-                        stats.tlb_hits += 1
-                        tlb_touch(vpn, 1, asid)
-                        ready = cycle + tlb_latency
-                        va = va_list[i]
-                        size = size_list[i]
-                        channel = (va >> 8) % n_channels
-                        free_at = channel_free[channel]
-                        start = ready if ready > free_at else free_at
-                        finish = start + size / ch_bw
-                        channel_free[channel] = finish
-                        done = finish + mem_latency
-                        if done > data_end:
-                            data_end = done
-                        total_bytes += size
-                        cycle += interval
-                        i += 1
-                        continue
                     span = j - i
                     if span > t:
-                        span = t
+                        span = t if t > 1 else 1
                     cycle, data_end, total_bytes = issue_span(
                         va_list, size_list, i, span, run_streamable, cycle,
                         tlb_latency, interval, data_end, total_bytes,
@@ -807,57 +806,55 @@ class TranslationEngine:
                     continue
 
                 # ---------------- calendar gate ----------------
-                # Fully blocked at a fresh page: try to plan a whole
-                # stretch (stall + head retire + redundant restart per
-                # transaction, across run boundaries) and retire it as one
-                # bucket.  Integral accumulators are required so the
-                # bucket's telescoped stall sums are reassociation-free
-                # (see ``core/calendar.py``).
-                if (
-                    my_walkers is None
-                    and not poisoned
-                    and i >= cal_skip
-                    and cycle.is_integer()
-                    and sc.is_integer()
-                    and stall.is_integer()
-                ):
+                # Blocked at a fresh page (the chain regime) or at the
+                # page's flip, its walks in flight (the cadence): try to
+                # plan a whole stretch and retire it as one bucket (see
+                # ``core/calendar.py``).
+                if not poisoned and i >= cal_skip:
                     planned = calendar.plan_stretch(
                         order, idx, stream, i, j, rc, cycle, vpn, tkey, walk,
-                        run_streamable, policied, my_quota,
-                        work_conserving, my_busy, others,
+                        run_streamable, my_walkers, policied, my_quota,
+                        work_conserving, my_busy, others, sc, stall,
                     )
                     if planned:
                         (
                             i, cycle, data_end, total_bytes, stall, sc,
                             seq, vpn, tkey, j, run_streamable, rc, walk,
-                            levels, cal_m, cal_fresh_pages, cal_stalls,
-                            cal_fresh_stalls,
+                            levels, cal_counts,
                         ) = calendar.drain_stretch(
                             order, idx, i, cycle, data_end, total_bytes,
                             stall, sc, seq, prev_walk,
                         )
+                        (
+                            cal_started, cal_fresh, cal_stalls,
+                            cal_fresh_stalls, cal_hits,
+                        ) = cal_counts
                         dur = levels * walk_latency
                         tlb_set = tlb_sets[tkey & tlb_set_mask]
                         my_walkers = pts_by_vpn.get(tkey)
                         prev_walk = None
                         stalls_n += cal_stalls - cal_fresh_stalls
-                        walks_n += cal_m - cal_fresh_pages
+                        walks_n += cal_started - cal_fresh
                         fresh_stall_n += cal_fresh_stalls
-                        fresh_walk_n += cal_fresh_pages
-                        levels_sum += cal_m * levels
-                        released_n += cal_m
+                        fresh_walk_n += cal_fresh
+                        levels_sum += cal_started * levels
+                        released_n += cal_started
+                        stats.requests += cal_hits
+                        stats.tlb_hits += cal_hits
                         cal_fails = 0
                         continue
                     # Declines are pure overhead: skipping an attempt is
-                    # always bit-identical (per-event fallback), so after
-                    # a streak of failures stop planning for the rest of
-                    # this burst.  Under quota regimes nearly every
-                    # attempt declines (W > quota with a mixed window, or
-                    # cross-tenant channel skew breaks the no-queueing
-                    # hypothesis), and without the backoff the futile
-                    # plans cost more than the calendar saves.
+                    # always bit-identical (per-event fallback), so skip
+                    # the rest of the run, and after a streak of failures
+                    # the next ``_CAL_BACKOFF_RUNS`` runs (where the other
+                    # tenant's clock skew keeps the channels queued, say).
                     cal_fails += 1
-                    cal_skip = n if cal_fails >= 6 else j
+                    if cal_fails < _CAL_MAX_FAILS:
+                        cal_skip = j
+                    else:
+                        cal_skip = runs[
+                            min(rc + _CAL_BACKOFF_RUNS, len(runs) - 1)
+                        ][0]
 
                 # ---------------- stall ----------------
                 # One stall attempt at the FIFO retry point (the

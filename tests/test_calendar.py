@@ -11,10 +11,13 @@ PTS map — across multi-ASID bursts, every QoS policy × arbitration
 combo, and mid-segment faults.
 
 Coverage is asserted, not hoped for: the deterministic cases drive both
-drain disciplines — full-window retirement (``m >= W``, the qos_sweep
-regime) *and* partial-window retirement (``m < W``, short fresh miss
-clusters on wide walker pools, which the figure sweeps never reach) —
-and verify via a drain spy that the calendar actually fired.
+chain drain disciplines — full-window retirement (``m >= W``, the
+qos_sweep regime) *and* partial-window retirement (``m < W``, short
+fresh miss clusters on wide walker pools, which the figure sweeps never
+reach) — and verify via a drain spy that the calendar actually fired.
+The cadence cases (runs longer than the walker window) assert through
+the calendar's counts that the cadence drained and that every decline
+reason fired.
 """
 
 from contextlib import nullcontext
@@ -31,7 +34,7 @@ from repro.core.mmu import MMU, MMUConfig, baseline_iommu_config
 from repro.core.qos import ARBITRATION_POLICIES, SHARE_POLICIES
 from repro.core.stream import TransactionStream
 from repro.memory.address import PAGE_SIZE_4K
-from repro.memory.dram import MainMemory
+from repro.memory.dram import MainMemory, MemoryConfig
 from repro.memory.page_table import PageTable
 
 BASE = 0x7F00_0000_0000
@@ -125,9 +128,22 @@ def calendar_mode(calendar_on):
     return mock.patch.object(CompletionCalendar, "plan_stretch", _decline)
 
 
-def run_calendar_mode(calendar_on, config, qos, schedule):
-    """One multi-ASID columnar run with the calendar on or declined."""
-    with calendar_mode(calendar_on):
+def run_bursts(calendar_on, config, qos, bursts, memory_config=None,
+               before_plan=None):
+    """One multi-ASID columnar run of ``(asid, start_cycle, transactions)``
+    bursts with the calendar on or declined; returns ``(state, counts)``,
+    the counts summed over the engine's calendars.  ``before_plan`` is
+    called with the calendar before every plan attempt."""
+    patch = calendar_mode(calendar_on)
+    if before_plan is not None:
+        original = CompletionCalendar.plan_stretch
+
+        def spied(cal, *args, **kwargs):
+            before_plan(cal)
+            return original(cal, *args, **kwargs)
+
+        patch = mock.patch.object(CompletionCalendar, "plan_stretch", spied)
+    with patch:
         cfg = replace(config, engine_mode="columnar", qos=qos)
         mmu = MMU(cfg, None)
         tables = {
@@ -138,7 +154,7 @@ def run_calendar_mode(calendar_on, config, qos, schedule):
         mmu.register_context(0, tables[0], weight=2.0)
         mmu.register_context(5, tables[5], weight=1.0)
         mmu.register_context(9, tables[9], weight=1.5)
-        memory = MainMemory()
+        memory = MainMemory(memory_config)
         engine = TranslationEngine(mmu, memory)
 
         def demand_map(vpn, cycle, asid):
@@ -151,11 +167,9 @@ def run_calendar_mode(calendar_on, config, qos, schedule):
 
         engine.fault_handler = demand_map
         results = []
-        for i, (asid, burst) in enumerate(schedule):
-            txs = TransactionStream.from_pairs(
-                materialize(burst), PAGE_SIZE_4K
-            )
-            results.append(engine.run_burst(txs, float(i * 7), asid))
+        for asid, start, txs in bursts:
+            stream = TransactionStream.from_pairs(txs, PAGE_SIZE_4K)
+            results.append(engine.run_burst(stream, start, asid))
         mmu.drain()
         state = {
             "results": results,
@@ -166,7 +180,20 @@ def run_calendar_mode(calendar_on, config, qos, schedule):
             "tlb_sets": [list(s.items()) for s in mmu.tlb._sets],
             "occupancy": dict(mmu.tlb._asid_occupancy),
         }
-        return state
+        counts = {}
+        for cal in engine.calendars.values():
+            for key, value in cal.counts().items():
+                counts[key] = counts.get(key, 0) + value
+        return state, counts
+
+
+def run_calendar_mode(calendar_on, config, qos, schedule):
+    """One multi-ASID columnar run with the calendar on or declined."""
+    bursts = [
+        (asid, float(i * 7), materialize(burst))
+        for i, (asid, burst) in enumerate(schedule)
+    ]
+    return run_bursts(calendar_on, config, qos, bursts)[0]
 
 
 def assert_modes_identical(config, qos, schedule):
@@ -176,7 +203,7 @@ def assert_modes_identical(config, qos, schedule):
 
 
 class _DrainSpy:
-    """Records every (stretch length m, window width W) drain pair."""
+    """Records every chain drain's (stretch length m, window width W)."""
 
     def __init__(self, monkeypatch):
         self.drains = []
@@ -184,9 +211,10 @@ class _DrainSpy:
         spy = self
 
         def wrapped(cal, *args, **kwargs):
-            spy.drains.append(
-                (cal._plan_m, len(cal._plan_window_walks))
-            )
+            if not cal._plan_cadence:
+                spy.drains.append(
+                    (cal._plan_m, len(cal._plan_window_walks))
+                )
             return original(cal, *args, **kwargs)
 
         monkeypatch.setattr(CompletionCalendar, "drain_stretch", wrapped)
@@ -250,6 +278,217 @@ class TestRetireDiscipline:
         state = run_calendar_mode(True, config, "full_share", schedule)
         assert any(m < w for m, w in spy.drains), spy.drains
         assert state == run_calendar_mode(False, config, "full_share", schedule)
+
+
+# --------------------------------------------------------------------- #
+# the cadence: runs longer than the walker window
+# --------------------------------------------------------------------- #
+
+#: Sixteen channels: a 4 KB page's 256 B offsets map one-to-one onto
+#: channels, so a transaction at offset 15 never shares a channel with
+#: runs at offsets 0..14.
+WIDE_MEMORY = MemoryConfig(channels=16)
+
+#: ASID 0's walker quotas on the 8-walker IOMMU among the three
+#: registered tenants (weights 2 : 1 : 1.5): 3 under ``static_partition``,
+#: 3 plus the borrowable slack (5 while the others are idle) under
+#: ``weighted``, 8 under full sharing.  Run lengths W+1..3W for those
+#: windows, below and at or above 2W.
+_CADENCE_RUNS = [2, 4, 6, 7, 9, 11, 12, 15, 16]
+
+
+def pages_txs(first, count, per_page, offset=0):
+    """``count`` pages from page ``first``, each a streaming run of
+    ``per_page`` 256 B transactions from 256 B offset ``offset``."""
+    return [
+        (BASE + p * PAGE_SIZE_4K + (offset + k) * 256, 256)
+        for p in range(first, first + count)
+        for k in range(per_page)
+    ]
+
+
+def modes_identical(config, qos, bursts, memory_config=None):
+    """Run ``bursts`` with the calendar on and declined; both must be
+    bit-identical.  Returns the calendar-on leg's counts."""
+    on, counts = run_bursts(True, config, qos, bursts, memory_config)
+    off, _ = run_bursts(False, config, qos, bursts, memory_config)
+    assert on == off
+    return counts
+
+
+#: Burst start cycles: integral, fractional, and fractional just below a
+#: power of two (a stretch from there would leave the base's binade).
+_start = st.one_of(
+    st.integers(0, 5000).map(float),
+    st.tuples(
+        st.integers(0, 5000), st.sampled_from([0.25, 0.3, 0.72])
+    ).map(lambda t: t[0] + t[1]),
+    st.tuples(
+        st.sampled_from([1 << 14, 1 << 20]), st.integers(200, 6000),
+        st.sampled_from([0.0, 0.3, 0.72]),
+    ).map(lambda t: float(t[0] - t[1]) + t[2]),
+)
+
+#: One cadence burst: (asid, start, first page, pages, run length), or a
+#: single transaction at offset 15 — another tenant's walk in flight on a
+#: channel of its own under :data:`WIDE_MEMORY`.
+_cadence_burst = st.one_of(
+    st.tuples(
+        st.sampled_from([0, 0, 5, 9]), _start, st.integers(0, N_PAGES - 60),
+        st.integers(2, 60), st.sampled_from(_CADENCE_RUNS),
+    ),
+    st.tuples(
+        st.sampled_from([5, 9]), _start, st.integers(0, N_PAGES - 1),
+    ),
+)
+
+
+def cadence_bursts(spec):
+    bursts = []
+    for burst in spec:
+        if len(burst) == 3:
+            asid, start, page = burst
+            bursts.append((asid, start, pages_txs(page, 1, 1, offset=15)))
+        else:
+            asid, start, first, count, per_page = burst
+            bursts.append((asid, start, pages_txs(first, count, per_page)))
+    return bursts
+
+
+class TestCadence:
+    @given(
+        spec=st.lists(_cadence_burst, min_size=1, max_size=4),
+        qos=_qos,
+        wide=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_cadence_matches_heap(self, spec, qos, wide):
+        """Runs of W+1..3W, fractional and binade-edge starts, other
+        tenants' walks in flight and their channels left busy."""
+        modes_identical(
+            baseline_iommu_config(), qos, cadence_bursts(spec),
+            WIDE_MEMORY if wide else None,
+        )
+
+    @pytest.mark.parametrize("start", [0.0, 777.25, 1000.3])
+    @pytest.mark.parametrize("per_page", [12, 16])
+    def test_drains_single_tenant(self, per_page, start):
+        """8 walkers, runs of 12 (< 2W) and 16 (2W), integral and
+        fractional entry cycles: nearly every transaction drains."""
+        counts = modes_identical(
+            baseline_iommu_config(), "full_share",
+            [(0, start, pages_txs(0, 60, per_page))],
+        )
+        assert counts["cadence_drained"] >= 50 * per_page, counts
+
+    @pytest.mark.parametrize(
+        "qos, per_page",
+        [
+            ("static_partition", 4), ("static_partition", 7),
+            ("static_partition", 9), ("weighted", 6), ("weighted", 10),
+            ("weighted", 15),
+        ],
+    )
+    def test_drains_under_quota(self, qos, per_page):
+        """A quota window (3, or 5 borrowing) with runs W+1..3W, below,
+        at and above twice the window."""
+        counts = modes_identical(
+            baseline_iommu_config(), qos,
+            [(0, 0.0, pages_txs(0, 60, per_page))],
+        )
+        assert counts["cadence_drained"] >= 40 * per_page, counts
+
+    def test_binade_edge_declines_then_resumes(self):
+        """A fractional entry just below 2**20: stretches stop short of the
+        power of two, the per-event loop crosses it, planning resumes."""
+        # 1045576.25 + 2**-33 uses every mantissa bit, so only values
+        # below 2**20 are its integral offsets exactly.
+        start = float((1 << 20) - 3000) + 0.25 + 2.0 ** -33
+        counts = modes_identical(
+            baseline_iommu_config(), "full_share",
+            [(0, start, pages_txs(0, 60, 16))],
+        )
+        assert counts["decline_exact"] > 0, counts
+        assert counts["cadence_drained"] >= 40 * 16, counts
+
+    @pytest.mark.parametrize("qos", SHARE_POLICIES)
+    def test_foreign_walk_beyond_the_stretch(self, qos):
+        """Another tenant's walk completes long after ASID 0's stretches
+        on a channel of its own: it is inert and the cadence drains."""
+        counts = modes_identical(
+            baseline_iommu_config(), qos,
+            [
+                (5, 1_000_000.0, pages_txs(200, 1, 1, offset=15)),
+                (0, 0.0, pages_txs(0, 60, 9)),
+            ],
+            WIDE_MEMORY,
+        )
+        assert counts["cadence_drained"] >= 40 * 9, counts
+
+    @pytest.mark.parametrize("qos", SHARE_POLICIES)
+    def test_foreign_walk_inside_the_stretch(self, qos):
+        """Another tenant's walk completes mid-stream: stretches stop
+        before it, the per-event loop retires it, planning resumes."""
+        counts = modes_identical(
+            baseline_iommu_config(), qos,
+            [
+                (5, 3000.0, pages_txs(200, 1, 1, offset=15)),
+                (0, 0.0, pages_txs(0, 60, 9)),
+            ],
+            WIDE_MEMORY,
+        )
+        assert counts["decline_horizon"] > 0, counts
+        assert counts["cadence_drained"] > 0, counts
+
+    def test_channels_left_busy_decline(self):
+        """Another tenant's transfers queued far ahead on every channel:
+        each plan declines on channel queueing."""
+        counts = modes_identical(
+            baseline_iommu_config(), "static_partition",
+            [
+                (5, 1_000_000.0, materialize([(100, 64, 1)])),
+                (0, 0.0, pages_txs(0, 30, 9)),
+            ],
+        )
+        assert counts["decline_channel"] > 0, counts
+        assert counts["cadence_drained"] == 0, counts
+
+    def test_window_and_short_declines(self):
+        """Runs shorter than the quota window block mid-page with another
+        page's walks in flight (no flip); a stream's last page has no
+        successor to plan across."""
+        counts = modes_identical(
+            baseline_iommu_config(), "static_partition",
+            [(0, 0.0, pages_txs(0, 30, 2)), (0, 99_000.0, pages_txs(40, 3, 9))],
+        )
+        assert counts["decline_window"] > 0, counts
+        assert counts["decline_short"] > 0, counts
+
+
+def zero_counts(cal):
+    cal.chain_attempts = cal.chain_plans = cal.chain_drained = 0
+    cal.cadence_attempts = cal.cadence_plans = cal.cadence_drained = 0
+    cal.declines = dict.fromkeys(cal.declines, 0)
+
+
+class TestCounts:
+    def test_counts_are_observation_only(self):
+        """Zeroing the counts before every plan leaves every output
+        bit-identical: no simulation path reads them."""
+        bursts = [
+            (9, 0.0, materialize([(100, 40, 1)])),
+            (5, 33_000.0, pages_txs(200, 1, 1, offset=15)),
+            (0, 30_000.0, pages_txs(0, 60, 9)),
+        ]
+        plain, counts = run_bursts(
+            True, baseline_iommu_config(), "weighted", bursts, WIDE_MEMORY
+        )
+        zeroed, _ = run_bursts(
+            True, baseline_iommu_config(), "weighted", bursts, WIDE_MEMORY,
+            before_plan=zero_counts,
+        )
+        assert counts["cadence_drained"] and counts["chain_drained"], counts
+        assert plain == zeroed
 
 
 # --------------------------------------------------------------------- #
