@@ -6,9 +6,9 @@ every ``(workload, MMUConfig)`` grid point is an independent simulation.
 :class:`ParallelRunner` shards such grids across a
 :class:`~concurrent.futures.ProcessPoolExecutor` and memoizes finished
 results on disk, keyed by a stable hash of everything that determines the
-result — the workload label, the MMU and NPU configurations, the engine
-mode, the fidelity mode, the warmup count, the compute model and (for
-demand-paged runs) the tiering configuration and memory budgets.
+result — the workload label, the MMU and NPU configurations, the
+fidelity mode, the warmup count, the compute model and (for demand-paged
+runs) the tiering configuration and memory budgets.
 Re-running a sweep with a warm cache costs milliseconds.
 
 Each runner also answers every distinct request once: an in-memory memo
@@ -75,20 +75,10 @@ from ..npu.simulator import (
 )
 from ..sparse.numa import nvlink_link
 
-#: Bump when simulation semantics change in a way that invalidates old
-#: cached results (the cache key embeds it).  2: the key now folds in the
-#: effective engine mode and the tiering/paging configuration — schema-1
-#: keys could serve a ``NEUMMU_ENGINE=reference`` run a cached columnar
-#: result (and knew nothing about demand-paged runs at all).  3: the key
-#: folds in the fast-path environment knobs (a calendar knob and a
-#: quota-batching knob) — results are bit-identical either way, but the
-#: CI byte-identity smokes that *prove* that would otherwise be served
-#: one mode's cached cells while exercising the other.  4: adds a
-#: miss-batching knob for the same reason.  5: both quota-regime planners
-#: and their knobs are gone.  6: the calendar knob is gone too (the
-#: completion calendar is unconditional), and with it the key's
-#: ``engine_knobs`` field.
-CACHE_SCHEMA = 6
+#: The cache key embeds it: bump it whenever simulation semantics or
+#: the key's fields change, so no result cached under an older key is
+#: ever served.
+CACHE_SCHEMA = 7
 
 
 @dataclass(frozen=True)
@@ -206,21 +196,13 @@ def request_key(
     tiering: Optional[TieringConfig] = None,
     memory_budget: Optional[int] = None,
 ) -> str:
-    """Stable hex digest identifying one simulation's full configuration.
-
-    ``engine_mode`` joins explicitly (not just via the canonicalized
-    config) because it is the one knob an environment variable
-    (``NEUMMU_ENGINE``) injects into otherwise-identical configs — the
-    cache must never serve a reference-mode run a columnar result or
-    vice versa, even if the canonical form of :class:`MMUConfig` evolves.
-    """
+    """Stable hex digest identifying one simulation's full configuration."""
     payload = json.dumps(
         {
             "schema": CACHE_SCHEMA,
             "label": label,
             "factory": factory_token(factory),
             "mmu": _canonical(mmu_config),
-            "engine_mode": mmu_config.engine_mode,
             "npu": _canonical(npu_config),
             "fidelity": fidelity.value,
             "warmup": warmup,
@@ -256,7 +238,6 @@ def tenant_request_key(
             "label": request.label,
             "factories": [factory_token(f) for f in request.factories],
             "mmu": _canonical(request.mmu_config),
-            "engine_mode": request.mmu_config.engine_mode,
             "npu": _canonical(npu_config),
             "fidelity": fidelity.value,
             "warmup": warmup,

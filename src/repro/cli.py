@@ -23,12 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from . import analysis
 from .analysis.figures import FigureResult
 from .analysis.runner import ExperimentRunner
-from .core.mmu import (
-    ENGINE_MODES,
-    baseline_iommu_config,
-    neummu_config,
-    oracle_config,
-)
+from .core.mmu import baseline_iommu_config, neummu_config, oracle_config
 from .core.qos import ARBITRATION_POLICIES, SHARE_POLICIES, default_arbitration
 from .npu.simulator import NPUSimulator
 from .workloads.registry import DENSE_WORKLOADS, dense_workload
@@ -149,43 +144,6 @@ def _validate_tenant_flags(args, errors: List[str]) -> None:
             )
 
 
-def _validate_engine_flag(args, errors: List[str]) -> None:
-    """Reject unknown ``--engine`` values with the valid choices spelled out."""
-    engine = getattr(args, "engine", None)
-    if engine is not None and engine not in ENGINE_MODES:
-        errors.append(
-            f"unknown engine mode {engine!r}; choose from "
-            f"{', '.join(sorted(ENGINE_MODES))} ('columnar' runs the "
-            f"engine's fast paths, 'reference' the bit-identical "
-            f"per-transaction reference loop)"
-        )
-
-
-def _apply_engine_flag(args) -> None:
-    """Thread a validated ``--engine`` choice into config construction.
-
-    ``MMUConfig.engine_mode`` defaults from the ``NEUMMU_ENGINE``
-    environment variable, so setting it here covers every config the
-    command builds — including ones constructed deep inside experiment
-    functions and worker processes (the env propagates to them).
-    :func:`main` restores the variable when the command returns.
-    """
-    engine = getattr(args, "engine", None)
-    if engine is not None:
-        os.environ["NEUMMU_ENGINE"] = engine
-
-
-def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
-    """``--engine``: select the translation engine's loop."""
-    parser.add_argument(
-        "--engine",
-        default=None,
-        help="translation-engine loop: 'columnar' (the fast paths, the "
-        "default) or 'reference' (the per-transaction reference loop; "
-        "both produce bit-identical figures)",
-    )
-
-
 def _add_profile_flag(parser: argparse.ArgumentParser) -> None:
     """``--profile``: wrap the command in cProfile (perf-PR evidence)."""
     parser.add_argument(
@@ -268,7 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(e.g. cnn,rnn,recsys)",
     )
     _add_qos_flags(run)
-    _add_engine_flag(run)
     _add_profile_flag(run)
 
     compare = sub.add_parser(
@@ -284,7 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "report per-tenant contention statistics",
     )
     _add_qos_flags(compare)
-    _add_engine_flag(compare)
     _add_profile_flag(compare)
 
     report = sub.add_parser(
@@ -311,32 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="directory for the on-disk simulation-result cache",
     )
     _add_profile_flag(report)
-
-    lint = sub.add_parser(
-        "lint",
-        help="run the simlint determinism/layering static-analysis pass",
-    )
-    lint.add_argument(
-        "paths", nargs="*",
-        help="files or directories to lint (default: the src/ tree)",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalog and exit",
-    )
-    lint.add_argument(
-        "--select", default=None, metavar="RULE[,RULE...]",
-        help="run only these rules",
-    )
-    lint.add_argument(
-        "--ignore", default=None, metavar="RULE[,RULE...]",
-        help="skip these rules",
-    )
-    lint.add_argument(
-        "--severity-threshold", choices=("warning", "error"), default=None,
-        help="findings at or above this severity fail the run "
-             "(default: warning, i.e. any finding fails)",
-    )
     return parser
 
 
@@ -419,7 +349,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         names = [args.experiment]
     errors: List[str] = []
     _validate_tenant_flags(args, errors)
-    _validate_engine_flag(args, errors)
     if len(names) == 1:
         # A single named experiment must not silently drop flags it does
         # not accept ("run all" applies each flag where it fits).
@@ -444,7 +373,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for error in errors:
             print(error, file=sys.stderr)
         return 2
-    _apply_engine_flag(args)
     # One runner for the whole command: its memo answers each distinct
     # simulation once, across every experiment that takes a runner.
     runner = ExperimentRunner(jobs=args.jobs, cache_dir=args.cache_dir)
@@ -467,7 +395,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     errors: List[str] = []
     _validate_tenant_flags(args, errors)
-    _validate_engine_flag(args, errors)
     if args.tenants <= 1 and any(
         flag is not None for flag in (args.qos, args.arbitration, args.weights)
     ):
@@ -479,7 +406,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         for error in errors:
             print(error, file=sys.stderr)
         return 2
-    _apply_engine_flag(args)
     factory = lambda: dense_workload(args.workload, args.batch)
     oracle = NPUSimulator(factory(), oracle_config()).run()
     print(f"{args.workload} b{args.batch:02d}:")
@@ -549,41 +475,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    """``neummu lint``: the simlint pass (see tools/simlint/).
-
-    ``tools`` lives at the repository root, outside the installed
-    package, so fall back to inserting the repo root on ``sys.path``
-    when running from a source checkout.
-    """
-    try:
-        from tools.simlint import main as simlint_main
-    except ImportError:
-        repo_root = Path(__file__).resolve().parents[2]
-        if not (repo_root / "tools" / "simlint").is_dir():
-            print(
-                "neummu lint needs the tools/simlint package (run from a "
-                "source checkout)",
-                file=sys.stderr,
-            )
-            return 2
-        sys.path.insert(0, str(repo_root))
-        from tools.simlint import main as simlint_main
-
-    argv: List[str] = list(args.paths)
-    if not argv:
-        argv = [str(Path(__file__).resolve().parents[1])]
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.select is not None:
-        argv.extend(["--select", args.select])
-    if args.ignore is not None:
-        argv.extend(["--ignore", args.ignore])
-    if args.severity_threshold is not None:
-        argv.extend(["--severity-threshold", args.severity_threshold])
-    return simlint_main(argv)
-
-
 def _profiled(handler, args) -> int:
     """Run ``handler(args)`` under cProfile; print the top-20 hot spots.
 
@@ -643,23 +534,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "run": _cmd_run,
         "compare": _cmd_compare,
         "report": _cmd_report,
-        "lint": _cmd_lint,
     }
     handler = handlers.get(args.command)
     if handler is None:
         raise AssertionError(f"unhandled command {args.command!r}")
-    # ``--engine`` sets NEUMMU_ENGINE for this command only: an in-process
-    # caller's later configs keep the engine mode it had before.
-    engine = os.environ.get("NEUMMU_ENGINE")
-    try:
-        if getattr(args, "profile", False):
-            return _profiled(handler, args)
-        return handler(args)
-    finally:
-        if engine is None:
-            os.environ.pop("NEUMMU_ENGINE", None)
-        else:
-            os.environ["NEUMMU_ENGINE"] = engine
+    if getattr(args, "profile", False):
+        return _profiled(handler, args)
+    return handler(args)
 
 
 if __name__ == "__main__":

@@ -205,7 +205,7 @@ class CompletionCalendar:
         "_resolvers", "_walk_latency", "_tlb_latency",
         "_vpn_shift", "_channel_free", "_n_channels", "_ch_bw",
         "_mem_latency", "_interval_int", "_static_ok",
-        "cal_ready", "cal_walker", "cal_seq", "cal_cursor",
+        "cal_ready", "cal_walker", "cal_seq",
         "_plan_cadence", "_plan_base", "_plan_m", "_plan_pages",
         "_plan_window_walks",
         "_plan_window_walkers", "_plan_window_keys", "_plan_inert",
@@ -259,7 +259,6 @@ class CompletionCalendar:
         self.cal_ready = empty
         self.cal_walker = empty
         self.cal_seq = empty
-        self.cal_cursor = 0
         self._plan_cadence = False
         self._plan_base = 0.0
         self._plan_m = 0
@@ -471,7 +470,6 @@ class CompletionCalendar:
         self.cal_ready = plan[0]
         self.cal_walker = plan[1]
         self.cal_seq = plan[2]
-        self.cal_cursor = 0
         return self._plan_m
 
     def _plan_chain(
@@ -1020,7 +1018,6 @@ class CompletionCalendar:
         # suffix (every key is distinct, so sorting is pop order).
         inert = self._plan_inert
         order[idx:] = list(heapq.merge(tail, inert)) if inert else tail
-        self.cal_cursor = m
 
         # Channel table: under the validated no-queueing hypothesis only
         # the last transaction per channel is observable.

@@ -221,6 +221,12 @@ class BurstResult:
 class TranslationEngine:
     """Drives an MMU + memory system with DMA transaction streams."""
 
+    #: The one reference/fast switch: True runs the fast paths, False
+    #: forces the per-transaction golden-reference path.  Parity checks
+    #: flip it on a built engine, or patch it on the class to reach every
+    #: engine a run builds.
+    batched = True
+
     def __init__(
         self,
         mmu: MMU,
@@ -236,11 +242,6 @@ class TranslationEngine:
         self.issue_interval = issue_interval
         self.timeline_window = timeline_window
         self.fault_handler = fault_handler
-        #: The one reference/fast switch: True runs the fast paths, False
-        #: forces the per-transaction golden-reference path.  It starts
-        #: from ``engine_mode`` (``"reference"`` selects the reference
-        #: loop); parity checks flip it on a built engine.
-        self.batched = mmu.config.engine_mode != "reference"
         #: window index -> number of translation requests issued in it
         #: (Figure 7's burst histogram).  Populated when timeline_window > 0.
         #: A defaultdict so the per-transaction histogram update is one
@@ -1242,66 +1243,48 @@ class TranslationEngine:
                     t = int((h_mine - cycle) / interval) - 1
                     if t < span:
                         span = t
-                    if span > 0:
-                        closed = False
-                        va0 = va_list[i]
-                        if (
-                            span >= 8
-                            and run_streamable
-                            and (span <= n_channels or merge_stream_ok)
-                        ):
-                            base_ch = va0 >> 8
-                            lim = span if span < n_channels else n_channels
-                            ok = max(channel_free) <= comp + (pos + 1)
-                            if not ok:
-                                for k in range(lim):
-                                    if channel_free[(base_ch + k) % n_channels] > (
-                                        comp + (pos + 1 + k)
-                                    ):
-                                        ok = False
-                                        break
-                                else:
-                                    ok = True
-                            if ok:
-                                closed = True
-                                for _ in range(span):
-                                    cycle += interval
-                                for k in range(span - lim, span):
-                                    ready = comp + (pos + 1 + k)
-                                    finish = ready + s_cycles
-                                    channel_free[
-                                        (base_ch + k) % n_channels
-                                    ] = finish
-                                done = finish + mem_latency
-                                if done > data_end:
-                                    data_end = done
-                                total_bytes += span * 256
-                                pos += span
-                        if not closed:
-                            for va, size in zip(
-                                va_list[i:i + span], size_list[i:i + span]
-                            ):
-                                pos += 1
-                                ready = comp + pos
-                                channel = (va >> 8) % n_channels
-                                free_at = channel_free[channel]
-                                start = ready if ready > free_at else free_at
-                                finish = start + size / ch_bw
-                                channel_free[channel] = finish
-                                done = finish + mem_latency
-                                if done > data_end:
-                                    data_end = done
-                                total_bytes += size
+                    k = i
+                    if (
+                        span >= 8
+                        and run_streamable
+                        and (span <= n_channels or merge_stream_ok)
+                    ):
+                        base_ch = va_list[i] >> 8
+                        lim = span if span < n_channels else n_channels
+                        ok = max(channel_free) <= comp + (pos + 1)
+                        if not ok:
+                            for off in range(lim):
+                                if channel_free[(base_ch + off) % n_channels] > (
+                                    comp + (pos + 1 + off)
+                                ):
+                                    break
+                            else:
+                                ok = True
+                        if ok:
+                            for _ in range(span):
                                 cycle += interval
-                        k = i + span
-                    else:
-                        k = i
-                    # Residual guarded loop: finishes whatever the bulk
-                    # span left over (the conservative trip count stops up
-                    # to one interval short of the page's own completion),
-                    # so a walker is only ever abandoned because its buffer
-                    # is truly full, the segment ended, or that completion
-                    # is due.
+                            for off in range(span - lim, span):
+                                ready = comp + (pos + 1 + off)
+                                finish = ready + s_cycles
+                                channel_free[
+                                    (base_ch + off) % n_channels
+                                ] = finish
+                            done = finish + mem_latency
+                            if done > data_end:
+                                data_end = done
+                            total_bytes += span * 256
+                            pos += span
+                            k = i + span
+                    # Per-transaction loop: takes the span when the closed
+                    # form declines it (``t`` keeps every transaction of
+                    # the span inside all three bounds; most such spans
+                    # are shorter than 8, too short to pay for slicing the
+                    # columns) and finishes whatever the bulk span left
+                    # over (the conservative trip count stops up to one
+                    # interval short of the page's own completion), so a
+                    # walker is only ever abandoned because its buffer is
+                    # truly full, the segment ended, or that completion is
+                    # due.
                     while k < j and pos < cap and cycle < h_mine:
                         va = va_list[k]
                         size = size_list[k]

@@ -23,7 +23,7 @@ bandwidth is available", Section IV-A).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 if TYPE_CHECKING:  # runtime imports are deferred to avoid module cycles
@@ -51,28 +51,6 @@ from .walk_info import WalkResolver
 
 #: Valid ``path_cache`` settings.
 PATH_CACHE_KINDS = ("none", "tpreg", "tpc", "uptc")
-
-#: Valid ``engine_mode`` settings.  Both modes read the DMA's one
-#: transaction stream; the mode selects only the engine loop: ``columnar``
-#: runs the fast paths, ``reference`` the per-transaction reference loop
-#: they are bit-identical to.
-ENGINE_MODES = ("columnar", "reference")
-
-
-def default_engine_mode() -> str:
-    """Engine mode from ``NEUMMU_ENGINE`` (defaults to ``columnar``).
-
-    Invalid values raise here — at config construction — rather than deep
-    inside a run, so a typo'd environment variable fails loudly.
-    """
-    import os
-
-    mode = os.environ.get("NEUMMU_ENGINE", "columnar")
-    if mode not in ENGINE_MODES:
-        raise ValueError(
-            f"NEUMMU_ENGINE must be one of {ENGINE_MODES}, got {mode!r}"
-        )
-    return mode
 
 
 @dataclass(frozen=True)
@@ -105,17 +83,8 @@ class MMUConfig:
     #: :data:`~repro.core.qos.SHARE_POLICIES`.  ``full_share`` (the
     #: default) is bit-identical to the pre-QoS engine.
     qos: str = "full_share"
-    #: Engine loop — one of :data:`ENGINE_MODES`.  ``columnar`` runs the
-    #: engine's fast paths; ``reference`` runs the per-transaction
-    #: reference loop, the bit-identical golden semantics.  Defaults from
-    #: the ``NEUMMU_ENGINE`` environment variable.
-    engine_mode: str = field(default_factory=default_engine_mode)
 
     def __post_init__(self) -> None:
-        if self.engine_mode not in ENGINE_MODES:
-            raise ValueError(
-                f"engine_mode must be one of {ENGINE_MODES}, got {self.engine_mode!r}"
-            )
         if self.path_cache not in PATH_CACHE_KINDS:
             raise ValueError(
                 f"path_cache must be one of {PATH_CACHE_KINDS}, got {self.path_cache!r}"

@@ -68,11 +68,9 @@ class WalkerPool:
         self.n_walkers = n_walkers
         self.walk_latency_per_level = walk_latency_per_level
         self.prmb_slots = prmb_slots
-        self.use_tpreg = use_tpreg
 
         self.prmb_stats = MergeBufferStats()
         self._buffers = [MergeBuffer(prmb_slots, self.prmb_stats) for _ in range(n_walkers)]
-        self.tpreg_stats = TPregStats()
         self._tpregs: Optional[List[TPreg]] = (
             [TPreg() for _ in range(n_walkers)] if use_tpreg else None
         )

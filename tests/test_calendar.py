@@ -144,7 +144,7 @@ def run_bursts(calendar_on, config, qos, bursts, memory_config=None,
 
         patch = mock.patch.object(CompletionCalendar, "plan_stretch", spied)
     with patch:
-        cfg = replace(config, engine_mode="columnar", qos=qos)
+        cfg = replace(config, qos=qos)
         mmu = MMU(cfg, None)
         tables = {
             0: build_table(first_pfn=10),

@@ -1,15 +1,17 @@
 """Differential fuzzing: the engine's fast paths vs the reference loop.
 
-``MMUConfig.engine_mode="columnar"`` runs the engine's fast paths (the
+A :class:`~repro.core.engine.TranslationEngine` with ``batched`` set
+(the default; the ``columnar`` mode here) runs its fast paths (the
 oracle shortcut, the batched kernel and the FIFO runner) over the DMA's
-:class:`~repro.core.stream.TransactionStream`; ``engine_mode="reference"``
-runs the per-transaction reference loop, the bit-identical golden
-semantics.  Both modes read the same stream.  Hypothesis drives random
-bursts spanning multiple ASIDs, page sizes, QoS share policies, injected
-translation faults and mid-run policy events (re-weights, context
-teardown) through both modes and requires identical service order and
-statistics — the same ``BurstResult`` sequences, ``RunSummary``, channel
-state, TLB contents *in LRU order*, PTS counters and PRMB statistics.
+:class:`~repro.core.stream.TransactionStream`; with ``batched`` cleared
+(the ``reference`` mode) it runs the per-transaction reference loop, the
+bit-identical golden semantics.  Both modes read the same stream.
+Hypothesis drives random bursts spanning multiple ASIDs, page sizes,
+QoS share policies, injected translation faults and mid-run policy
+events (re-weights, context teardown) through both modes and requires
+identical service order and statistics — the same ``BurstResult``
+sequences, ``RunSummary``, channel state, TLB contents *in LRU order*,
+PTS counters and PRMB statistics.
 
 Two layers are fuzzed:
 
@@ -29,7 +31,6 @@ from hypothesis import strategies as st
 
 from repro.core.engine import TranslationEngine
 from repro.core.mmu import (
-    ENGINE_MODES,
     MMU,
     MMUConfig,
     baseline_iommu_config,
@@ -184,7 +185,7 @@ def run_mode(mode, config, qos, schedule, page_size, epoch_ops=None):
     ``("remove", asid)`` destroys its context mid-run, poisoning its
     in-flight walks; later bursts of a removed ASID are skipped.
     """
-    cfg = replace(config, engine_mode=mode, qos=qos, page_size=page_size)
+    cfg = replace(config, qos=qos, page_size=page_size)
     mmu = MMU(cfg, None)
     tables = {
         0: build_table(first_pfn=10),
@@ -196,7 +197,7 @@ def run_mode(mode, config, qos, schedule, page_size, epoch_ops=None):
     mmu.register_context(9, tables[9], weight=1.5)
     memory = MainMemory()
     engine = TranslationEngine(mmu, memory)
-    assert engine.batched == (mode != "reference")
+    engine.batched = mode == "columnar"
 
     page_bits = page_size.bit_length() - 1
 
@@ -314,14 +315,9 @@ class TestPolicyEvents:
 
 
 class TestPipelineModes:
-    def test_engine_mode_validation(self):
-        assert set(ENGINE_MODES) == {"columnar", "reference"}
-        with pytest.raises(ValueError):
-            MMUConfig(name="bad", engine_mode="rowwise")
-
     @pytest.mark.parametrize("base", [baseline_iommu_config, neummu_config])
     def test_simulator_modes_bit_identical(self, base):
-        """engine_mode only selects the engine loop, never any figure."""
+        """``batched`` only selects the engine loop, never any figure."""
         workload = Workload(
             name="mode_fc",
             batch=1,
@@ -331,8 +327,9 @@ class TestPipelineModes:
             ),
         )
         results = {}
-        for mode in ENGINE_MODES:
-            sim = NPUSimulator(workload, replace(base(), engine_mode=mode))
+        for mode in ("columnar", "reference"):
+            sim = NPUSimulator(workload, base())
+            sim.engine.batched = mode == "columnar"
             results[mode] = sim.run()
         ref, col = results["reference"], results["columnar"]
         assert col.total_cycles == ref.total_cycles

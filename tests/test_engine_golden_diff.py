@@ -7,12 +7,12 @@ per-transaction reference loop (``reference``).  Both modes read the same
 DMA emitter and the same cached transaction streams, so these diffs
 check the engine loops only; the absolute goldens (the report, Figures
 12a and 16, fairness, tenants) cover what both modes share.  Each
-experiment here runs twice on trimmed grids — once per
-``NEUMMU_ENGINE`` mode, with a fresh
-:class:`~repro.analysis.runner.ExperimentRunner` per run, so each mode
-starts from a cold result memo and simulates every cell itself (the
-memo key covers the engine mode too) — and the rendered figures are
-compared field for field.
+experiment here runs twice on trimmed grids, once per mode: the
+reference run patches ``TranslationEngine.batched`` to False on the
+class, which reaches every engine the figure builds in this process.
+Each run has a fresh :class:`~repro.analysis.runner.ExperimentRunner`,
+so each mode starts from a cold result memo and simulates every cell
+itself, and the rendered figures are compared field for field.
 
 The fast tier covers one figure per engine regime (oracle timeline,
 demand paging, VA trace); the slow tier adds the dense sweeps, most
@@ -21,7 +21,7 @@ fused FIFO runner stalls, retires and restarts a walk per transaction
 and the completion calendar retires whole stretches.
 """
 
-import os
+from unittest import mock
 
 import pytest
 
@@ -38,6 +38,7 @@ from repro.analysis import (
     multi_tenant_contention,
     paging_tenants,
 )
+from repro.core.engine import TranslationEngine
 from repro.sparse.demand_paging import DemandPagingConfig
 
 B1 = (1,)
@@ -45,16 +46,9 @@ MB = 1024 * 1024
 
 
 def run_in_mode(mode, experiment):
-    """Run one experiment callable with ``NEUMMU_ENGINE`` pinned."""
-    before = os.environ.get("NEUMMU_ENGINE")
-    os.environ["NEUMMU_ENGINE"] = mode
-    try:
+    """Run one experiment callable with every engine in ``mode``."""
+    with mock.patch.object(TranslationEngine, "batched", mode == "columnar"):
         return experiment()
-    finally:
-        if before is None:
-            os.environ.pop("NEUMMU_ENGINE", None)
-        else:
-            os.environ["NEUMMU_ENGINE"] = before
 
 
 def assert_bit_identical(columnar, reference):

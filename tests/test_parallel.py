@@ -8,7 +8,6 @@ preserve the exact per-call semantics of the historical serial runner.
 """
 
 import pickle
-from dataclasses import replace
 
 import pytest
 
@@ -168,17 +167,12 @@ class TestResultCache:
         assert key != request_key(
             **{**base, "npu_config": NPUConfig(dma_transaction_bytes=128)}
         )
-        # ``engine_mode`` is the one field an environment variable
-        # (NEUMMU_ENGINE) injects into otherwise-identical configs.
-        reference = replace(neummu_config(), engine_mode="reference")
-        columnar = replace(neummu_config(), engine_mode="columnar")
-        assert request_key(**{**base, "mmu_config": reference}) != request_key(
-            **{**base, "mmu_config": columnar}
-        )
-        # The completion calendar is unconditional: its retired knob no
-        # longer reaches the key.
-        monkeypatch.setenv("NEUMMU_CALENDAR", "0")
-        assert key == request_key(**base)
+        # The environment never reaches a simulation: a config built
+        # under a retired engine knob keys like one built without it.
+        monkeypatch.delenv("NEUMMU_ENGINE", raising=False)
+        unset = request_key(**{**base, "mmu_config": neummu_config()})
+        monkeypatch.setenv("NEUMMU_ENGINE", "reference")
+        assert request_key(**{**base, "mmu_config": neummu_config()}) == unset
 
     def test_rejects_negative_jobs(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ Public API::
 ``lint_source(source, path, rules, module=...)`` lints one buffer (the
 ``module`` override lets tests exercise package-scoped rules on fixtures);
 ``lint_paths([Path(...)], rules)`` walks trees; ``main(argv)`` is the CLI
-behind ``python -m tools.simlint`` and ``neummu lint``.
+behind ``python -m tools.simlint``.
 """
 
 from .cli import list_rules, main

@@ -1,4 +1,4 @@
-"""simlint command line: ``python -m tools.simlint`` / ``neummu lint``.
+"""simlint command line: ``python -m tools.simlint``.
 
 Exit codes (CI contract):
 

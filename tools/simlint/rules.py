@@ -282,7 +282,8 @@ def check_det_set_iter(ctx: FileContext) -> Iterator[Triple]:
 
 
 # --------------------------------------------------------------------------
-# det-banned-call: wall clocks, unseeded RNGs, hash-order pops
+# det-banned-call: wall clocks, unseeded RNGs, environment reads,
+# hash-order pops
 # --------------------------------------------------------------------------
 
 _TIME_CALLS = frozenset(
@@ -294,11 +295,21 @@ _NP_GLOBAL_RNG = frozenset(
      "choice", "shuffle", "permutation", "seed", "normal", "uniform", "poisson"}
 )
 
+_ENV_READS = frozenset({"os.environ", "os.getenv"})
+
 
 def check_det_banned_call(ctx: FileContext) -> Iterator[Triple]:
     if ctx.package not in DET_PACKAGES:
         return
     for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.Attribute):
+            name = _dotted(node)
+            if name in _ENV_READS:
+                yield (node.lineno, node.col_offset,
+                       f"{name} in a simulation layer: a setting read from "
+                       f"the environment changes results without appearing "
+                       f"in any config, cache key or manifest")
+            continue
         if not isinstance(node, ast.Call):
             continue
         dotted = _dotted(node.func)
@@ -628,10 +639,10 @@ RULES: Tuple[Rule, ...] = (
     Rule(
         id="det-banned-call",
         severity="error",
-        summary="no wall clocks, unseeded RNGs, or bare popitem() in "
-                "core/memory/npu",
-        rationale="time.time()/global random/dict.popitem() inject state "
-                  "the simulation config does not control",
+        summary="no wall clocks, unseeded RNGs, environment reads, or "
+                "bare popitem() in core/memory/npu",
+        rationale="time.time()/global random/os.environ/dict.popitem() "
+                  "inject state the simulation config does not control",
         check=check_det_banned_call,
     ),
     Rule(
