@@ -1,1 +1,1 @@
-"""Benchmark package: one bench per paper table/figure (see DESIGN.md)."""
+"""The engine fast-path benchmark and the weekly perf gate."""

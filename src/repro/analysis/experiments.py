@@ -455,19 +455,29 @@ def tpc_vs_uptc(
         columns=["tpc_skip_rate", "uptc_skip_rate", "tpc_accesses", "uptc_accesses"],
         notes=["paper: TPC tag hits 99.5/99.5/63.1%; UPTC 92.4%"],
     )
-    for label, factory in dense_pairs(batches):
-        accesses: Dict[str, float] = {}
-        skip_rates: Dict[str, float] = {}
-        for kind in ("tpc", "uptc"):
-            config = MMUConfig(
+    pairs = dense_pairs(batches)
+    kinds = ("tpc", "uptc")
+    requests = [
+        RunRequest(
+            label,
+            factory,
+            MMUConfig(
                 name=kind,
                 n_walkers=128,
                 prmb_slots=32,
                 path_cache=kind,
                 path_cache_entries=entries,
-            )
-            result = runner.run(label, factory, config)
-            summary = result.mmu_summary
+            ),
+        )
+        for label, factory in pairs
+        for kind in kinds
+    ]
+    results = iter(runner.run_many(requests))
+    for label, _ in pairs:
+        accesses: Dict[str, float] = {}
+        skip_rates: Dict[str, float] = {}
+        for kind in kinds:
+            summary = next(results).mmu_summary
             accesses[kind] = float(summary.walk_level_accesses)
             total_skippable = summary.walk_level_accesses + summary.walk_levels_skipped
             skip_rates[kind] = (
@@ -685,9 +695,16 @@ def spatial_npu(
         columns=["iommu_perf", "neummu_perf"],
         notes=["paper: NeuMMU within ~2% of oracle on the spatial design"],
     )
-    for label, factory in dense_pairs(batches):
-        iommu_norm, _ = runner.normalized(label, factory, baseline_iommu_config())
-        neummu_norm, _ = runner.normalized(label, factory, neummu_config())
+    pairs = dense_pairs(batches)
+    requests = [
+        RunRequest(label, factory, config)
+        for label, factory in pairs
+        for config in (baseline_iommu_config(), neummu_config())
+    ]
+    normalized = iter(runner.normalized_many(requests))
+    for label, _ in pairs:
+        iommu_norm, _ = next(normalized)
+        neummu_norm, _ = next(normalized)
         fig.add(label, iommu_perf=iommu_norm, neummu_perf=neummu_norm)
     fig.notes.append(f"avg NeuMMU perf: {fig.mean('neummu_perf'):.4f}")
     return fig
@@ -712,13 +729,19 @@ def sensitivity_tlb(
         columns=columns,
         notes=["paper: even 128K entries buys <0.02% over 2K (8 PTWs)"],
     )
-    for label, factory in dense_pairs(batches):
-        values: Dict[str, float] = {}
-        for entries in entries_sweep:
-            config = baseline_iommu_config(tlb_entries=entries)
-            config = replace(config, name=f"tlb{entries}")
-            norm, _ = runner.normalized(label, factory, config)
-            values[f"tlb{entries}"] = norm
+    pairs = dense_pairs(batches)
+    requests = [
+        RunRequest(
+            label,
+            factory,
+            replace(baseline_iommu_config(tlb_entries=n), name=f"tlb{n}"),
+        )
+        for label, factory in pairs
+        for n in entries_sweep
+    ]
+    normalized = iter(runner.normalized_many(requests))
+    for label, _ in pairs:
+        values = {f"tlb{n}": next(normalized)[0] for n in entries_sweep}
         fig.rows.append(Series(label=label, values=values))
     return fig
 
@@ -789,14 +812,24 @@ def prefetch_ablation(
             "merging + translation throughput",
         ],
     )
-    for label, factory in dense_pairs(batches):
+    pairs = dense_pairs(batches)
+    requests = [
+        RunRequest(
+            label,
+            factory,
+            MMUConfig(
+                name=f"pf{depth}", n_walkers=8, prmb_slots=0, prefetch_depth=depth
+            ),
+        )
+        for label, factory in pairs
+        for depth in depths
+    ]
+    normalized = iter(runner.normalized_many(requests))
+    for label, _ in pairs:
         values: Dict[str, float] = {}
         accuracy = 0.0
         for depth in depths:
-            config = MMUConfig(
-                name=f"pf{depth}", n_walkers=8, prmb_slots=0, prefetch_depth=depth
-            )
-            norm, result = runner.normalized(label, factory, config)
+            norm, result = next(normalized)
             values[f"pf{depth}"] = norm
             if depth == max(depths):
                 accuracy = result.mmu_summary.prefetch_accuracy
@@ -824,12 +857,17 @@ def multilevel_tlb_ablation(
         columns=["single_level", "two_level", "two_level_hit_rate"],
         notes=["capacity/latency tweaks do not fix a throughput problem"],
     )
-    for label, factory in dense_pairs(batches):
-        single, _ = runner.normalized(label, factory, baseline_iommu_config())
-        config = MMUConfig(
-            name="mltlb", n_walkers=8, prmb_slots=0, l1_tlb_entries=64
-        )
-        two, result = runner.normalized(label, factory, config)
+    pairs = dense_pairs(batches)
+    two_level = MMUConfig(name="mltlb", n_walkers=8, prmb_slots=0, l1_tlb_entries=64)
+    requests = [
+        RunRequest(label, factory, config)
+        for label, factory in pairs
+        for config in (baseline_iommu_config(), two_level)
+    ]
+    normalized = iter(runner.normalized_many(requests))
+    for label, _ in pairs:
+        single, _ = next(normalized)
+        two, result = next(normalized)
         fig.add(
             label,
             single_level=single,

@@ -604,11 +604,3 @@ class ParallelRunner:
     def counts(self) -> Tuple[int, int, int]:
         """``(simulated, reused, served)`` since construction."""
         return self.simulated, self.reused, self.served
-
-    def run_one(self, request: RunRequest) -> RunResult:
-        """Run a single request through the same cache-aware path."""
-        return self.run_many([request])[0]
-
-    def run_tenants(self, request: TenantRunRequest) -> TenantRunOutcome:
-        """Run a single multi-tenant cell through the cache-aware path."""
-        return self.run_many([request])[0]

@@ -5,15 +5,14 @@ under some MMU configuration and normalize against the oracle (one run
 per workload × page size).
 
 Execution routes through :class:`~repro.analysis.parallel.ParallelRunner`:
-the default ``jobs=1`` keeps everything serial and in-process (identical
-to the historical behaviour), while ``jobs=N`` shards grid points across
-worker processes and ``cache_dir`` adds persistent result caching.  The
-parallel runner's in-memory memo answers each distinct request once, so
-an oracle shared by sweep points — or by the figures of one command that
-share a runner — is simulated once.  The batch entry points
-:meth:`ExperimentRunner.run_many` / :meth:`ExperimentRunner.normalized_many`
-are what the sweep experiments use, so a whole figure's grid is in flight
-at once.
+the default ``jobs=1`` keeps everything serial and in-process, while
+``jobs=N`` shards grid points across worker processes and ``cache_dir``
+adds persistent result caching.  The parallel runner's in-memory memo
+answers each distinct request once, so an oracle shared by sweep points —
+or by the figures of one command that share a runner — is simulated
+once.  A figure reaches the simulator through one batch call,
+:meth:`ExperimentRunner.run_many` or
+:meth:`ExperimentRunner.normalized_many`, with its whole grid in it.
 """
 
 from __future__ import annotations
@@ -22,20 +21,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.mmu import MMUConfig, oracle_config
-from ..memory.address import PAGE_SIZE_4K
+from ..core.mmu import oracle_config
 from ..npu.config import NPUConfig
-from ..npu.simulator import Fidelity, NPUSimulator, RunResult
+from ..npu.simulator import Fidelity, RunResult
 from ..workloads.cnn import Workload
 from ..workloads.registry import DENSE_BATCHES, DENSE_WORKLOADS, DenseWorkloadFactory
-from .parallel import (
-    AnyRequest,
-    ParallelRunner,
-    RunRequest,
-    TenantRunOutcome,
-    TenantRunRequest,
-    factory_token,
-)
+from .parallel import AnyRequest, ParallelRunner, RunRequest, factory_token
 
 #: (display label, workload factory) pair.
 WorkloadPair = Tuple[str, Callable[[], Workload]]
@@ -83,67 +74,6 @@ class ExperimentRunner:
             warmup=self.warmup,
         )
 
-    # ------------------------------------------------------------------ #
-    # single runs                                                        #
-    # ------------------------------------------------------------------ #
-
-    def run(
-        self,
-        label: str,
-        factory: Callable[[], Workload],
-        mmu_config: MMUConfig,
-        **kwargs,
-    ) -> RunResult:
-        """One simulation; kwargs forward to :class:`NPUSimulator`.
-
-        Extra simulator kwargs (tracing, timeline windows, ...) bypass
-        both the memo and the disk cache, since the key does not cover
-        them.
-        """
-        if kwargs:
-            sim = NPUSimulator(
-                factory(),
-                mmu_config,
-                npu_config=self.npu_config,
-                compute_model=self.compute_model,
-                fidelity=self.fidelity,
-                warmup=self.warmup,
-                **kwargs,
-            )
-            return sim.run()
-        return self._parallel.run_one(RunRequest(label, factory, mmu_config))
-
-    def oracle(
-        self,
-        label: str,
-        factory: Callable[[], Workload],
-        page_size: int = PAGE_SIZE_4K,
-    ) -> RunResult:
-        """Oracle run for ``label``, simulated once per runner.
-
-        Repeats are memo hits, which return the stored result.  The key
-        includes the factory identity: labels alone are not unique across
-        experiments (dense ``CNN-1/b32`` vs the common-layer study's
-        ``CNN-1/b32`` are different workloads).
-        """
-        return self.run(label, factory, oracle_config(page_size))
-
-    def normalized(
-        self,
-        label: str,
-        factory: Callable[[], Workload],
-        mmu_config: MMUConfig,
-        **kwargs,
-    ) -> Tuple[float, RunResult]:
-        """(oracle cycles / candidate cycles, candidate result)."""
-        oracle = self.oracle(label, factory, mmu_config.page_size)
-        candidate = self.run(label, factory, mmu_config, **kwargs)
-        return (oracle.total_cycles / candidate.total_cycles, candidate)
-
-    # ------------------------------------------------------------------ #
-    # batch runs (what the sweep experiments use)                        #
-    # ------------------------------------------------------------------ #
-
     def run_many(self, requests: Sequence[AnyRequest]) -> List:
         """Run a batch of grid points (parallel when ``jobs > 1``).
 
@@ -152,10 +82,6 @@ class ExperimentRunner:
         isolated baselines and shared cells shard across one pool.
         """
         return self._parallel.run_many(requests)
-
-    def run_tenants(self, request: TenantRunRequest) -> TenantRunOutcome:
-        """Run one multi-tenant grid cell through the cache-aware path."""
-        return self._parallel.run_tenants(request)
 
     def counts(self) -> Tuple[int, int, int]:
         """``(simulated, reused, served)`` since construction."""

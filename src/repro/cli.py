@@ -353,15 +353,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # A single named experiment must not silently drop flags it does
         # not accept ("run all" applies each flag where it fits).
         checks = (
-            ("--tenants", args.tenants, _TENANTED),
-            ("--mix", args.mix, _MIXED),
-            ("--arbitration", args.arbitration, _ARBITRATED),
-            ("--qos", args.qos, _QOS_AWARE),
-            ("--weights", args.weights, _WEIGHTED),
+            ("--batches", args.batches is not None, _BATCHED),
+            ("--jobs", args.jobs != 1, _RUNNER_AWARE),
+            ("--cache-dir", args.cache_dir is not None, _RUNNER_AWARE),
+            ("--tenants", args.tenants is not None, _TENANTED),
+            ("--mix", args.mix is not None, _MIXED),
+            ("--arbitration", args.arbitration is not None, _ARBITRATED),
+            ("--qos", args.qos is not None, _QOS_AWARE),
+            ("--weights", args.weights is not None, _WEIGHTED),
         )
         ignored = [
-            flag for flag, value, accepting in checks
-            if value is not None and names[0] not in accepting
+            flag for flag, given, accepting in checks
+            if given and names[0] not in accepting
         ]
         if ignored:
             errors.append(

@@ -14,8 +14,8 @@ single-entry TPreg:
 Measured on the paper's workloads, TPC's L4/L3/L2 tag hit rates were
 99.5%/99.5%/63.1% vs UPTC's 92.4%, letting TPC eliminate 59% more walk
 references — the motivation for the TPreg.  Both are implemented here with
-LRU replacement so the comparison is reproducible
-(``benchmarks/bench_tpc_vs_uptc.py``).
+LRU replacement so the comparison is reproducible (``neummu run
+tpc_vs_uptc``).
 """
 
 from __future__ import annotations

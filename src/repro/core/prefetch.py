@@ -7,12 +7,12 @@ addresses *sequentially* (Figure 14), a next-page stream prefetcher is the
 natural extension: when a demand walk for page ``p`` starts, speculatively
 walk ``p+1 .. p+depth`` on otherwise-idle walkers.
 
-The ablation (``neummu run prefetch`` / ``benchmarks/bench_prefetch.py``)
-shows the paper's throughput argument survives the extension: prefetching
-helps the under-provisioned 8-walker IOMMU a little (it effectively raises
-translation throughput during bursts) but cannot replace merging + walker
-scaling, because every prefetch still consumes a walker and page-table
-bandwidth that demand bursts need.
+The ablation (``neummu run prefetch``) shows the paper's throughput
+argument survives the extension: prefetching helps the under-provisioned
+8-walker IOMMU a little (it effectively raises translation throughput
+during bursts) but cannot replace merging + walker scaling, because every
+prefetch still consumes a walker and page-table bandwidth that demand
+bursts need.
 """
 
 from __future__ import annotations

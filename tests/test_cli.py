@@ -198,6 +198,21 @@ class TestDispatch:
         assert main(["run", "fig8", "--tenants", "2"]) == 2
         assert "--tenants" in capsys.readouterr().err
 
+    def test_run_rejects_grid_flags_the_experiment_ignores(
+        self, capsys, tmp_path
+    ):
+        """``--batches``, ``--jobs`` and ``--cache-dir`` are not dropped."""
+        # fig7 has no batch grid; spatial builds its own serial runner.
+        assert main(["run", "fig7", "--batches", "8"]) == 2
+        err = capsys.readouterr().err
+        assert "--batches have no effect on experiment 'fig7'" in err
+        cache = tmp_path / "cache"
+        argv = ["run", "spatial", "--jobs", "2", "--cache-dir", str(cache)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--jobs, --cache-dir have no effect on experiment 'spatial'" in err
+        assert not cache.exists()
+
     def test_compare_qos_flags_without_tenants_error(self, capsys):
         """QoS flags must not be silently ignored on single-tenant runs."""
         assert main(["compare", "CNN-1", "--qos", "static_partition"]) == 2

@@ -3,8 +3,8 @@
 The contract under test: ``ParallelRunner(jobs=N)`` produces results
 *identical* to the serial path (simulations are deterministic and
 process-independent), the on-disk cache round-trips results keyed by a
-stable configuration hash, and the ``ExperimentRunner`` batch entry points
-preserve the exact per-call semantics of the historical serial runner.
+stable configuration hash, and an ``ExperimentRunner`` batch returns what
+its requests return one at a time on a fresh serial runner.
 """
 
 import pickle
@@ -90,10 +90,8 @@ class TestParallelMatchesSerial:
         requests = small_grid()
         batch_runner = ExperimentRunner(jobs=4)
         batched = batch_runner.normalized_many(requests)
-        loop_runner = ExperimentRunner()
         looped = [
-            loop_runner.normalized(req.label, req.factory, req.mmu_config)
-            for req in requests
+            ExperimentRunner().normalized_many([req])[0] for req in requests
         ]
         assert [norm for norm, _ in batched] == [norm for norm, _ in looped]
         assert [r.mmu_summary for _, r in batched] == [
@@ -204,8 +202,8 @@ class TestMemoScope:
     def test_each_parallel_runner_simulates(self, simulations):
         request = small_grid()[0]
         first, second = ParallelRunner(), ParallelRunner()
-        first.run_one(request)
-        second.run_one(request)
+        first.run_many([request])
+        second.run_many([request])
         assert first.counts() == (1, 0, 0)
         assert second.counts() == (1, 0, 0)
         assert len(simulations) == 2
@@ -222,7 +220,7 @@ class TestMemoScope:
         runner = ParallelRunner()
         first, again = runner.run_many([request, request])
         assert first is again
-        assert runner.run_one(request) is first
+        assert runner.run_many([request])[0] is first
         assert runner.counts() == (1, 0, 2)
         assert len(simulations) == 1
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.parallel import RunRequest
 from repro.analysis.runner import ExperimentRunner, dense_pairs
 from repro.core.mmu import neummu_config, oracle_config
 from repro.workloads.cnn import Workload
@@ -17,21 +18,28 @@ def tiny_factory():
 class TestExperimentRunner:
     def test_oracle_is_cached(self):
         runner = ExperimentRunner()
-        first = runner.oracle("tiny", tiny_factory)
-        second = runner.oracle("tiny", tiny_factory)
+        request = RunRequest("tiny", tiny_factory, oracle_config())
+        first = runner.run_many([request])[0]
+        second = runner.run_many([request])[0]
         assert first is second
 
     def test_oracle_cache_keyed_by_page_size(self):
         from repro.memory.address import PAGE_SIZE_2M
 
         runner = ExperimentRunner()
-        small = runner.oracle("tiny", tiny_factory)
-        large = runner.oracle("tiny", tiny_factory, page_size=PAGE_SIZE_2M)
+        small = runner.run_many(
+            [RunRequest("tiny", tiny_factory, oracle_config())]
+        )[0]
+        large = runner.run_many(
+            [RunRequest("tiny", tiny_factory, oracle_config(PAGE_SIZE_2M))]
+        )[0]
         assert small is not large
 
     def test_normalized_in_unit_interval(self):
         runner = ExperimentRunner()
-        norm, result = runner.normalized("tiny", tiny_factory, neummu_config())
+        [(norm, result)] = runner.normalized_many(
+            [RunRequest("tiny", tiny_factory, neummu_config())]
+        )
         assert 0 < norm <= 1.001
         assert result.mmu_summary.requests > 0
 
