@@ -1,14 +1,17 @@
-"""Batched walker-completion calendar for the fused no-PRMB runner.
+"""Batched walker-completion calendar for the engine's translate loops.
 
 The fused FIFO runner (:meth:`TranslationEngine._no_prmb_fifo_runner`)
 already collapses the per-walk ``heappush``/``heappop`` pair into a cursor
 over one sorted snapshot, but its loop still takes one stall, one
 retirement and one walk start or hit per transaction once the tenant's
-walkers are all busy.  This module batches that per-event work at the
-runner's calendar gate.  Every walk in a planned stretch has the same
-latency class (``levels * walk_latency_per_level``), so completions are
-FIFO and the whole event sequence is *closed form*.  Two regimes cover
-the two states in which the gate finds the issue port blocked:
+walkers are all busy; the batched kernel
+(:meth:`TranslationEngine._run_burst_kernel`) still takes one leading
+step, one merge segment and one retirement per page on a PRMB machine.
+This module batches that per-event work.  Every walk in a planned
+stretch has the same latency class (``levels * walk_latency_per_level``),
+so completions are FIFO and the whole event sequence is *closed form*.
+Two regimes cover the two states in which the FIFO runner's gate finds
+the issue port blocked, and a third the PRMB kernel's fresh pages:
 
 * **Chain** (blocked at a *fresh* page, no walk of it in flight).  Each
   transaction stalls until the window's head walk completes, retires it
@@ -32,16 +35,34 @@ the two states in which the gate finds the issue port blocked:
   ``L_k - W`` transactions as hits while its redundant walks retire, so
   ``a_{k+1} = a_k + dur + (L_k - W) * interval``.  The stretch ends at a
   later page's flip stall, the runner's state at entry.
+* **Merge streak** (a PRMB machine without a path cache, under full
+  sharing, at a leading step whose page is in neither the TLB nor the
+  PTS, with a walker free).  This is NeuMMU's own regime (Section IV,
+  Figures 10-11): each fresh page costs one walk plus merges.  Over a
+  streak of fresh, mapped pages of one walk latency whose runs fit the
+  PRMB (``L_k - 1 <= prmb_slots``) and end before their own walk
+  (``(L_k - 1) * interval < dur``), page ``k`` starts its walk at
+  ``a_k = c + interval * sum(L_k' for k' < k)``, the walk completes at
+  ``r_k = a_k + dur`` and the page's ``p``-th transaction is released at
+  ``r_k + p``.  At each lead the walks due by ``a_k`` retire first (the
+  heap's earlier walks and the streak's own, merged by ``(ready, seq)``),
+  then the page pops its walker LIFO.  The streak ends at a lead with no
+  walker free, a recurring, resident, in-flight or faulting page, a
+  change of latency class, a run too long for the PRMB or its walk, a
+  queued channel, the exactness bound or ``_STRETCH_CAP``.  Walks due
+  after the last lead stay in flight for the kernel's next retirement,
+  as its merge segments leave them.
 
-Both regimes plan against the tenant's *own window*: the in-flight walks
-that retire inside the stretch.  Every other in-flight walk must belong
-to another tenant and complete after the stretch's last event (the
-stretch is capped before the first such completion), so those walks are
-inert: the other tenants' busy sets, the TLB and the PTS see nothing of
-them.  ``W`` is then the own-busy count at which the runner's startable
-predicate turns false while the other tenants' state is fixed: the pool
-minus the foreign-held walkers under full sharing, the quota under a
-hard partition, the quota plus the borrowable slack under ``weighted``.
+The chain and the cadence plan against the tenant's *own window*: the
+in-flight walks that retire inside the stretch.  Every other in-flight
+walk must belong to another tenant and complete after the stretch's last
+event (the stretch is capped before the first such completion), so those
+walks are inert: the other tenants' busy sets, the TLB and the PTS see
+nothing of them.  ``W`` is then the own-busy count at which the runner's
+startable predicate turns false while the other tenants' state is
+fixed: the pool minus the foreign-held walkers under full sharing, the
+quota under a hard partition, the quota plus the borrowable slack under
+``weighted``.
 A regime plans only when one retirement re-opens a start and the restart
 closes it again.  Under full sharing a chain window may also hold
 another tenant's walks that complete within one walk latency of the
@@ -51,7 +72,10 @@ whoever held it.
 Each stretch is validated against every interaction point the runner's
 loop would honour — recurrence, residency, fault, latency class, channel
 queueing, the other tenants' first completion, ``_STRETCH_CAP`` — and
-retired as one bucket.
+retired as one bucket.  The merge streak needs no window: under full
+sharing the other tenants' walks are simply earlier walks of the heap,
+retired in order at the leads, and every walker count it needs is
+checked lead by lead.
 
 Bit-identity contract
 ---------------------
@@ -79,26 +103,39 @@ integral increments; they too must stay below their own bound, so the
 telescoped sums are reassociation-free.  Derived values (hit release
 ``cycle + tlb latency``, channel finish ``release + size / bandwidth``)
 are computed by the same float operation on the same operands.
+The merge streak has no stall at all: its leads, walk completions and
+releases are ``c`` plus the integers ``a_k``, ``a_k + dur`` and ``a_k +
+dur + p``, each page's largest offset is at most ``(end_k - i) *
+interval + dur - 1``, and the scan stops before that reaches the room.
+A streak's releases rise by at least one cycle per transaction, so a
+transfer can only queue behind a channel still busy at entry or behind
+its nearest same-channel predecessor within the longest transfer time;
+the plan checks exactly those, and the drain writes each channel's last
+finish.
 ``tests/test_calendar.py`` differential-fuzzes the calendar against the
 per-event path; the figure-level golden diffs enforce it end to end.
 
 Retirement discipline
 ---------------------
-Calendar buckets may only be consumed through :meth:`drain_stretch` (the
-designated drain, mirroring the epoch-bump discipline): the ``cal_*``
-bucket columns and cursor are written nowhere else, and the simlint rule
+Calendar buckets may only be consumed through :meth:`drain_stretch` or,
+for the merge streak, :meth:`drain_streak` (the designated drains,
+mirroring the epoch-bump discipline): the ``cal_*`` bucket columns are
+written only by the planners and drains, and the simlint rule
 ``cyc-calendar-retire`` enforces that statically.
 
 Counts
 ------
 Each calendar counts its attempts, plans and drained transactions per
-regime and its declines by reason (:data:`DECLINE_REASONS`).  They are
-observation only: no simulation path reads them.
+regime (chain, cadence, streak) and its declines by reason
+(:data:`DECLINE_REASONS`).  They are observation only: no simulation
+path reads them.  A FIFO runner's calendar only chains and cadences; a
+PRMB kernel's only plans streaks.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_right
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -123,10 +160,18 @@ _FIRST_CHUNK = 256
 #: NumPy setup outweighs the per-transaction savings).
 _MIN_STRETCH = 12
 
+#: Minimum worthwhile merge streak, in pages: its per-plan setup (the
+#: supply and channel checks, the final walker, PTS and channel writes)
+#: outweighs the saving of a few pages, as in the four-page stretches
+#: between stalls of RNN-2 on an 8-walker pool.
+_MIN_STREAK_PAGES = 6
+
 #: Why a plan declined, the keys of :attr:`CompletionCalendar.declines`:
 #: ``short`` — the page scan (recurrence, residency, fault, latency
-#: class, a run no longer than the window) ends the stretch too early;
-#: ``window`` — the in-flight walks are not a window the regime models;
+#: class, a run no longer than the window, a run too long for the PRMB)
+#: ends the stretch too early; ``window`` — the in-flight walks are not a
+#: window the regime models (for the streak: a lead finds no walker
+#: free too early);
 #: ``exact`` — a cycle or stall sum would leave the exactly representable
 #: range (or the configuration's interval or latency is fractional);
 #: ``horizon`` — another tenant's walk completes too soon; ``channel`` —
@@ -189,13 +234,15 @@ def _feasible(release: Any, finish: Any, ch: Any, channel_free: List[float],
 
 
 class CompletionCalendar:
-    """Cycle-indexed completion calendar for one address space's runner.
+    """Cycle-indexed completion calendar for one address space.
 
-    Binds the same stable structures the fused runner closes over (walker
-    arrays, TLB sets, PTS map, channel table) once at construction; each
-    :meth:`plan_stretch` validates a chain or cadence stretch and fills
-    the bucket columns, and :meth:`drain_stretch` — the only consumer of
-    those columns — applies the whole bucket to simulator state.
+    Binds the same stable structures the fused runner and the kernel
+    close over (walker arrays, TLB sets, PTS map, channel table) once at
+    construction; each :meth:`plan_stretch` validates a chain or cadence
+    stretch and fills the bucket columns, and :meth:`drain_stretch` — the
+    only consumer of those columns — applies the whole bucket to
+    simulator state.  :meth:`plan_streak` and :meth:`drain_streak` are
+    the same pair for the PRMB kernel's merge streak.
     """
 
     __slots__ = (
@@ -205,15 +252,18 @@ class CompletionCalendar:
         "_resolvers", "_walk_latency", "_tlb_latency",
         "_vpn_shift", "_channel_free", "_n_channels", "_ch_bw",
         "_mem_latency", "_interval_int", "_static_ok",
-        "cal_ready", "cal_walker", "cal_seq",
+        "_mmu", "_pool", "_pts", "_heap", "_buffers", "_prmb_slots",
+        "cal_ready", "cal_walker", "cal_seq", "cal_ends", "cal_offsets",
         "_plan_cadence", "_plan_base", "_plan_m", "_plan_pages",
         "_plan_window_walks",
         "_plan_window_walkers", "_plan_window_keys", "_plan_inert",
         "_plan_head", "_plan_dur", "_plan_levels", "_plan_ch",
         "_plan_finish", "_plan_bytes", "_plan_rc", "_plan_rest",
         "_plan_stall_events", "_plan_fresh_stalls", "_plan_hits",
+        "_plan_peak", "_plan_stream", "_channel_info",
         "chain_attempts", "chain_plans", "chain_drained",
         "cadence_attempts", "cadence_plans", "cadence_drained",
+        "streak_attempts", "streak_plans", "streak_drained",
         "declines",
     )
 
@@ -247,6 +297,12 @@ class CompletionCalendar:
         self._n_channels = mem_cfg.channels
         self._ch_bw = mem_cfg.channel_bandwidth
         self._mem_latency = mem_cfg.access_latency_cycles
+        self._mmu = mmu
+        self._pool = pool
+        self._pts = pts
+        self._heap = pool.heap
+        self._buffers = pool._buffers
+        self._prmb_slots = pool.prmb_slots
         self._interval_int = int(issue_interval)
         # The closed form relies on integral cycle increments; a
         # fractional issue interval or walk latency disables it outright.
@@ -259,6 +315,8 @@ class CompletionCalendar:
         self.cal_ready = empty
         self.cal_walker = empty
         self.cal_seq = empty
+        self.cal_ends: List[int] = []
+        self.cal_offsets: List[int] = []
         self._plan_cadence = False
         self._plan_base = 0.0
         self._plan_m = 0
@@ -278,12 +336,20 @@ class CompletionCalendar:
         self._plan_stall_events = 0
         self._plan_fresh_stalls = 0
         self._plan_hits = 0
+        self._plan_peak = 0
+        self._plan_stream: Optional[TransactionStream] = None
+        self._channel_info: Optional[
+            Tuple[TransactionStream, Tuple[List[int], int, int]]
+        ] = None
         self.chain_attempts = 0
         self.chain_plans = 0
         self.chain_drained = 0
         self.cadence_attempts = 0
         self.cadence_plans = 0
         self.cadence_drained = 0
+        self.streak_attempts = 0
+        self.streak_plans = 0
+        self.streak_drained = 0
         self.declines: Dict[str, int] = dict.fromkeys(DECLINE_REASONS, 0)
 
     # ------------------------------------------------------------------ #
@@ -299,6 +365,9 @@ class CompletionCalendar:
             "cadence_attempts": self.cadence_attempts,
             "cadence_plans": self.cadence_plans,
             "cadence_drained": self.cadence_drained,
+            "streak_attempts": self.streak_attempts,
+            "streak_plans": self.streak_plans,
+            "streak_drained": self.streak_drained,
         }
         for reason, count in self.declines.items():
             out["decline_" + reason] = count
@@ -1253,4 +1322,431 @@ class CompletionCalendar:
         return tail, K * W, K, (
             last_key, last_vpn, last_walk, last_end, last_stream, last_rc,
             end,
+        )
+
+
+    # ------------------------------------------------------------------ #
+    # the merge streak (PRMB machines with free walkers)                 #
+    # ------------------------------------------------------------------ #
+
+    def _channels_of(
+        self, stream: TransactionStream
+    ) -> Tuple[List[int], int, int]:
+        """``(pairs, used, reach)`` of ``stream``: the indices whose
+        memory channel recurs within the previous ``reach`` transactions,
+        ``reach`` being the longest transfer in whole cycles, and how many
+        channels the stream uses.  Cached for the last stream asked."""
+        cached = self._channel_info
+        if cached is not None and cached[0] is stream:
+            return cached[1]
+        n_ch = self._n_channels
+        ch = (stream.vas >> 8) % n_ch
+        if stream.sizes is None:
+            longest = stream.uniform_size
+        else:
+            longest = int(stream.sizes.max()) if len(stream) else 0
+        reach = int(longest / self._ch_bw)
+        near = np.zeros(ch.shape[0], dtype=bool)
+        for d in range(1, min(reach, ch.shape[0] - 1) + 1):
+            near[d:] |= ch[d:] == ch[:-d]
+        info = (
+            np.flatnonzero(near).tolist(),
+            int(np.count_nonzero(np.bincount(ch, minlength=n_ch))),
+            reach,
+        )
+        self._channel_info = (stream, info)
+        return info
+
+    def _streak_queue(
+        self,
+        stream: TransactionStream,
+        i: int,
+        ends: List[int],
+        ready: List[int],
+        cycle: float,
+    ) -> int:
+        """The first transaction of the planned streak whose memory channel
+        would queue (the streak's end when none does).
+
+        Transaction ``t`` of page ``k`` (run ``[s_k, ends[k])``) is
+        released at ``cycle + ready[k] + (t - s_k)``.  Releases rise by at
+        least one cycle per transaction, so ``t`` can only queue behind a
+        channel still busy from before the streak, or behind its nearest
+        same-channel predecessor in the streak when that lies within
+        ``reach`` transactions (a transfer lasts less than ``reach + 1``
+        cycles).  Those are exactly the checks of
+        :func:`_feasible`'s first-queue search, restricted to the
+        transactions that can fail them.
+        """
+        va_list = stream.va_list
+        size_list = stream.size_list
+        n_ch = self._n_channels
+        ch_bw = self._ch_bw
+        channel_free = self._channel_free
+        end = ends[-1]
+        bad = end
+        busy_until = max(channel_free)
+        k = 0
+        start = i
+        t = i
+        while t < end:
+            if t >= ends[k]:
+                start = ends[k]
+                k += 1
+            release = cycle + (ready[k] + (t - start))
+            if release >= busy_until:
+                break
+            if release < channel_free[(va_list[t] >> 8) % n_ch]:
+                bad = t
+                break
+            t += 1
+        pairs, _, reach = self._channels_of(stream)
+        for idx in range(bisect_right(pairs, i), len(pairs)):
+            t = pairs[idx]
+            if t >= bad:
+                break
+            c = (va_list[t] >> 8) % n_ch
+            for d in range(1, reach + 1):
+                p = t - d
+                if p < i:
+                    break
+                if (va_list[p] >> 8) % n_ch != c:
+                    continue
+                kt = bisect_right(ends, t)
+                kp = bisect_right(ends, p)
+                rel_t = cycle + (ready[kt] + t - (ends[kt - 1] if kt else i))
+                rel_p = cycle + (ready[kp] + p - (ends[kp - 1] if kp else i))
+                if rel_t < rel_p + size_list[p] / ch_bw:
+                    return t
+                break
+        return bad
+
+    def plan_streak(
+        self, stream: TransactionStream, i: int, j: int, rc: int, cycle: float
+    ) -> int:
+        """Validate and plan a merge streak of ``stream`` from the leading
+        transaction ``i`` (whose same-page run ends at ``j``; ``rc`` is the
+        kernel's cursor at that run); returns its length in transactions
+        (0: no streak applies).
+
+        Caller guarantees: full sharing, a PRMB machine without a path
+        cache, no poisoned walker, every walk due at ``cycle`` retired, a
+        free walker, and the page of ``i`` neither in the TLB nor in the
+        PTS.  Planning mutates nothing except the page table's walk memo.
+        """
+        self.streak_attempts += 1
+        va_list = stream.va_list
+        n = len(va_list)
+        asid_bits = self.asid << ASID_SHIFT
+        vpn = va_list[i] >> self._vpn_shift
+        tkey = vpn | asid_bits
+        pts_by_vpn = self._pts_by_vpn
+        # O(1) before the scan: a streak needs a next page not yet taken.
+        if j >= n:
+            self._decline("short")
+            return 0
+        nkey = (va_list[j] >> self._vpn_shift) | asid_bits
+        if (
+            nkey == tkey
+            or nkey in self._tlb_sets[nkey & self._tlb_set_mask]
+            or nkey in pts_by_vpn
+        ):
+            self._decline("short")
+            return 0
+        resolver = self._resolvers[self.asid]
+        walk0 = resolver._cache.get(vpn)
+        if walk0 is None:
+            walk0 = resolver.resolve_vpn(vpn)
+            if walk0 is None:
+                self._decline("short")  # faulting lead: the kernel raises it
+                return 0
+        levels = walk0.levels
+        dur = levels * self._walk_latency
+        interval = self._interval_int
+        # The longest run whose merges all park in its page's one walker
+        # and issue before that walk completes: ``L - 1 <= prmb_slots``
+        # and ``(L - 1) * interval < dur``.
+        max_len = (dur - 1) // interval + 1
+        if max_len > self._prmb_slots + 1:
+            max_len = self._prmb_slots + 1
+        if j - i > max_len:
+            self._decline("short")
+            return 0
+        free = len(self._free_list)
+        heap = self._heap
+        if free < _MIN_STREAK_PAGES:
+            # Walker-short: estimate the walkers free by the lead of page
+            # _MIN_STREAK_PAGES - 1 if every page ran as long as this one,
+            # and decline before the scan when they fall short.
+            horizon = cycle + (_MIN_STREAK_PAGES - 1) * (j - i) * interval
+            due_n = 0
+            for entry in heap:
+                if entry[0] <= horizon:
+                    due_n += 1
+            if free + due_n < _MIN_STREAK_PAGES:
+                self._decline("window")
+                return 0
+        # Exactness: page ``k``'s largest cycle offset (its last release,
+        # or the issue cycle after its run) is at most ``(end_k - i) *
+        # interval + dur - 1``, which must stay below the room.
+        top = math.ceil(_exact_limit(cycle) - cycle) - 1
+        exact_end = i + (top - dur + 1) // interval
+        if j > exact_end:
+            self._decline("exact")
+            return 0
+        cap_end = i + _STRETCH_CAP
+        stop_end = exact_end if exact_end < cap_end else cap_end
+
+        # -- page scan: whole fresh runs of the lead's latency class, each
+        # with a walker free at its lead.  The supply is counted lazily:
+        # the walks due by a lead (the heap's earlier walks and the
+        # streak's own) are retired into the count only when it runs out.
+        free -= 1  # the entry lead's walker
+        walks: List[WalkInfo] = [walk0]
+        ends = [j]
+        ready = [dur]  # walk completion offsets from ``cycle``
+        peak = j - i
+        due_at: Optional[List[float]] = None  # the earlier walks' readies
+        n_due = hi = si = 0
+        seen = {tkey}
+        runs = stream.runs
+        entry_rc = rc
+        end = j
+        bound = "short"
+        while end < n:
+            nxt = self._fresh_run(va_list, runs, end, rc, seen, levels)
+            if nxt is None:
+                break
+            nkey, nvpn, nwalk, njend, nstream, rc = nxt
+            length = njend - end
+            if length > max_len or nkey in pts_by_vpn:
+                break
+            if njend > stop_end:
+                if njend > exact_end:
+                    bound = "exact"
+                break
+            lead = (end - i) * interval
+            if free < 1:
+                if due_at is None:
+                    due_at = sorted([entry[0] for entry in heap])
+                    n_due = len(due_at)
+                due = cycle + lead
+                while hi < n_due and due_at[hi] <= due:
+                    hi += 1
+                    free += 1
+                while si < len(ready) and ready[si] <= lead:
+                    si += 1
+                    free += 1
+                if free < 1:
+                    bound = "window"
+                    break
+            free -= 1
+            if length > peak:
+                peak = length
+            seen.add(nkey)
+            walks.append(nwalk)
+            ends.append(njend)
+            ready.append(lead + dur)
+            end = njend
+        if len(ends) < _MIN_STREAK_PAGES:
+            self._decline(bound)
+            return 0
+
+        # -- channels: cut the streak before the first queued transfer ---
+        queued = self._streak_queue(stream, i, ends, ready, cycle)
+        if queued < end:
+            K = bisect_right(ends, queued)
+            if K < _MIN_STREAK_PAGES:
+                self._decline("channel")
+                return 0
+            del walks[K:], ends[K:], ready[K:]
+            end = ends[-1]
+            rc = entry_rc  # behind the cut: the kernel's cursor catches up
+            peak = max(
+                e - s for e, s in zip(ends, [i] + ends[:-1])
+            )
+        self.streak_plans += 1
+        self.cal_ends = ends
+        self.cal_offsets = ready
+        self._plan_base = cycle
+        self._plan_m = end - i
+        self._plan_pages = walks
+        self._plan_peak = peak
+        self._plan_dur = dur
+        self._plan_levels = levels
+        self._plan_rc = rc
+        self._plan_stream = stream
+        return end - i
+
+    def drain_streak(
+        self, data_end: float, total_bytes: int
+    ) -> Tuple[float, float, int, int]:
+        """Retire the planned streak in one pass and return the kernel's
+        updated ``(cycle, data_end, total_bytes, rc)``.
+
+        Each lead first retires every walk due by its issue cycle, the
+        heap's earlier walks and the streak's own merged by ``(ready,
+        seq)``, exactly as :meth:`MMU.process_completions` does without a
+        path cache or a policy, then pops its walker LIFO.  Walks due
+        after the last lead stay in flight for the kernel's next
+        retirement, as its merge segments leave them.  Only the final
+        state is written back.
+        """
+        m = self._plan_m
+        base = self._plan_base
+        dur = self._plan_dur
+        walks: List[WalkInfo] = self._plan_pages
+        ends = self.cal_ends
+        ready = self.cal_offsets
+        K = len(walks)
+        asid = self.asid
+        self.streak_drained += m
+
+        walk_of = self._walk_of
+        vpn_arr = self._vpn_arr
+        completion_of = self._completion_of
+        buffers = self._buffers
+        pts_by_vpn = self._pts_by_vpn
+        # TLB fills inline (``TLB.insert`` without a policy: full sharing).
+        tlb_sets = self._tlb_sets
+        set_mask = self._tlb_set_mask
+        ways = self._tlb._ways
+        heap = self._heap
+        heappop = heapq.heappop
+        free = self._free_list
+        free_append = free.append
+        free_pop = free.pop
+        asid_bits = asid << ASID_SHIFT
+        walkers = [0] * K
+        retired = 0  # earlier walks retired (the heap's, popped in order)
+        s = 0  # the next streak walk to retire
+
+        for k in range(K):
+            lead = ready[k] - dur
+            due = base + lead
+            while True:
+                if s < k and ready[s] <= lead and not (
+                    heap and heap[0][0] <= base + ready[s]
+                ):
+                    # The streak's next walk (an earlier walk with the same
+                    # ready retires first: its sequence number is
+                    # smaller).  Its page is not in the TLB.
+                    free_append(walkers[s])
+                    done = walks[s]
+                    key = done.vpn | asid_bits
+                    entry_set = tlb_sets[key & set_mask]
+                    if len(entry_set) >= ways:
+                        entry_set.popitem(last=False)
+                    entry_set[key] = done.pfn
+                    s += 1
+                elif heap and heap[0][0] <= due:
+                    # The heap's next earlier walk.
+                    walker = heappop(heap)[2]
+                    gone = walk_of[walker]
+                    assert gone is not None
+                    buffers[walker]._occupied = 0
+                    vpn_arr[walker] = None
+                    walk_of[walker] = None
+                    free_append(walker)
+                    key = gone.vpn | (gone.asid << ASID_SHIFT)
+                    registered = pts_by_vpn[key]
+                    registered.remove(walker)
+                    if not registered:
+                        del pts_by_vpn[key]
+                    entry_set = tlb_sets[key & set_mask]
+                    if key in entry_set:
+                        entry_set.move_to_end(key)
+                    elif len(entry_set) >= ways:
+                        entry_set.popitem(last=False)
+                    entry_set[key] = gone.pfn
+                    retired += 1
+                else:
+                    break
+            walker = free_pop()
+            walkers[k] = walker
+            completion_of[walker] = base + ready[k]
+
+        # The streak's walks still in flight: walker state, PRMB occupancy,
+        # PTS entries in page order (a retired streak page was inserted
+        # and deleted, which leaves the dict order alone) and completions.
+        pool = self._pool
+        seq = pool._seq
+        first = ends[-1] - m
+        tail: List[Tuple[float, int, int]] = []
+        for k in range(s, K):
+            walker = walkers[k]
+            pwalk = walks[k]
+            walk_of[walker] = pwalk
+            vpn_arr[walker] = pwalk.vpn
+            page_start = ends[k - 1] if k else first
+            buffers[walker]._occupied = ends[k] - page_start - 1
+            pts_by_vpn[pwalk.vpn | asid_bits] = [walker]
+            tail.append((completion_of[walker], seq + k + 1, walker))
+        if heap:
+            for entry in tail:
+                heapq.heappush(heap, entry)
+        else:
+            heap.extend(tail)  # sorted: a valid heap
+        pool._seq = seq + K
+
+        # Bulk counters: every transaction missed the TLB; the leads
+        # missed the PTS and started a walk, the rest hit it and merged.
+        merges = m - K
+        stats = self._mmu.stats
+        stats.requests += m
+        stats.merges += merges
+        self._tlb.misses += m
+        pts = self._pts
+        pts.lookups += m
+        pts.hits += merges
+        pts._count += K - retired - s
+        pool_stats = pool.stats
+        pool_stats.walks += K
+        pool_stats.level_accesses += K * self._plan_levels
+        prmb_stats = pool.prmb_stats
+        prmb_stats.merges += merges
+        if self._plan_peak - 1 > prmb_stats.peak_occupancy:
+            prmb_stats.peak_occupancy = self._plan_peak - 1
+
+        # Channel table: with no transfer queued, a channel ends free at
+        # the finish of its last transaction, and the data phase at the
+        # latest finish, which is among the last ``reach + 1``.
+        stream = self._plan_stream
+        assert stream is not None
+        size_list = stream.size_list
+        ch_bw = self._ch_bw
+        channel_free = self._channel_free
+        va_list = stream.va_list
+        n_ch = self._n_channels
+        _, used, reach = self._channels_of(stream)
+        last = ends[-1] - 1
+        tail_from = last - reach
+        touched: Set[int] = set()
+        latest = -_INF
+        k = K - 1
+        page_start = ends[k - 1] if k else first
+        t = last
+        while t >= first and (len(touched) < used or t >= tail_from):
+            while t < page_start:
+                k -= 1
+                page_start = ends[k - 1] if k else first
+            release = base + (ready[k] + (t - page_start))
+            finish = release + size_list[t] / ch_bw
+            if t >= tail_from and finish > latest:
+                latest = finish
+            c = (va_list[t] >> 8) % n_ch
+            if c not in touched:
+                touched.add(c)
+                channel_free[c] = finish
+            t -= 1
+        done_at = latest + self._mem_latency
+        if done_at > data_end:
+            data_end = done_at
+        if stream.sizes is None:
+            total_bytes += m * stream.uniform_size
+        else:
+            total_bytes += sum(size_list[first:last + 1])
+        return (
+            base + float(m * self._interval_int), data_end, total_bytes,
+            self._plan_rc,
         )

@@ -39,6 +39,11 @@ Three execution paths
   sharing is simply the policy whose bounds never bind.  PRMB-less,
   path-cache-less MMUs (the baseline IOMMU) hand the whole burst to a
   fused FIFO runner (:meth:`TranslationEngine._no_prmb_fifo_runner`).
+  On PRMB machines without a path cache under full sharing, a leading
+  step at a fresh page with a walker free hands the streak of fresh
+  pages from there (one walk plus merges each) to the completion
+  calendar's merge streak (:mod:`repro.core.calendar`), which retires it
+  as one bucket.
 
 The fast paths read one input, the DMA's
 :class:`~repro.core.stream.TransactionStream`: its plain-list columns and
@@ -96,8 +101,9 @@ FaultHandler = Callable[[int, float, int], float]
 NoPrmbRunner = Callable[..., Tuple[int, float, float, int, float, bool, int]]
 
 #: Completion-calendar backoff: after this many consecutive declines the
-#: FIFO runner skips the next ``_CAL_BACKOFF_RUNS`` same-page runs before
-#: it plans again (a single decline skips the rest of its run).
+#: FIFO runner (and the kernel's merge-streak gate) skips the next
+#: ``_CAL_BACKOFF_RUNS`` same-page runs before it plans again (a single
+#: decline skips the rest of its run).
 _CAL_MAX_FAILS = 6
 _CAL_BACKOFF_RUNS = 64
 
@@ -929,6 +935,16 @@ class TranslationEngine:
         same-page run is retired in bulk until the next interaction point.
         The phases, each marked by a comment in the loop:
 
+        * **Merge streak.**  On a PRMB machine without a path cache under
+          full sharing, a leading step whose page is in neither the TLB
+          nor the PTS, with a walker free and none poisoned, first asks
+          the completion calendar to plan the streak of fresh pages from
+          here (:meth:`CompletionCalendar.plan_streak`: one walk plus
+          merges each, while walkers stay free) and retires it as one
+          bucket (:meth:`CompletionCalendar.drain_streak`), resuming
+          after it.  A declined plan falls through to the leading step;
+          the gate then skips the rest of the run, and after six
+          consecutive declines the next ``_CAL_BACKOFF_RUNS`` runs.
         * **Leading step.**  The inlined :meth:`MMU.translate`: same
           probes, counters and dispatch order (TLB → PTS/PRMB merge →
           walker allocation → stall), with the method-call chain flattened
@@ -1034,6 +1050,22 @@ class TranslationEngine:
         rc = 0
         if fifo:
             runner = self._no_prmb_fifo_runner(asid)
+        # The merge-streak calendar: PRMB machines without a path cache
+        # under full sharing, whose fresh pages each take one walk plus
+        # merges while walkers are free (a fractional issue interval or
+        # walk latency leaves the closed form inexact: no calendar).
+        streak = None
+        if prmb_capacity and pool._no_path_cache and not policied:
+            streak = self.calendars.get(asid)
+            if streak is None:
+                streak = CompletionCalendar(mmu, memory, asid, interval)
+                if streak._static_ok:
+                    self.calendars[asid] = streak
+                else:
+                    streak = None
+        poisoned = mmu._poisoned_walkers
+        streak_skip = 0  # plan-failure hysteresis: the next index to try
+        streak_fails = 0  # consecutive declines (backoff gate)
 
         i = 0
         while i < n:
@@ -1053,6 +1085,37 @@ class TranslationEngine:
             # to zero on the stall and fault branches).
             if heap and heap[0][0] <= cycle:
                 process(cycle)
+            if (
+                streak is not None
+                and i >= streak_skip
+                and free_list
+                and not poisoned
+                and tkey not in tlb_sets[tkey & tlb_set_mask]
+                and tkey not in pts_by_vpn
+            ):
+                # ---------------- merge streak ----------------
+                # A fresh page with a walker free: plan the streak of
+                # fresh pages from here (one walk plus merges each) and
+                # retire it as one bucket (see ``core/calendar.py``).
+                j, run_streamable, rc = _run_bounds(runs, i, rc)
+                m = streak.plan_streak(stream, i, j, rc, cycle)
+                if m:
+                    cycle, data_end, total_bytes, rc = streak.drain_streak(
+                        data_end, total_bytes
+                    )
+                    i += m
+                    streak_fails = 0
+                    continue
+                # A decline falls through to the leading step; the gate
+                # skips the rest of the run, and after a streak of
+                # declines the next ``_CAL_BACKOFF_RUNS`` runs.
+                streak_fails += 1
+                if streak_fails < _CAL_MAX_FAILS:
+                    streak_skip = j
+                else:
+                    streak_skip = runs[
+                        min(rc + _CAL_BACKOFF_RUNS, len(runs) - 1)
+                    ][0]
             while True:
                 entry_set = tlb_sets[tkey & tlb_set_mask]
                 if tkey in entry_set:

@@ -465,9 +465,258 @@ class TestCadence:
         assert counts["decline_short"] > 0, counts
 
 
+# --------------------------------------------------------------------- #
+# the merge streak: PRMB machines with free walkers
+# --------------------------------------------------------------------- #
+
+#: PRMB design points without a path cache: wide pools the streak covers
+#: end to end, small pools whose tail runs out of walkers, and an 8-slot
+#: PRMB whose 16-transaction pages overflow it.
+STREAK_CONFIGS = [
+    MMUConfig(name="s8", n_walkers=8, prmb_slots=32, path_cache="none"),
+    MMUConfig(name="s16p8", n_walkers=16, prmb_slots=8, path_cache="none"),
+    MMUConfig(name="w64", n_walkers=64, prmb_slots=32, path_cache="none"),
+    MMUConfig(name="w1024", n_walkers=1024, prmb_slots=32, path_cache="none"),
+]
+
+#: The paper's wide NeuMMU walker pool without a path cache.
+W256 = MMUConfig(name="w256", n_walkers=256, prmb_slots=32, path_cache="none")
+
+
+def streak_txs(chunks, per_page_offset=0):
+    """Chunks -> transactions: ``(first page, pages, per page)`` streams
+    of 256 B runs from offset ``per_page_offset``, or an int, a page that
+    faults until the handler maps it."""
+    txs = []
+    for chunk in chunks:
+        if isinstance(chunk, int):
+            txs.append((FAULT_BASE + chunk * PAGE_SIZE_4K, 256))
+            continue
+        first, count, per_page = chunk
+        txs.extend(pages_txs(first, min(count, N_PAGES - first), per_page,
+                             offset=per_page_offset))
+    return txs
+
+
+def run_streak(streak_on, config, bursts, memory_config=None,
+               before_plan=None):
+    """Run ``(asid, start_cycle, transactions)`` bursts on a PRMB machine
+    under full sharing, ASIDs 0 and 5, with the merge streak on or its
+    plan forced to decline; returns ``(state, counts)``.  The state holds
+    the walker pool, PTS, PRMB, TLB and channels both before and after
+    the final drain.  ``before_plan`` is called with the calendar before
+    every streak plan attempt."""
+    original = CompletionCalendar.plan_streak
+
+    def planned(cal, *args, **kwargs):
+        if before_plan is not None:
+            before_plan(cal)
+        return original(cal, *args, **kwargs) if streak_on else 0
+
+    with mock.patch.object(CompletionCalendar, "plan_streak", planned):
+        mmu = MMU(config, None)
+        tables = {0: build_table(first_pfn=10), 5: build_table(500_000)}
+        for asid, table in tables.items():
+            mmu.register_context(asid, table)
+        memory = MainMemory(memory_config)
+        engine = TranslationEngine(mmu, memory)
+
+        def demand_map(vpn, cycle, asid):
+            tables[asid].map_range(
+                vpn << 12, PAGE_SIZE_4K,
+                first_pfn=2_000_000 + (vpn & 0xFFFF) * 8 + asid,
+            )
+            mmu.shootdown(vpn, asid)
+            return cycle + 2500.0
+
+        engine.fault_handler = demand_map
+        results = [
+            engine.run_burst(
+                TransactionStream.from_pairs(txs, PAGE_SIZE_4K), start, asid
+            )
+            for asid, start, txs in bursts
+        ]
+        pool, pts, tlb = mmu.pool, mmu.pts, mmu.tlb
+        live = {
+            "heap": sorted(pool.heap),
+            "seq": pool._seq,
+            "free": list(pool._free),
+            "walk_of": list(pool._walk_of),
+            "vpn": list(pool._vpn),
+            "completion": list(pool._completion_of),
+            "occupied": [buf._occupied for buf in pool._buffers],
+            "pts": [(k, list(v)) for k, v in pts._by_vpn.items()],
+            "pts_count": pts._count,
+            "channels": tuple(memory._channel_free),
+            "tlb_sets": [list(s.items()) for s in tlb._sets],
+        }
+        mmu.drain()
+        prmb = pool.prmb_stats
+        state = {
+            "results": results,
+            "live": live,
+            "summary": mmu.summary(),
+            "mmu": mmu.stats.snapshot(),
+            "mem": (memory.total_bytes, memory.total_accesses),
+            "pts": (pts.lookups, pts.hits, pts._count, list(pts._by_vpn)),
+            "tlb": (tlb.hits, tlb.misses,
+                    [list(s.items()) for s in tlb._sets]),
+            "prmb": (prmb.merges, prmb.rejects_full, prmb.peak_occupancy),
+            "free": list(pool._free),
+        }
+        counts = {}
+        for cal in engine.calendars.values():
+            for key, value in cal.counts().items():
+                counts[key] = counts.get(key, 0) + value
+        return state, counts
+
+
+def streak_identical(config, bursts, memory_config=None):
+    """Run ``bursts`` with the streak on and declined; both must be
+    bit-identical.  Returns the streak-on leg's counts."""
+    on, counts = run_streak(True, config, bursts, memory_config)
+    off, _ = run_streak(False, config, bursts, memory_config)
+    assert on == off
+    return counts
+
+
+#: One streak segment: (first page, pages, 256 B transactions per page).
+#: Runs of 1..16 fit a 4 KB page; under the 8-slot PRMB, runs above 9
+#: overflow it.
+_streak_segment = st.tuples(
+    st.integers(0, N_PAGES - 64), st.integers(1, 64), st.integers(1, 16),
+)
+
+#: One burst: (asid, start cycle, chunks), recurring pages across chunks
+#: and bursts, mid-stream faulting pages.
+_streak_burst = st.tuples(
+    st.sampled_from([0, 0, 5]), _start,
+    st.lists(st.one_of(_streak_segment, _fault), min_size=1, max_size=4),
+)
+
+
+class TestStreak:
+    @pytest.mark.parametrize("config", STREAK_CONFIGS, ids=lambda c: c.name)
+    @given(
+        spec=st.lists(_streak_burst, min_size=1, max_size=3),
+        offset=st.sampled_from([0, 0, 3]),
+        wide=st.booleans(),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_streak_matches_heap(self, config, spec, offset, wide):
+        """Wide and walker-short pools, runs of 1..16 (some longer than
+        the PRMB), recurring and TLB-resident pages, walks of an earlier
+        burst in flight, fractional and binade-edge entries, channels
+        another tenant left busy, faults mid-stream, two ASIDs."""
+        bursts = [
+            (asid, start, streak_txs(chunks, offset))
+            for asid, start, chunks in spec
+        ]
+        streak_identical(config, bursts, WIDE_MEMORY if wide else None)
+
+    @pytest.mark.parametrize("start", [0.0, 777.25, 1000.5])
+    @pytest.mark.parametrize("per_page", [4, 6, 16])
+    def test_drains_wide_pool(self, per_page, start):
+        """256 walkers never run short: nearly every transaction drains
+        (runs of 4 or more on the same channels leave each transfer time
+        to finish before its channel comes round again)."""
+        counts = streak_identical(
+            W256, [(0, start, pages_txs(0, 200, per_page))]
+        )
+        assert counts["streak_drained"] >= 190 * per_page, counts
+        assert counts["streak_plans"] <= 2, counts
+
+    def test_walker_short_tail_declines_then_resumes(self):
+        """Eight walkers: long pages fill the pool, and a later burst of
+        two-transaction pages enters just as one walk completes, so its
+        second lead would find no walker free and the plan declines.  A
+        burst on the idle pool then drains its first eight pages, and
+        later stretches of eight between stalls."""
+        counts = streak_identical(
+            STREAK_CONFIGS[0],
+            [
+                (0, 0.0, pages_txs(0, 8, 16)),
+                (0, 400.0, materialize([(20, 40, 2)])),
+                (0, 20_000.0, pages_txs(100, 100, 4)),
+            ],
+        )
+        assert counts["decline_window"] > 0, counts
+        assert counts["streak_drained"] >= 8 * 4, counts
+
+    def test_earlier_burst_walks_retire_inside(self):
+        """Walks of an earlier burst (and of the other ASID) complete
+        inside the next burst's streak, merged in ``(ready, seq)``
+        order with the streak's own."""
+        counts = streak_identical(
+            W256,
+            [
+                (5, 0.0, pages_txs(200, 30, 8, offset=8)),
+                (0, 50.0, pages_txs(0, 120, 8)),
+                (5, 400.0, pages_txs(100, 40, 8, offset=8)),
+            ],
+            WIDE_MEMORY,
+        )
+        assert counts["streak_drained"] >= 180 * 8, counts
+
+    def test_binade_edge_declines_then_resumes(self):
+        """A fractional entry using every mantissa bit just below 2**20:
+        a streak stops short of the power of two, the per-event loop
+        crosses it, planning resumes."""
+        start = float((1 << 20) - 3000) + 0.25 + 2.0 ** -33
+        counts = streak_identical(W256, [(0, start, pages_txs(0, 200, 16))])
+        assert counts["decline_exact"] > 0, counts
+        assert counts["streak_drained"] >= 150 * 16, counts
+
+    def test_channels_left_busy_decline(self):
+        """The other ASID's transfers queued far ahead on every channel:
+        every streak plan declines on channel queueing."""
+        counts = streak_identical(
+            W256,
+            [
+                (5, 1_000_000.0, streak_txs([(100, 64, 1)])),
+                (0, 0.0, pages_txs(0, 60, 9)),
+            ],
+        )
+        assert counts["decline_channel"] > 0, counts
+        assert counts["streak_drained"] == 0, counts
+
+    def test_short_declines(self):
+        """Runs longer than the 8-slot PRMB, resident pages and a faulting
+        page end every scan before the minimum stretch."""
+        config = STREAK_CONFIGS[1]
+        counts = streak_identical(
+            config,
+            [
+                (0, 0.0, pages_txs(0, 20, 12)),
+                (0, 9_000.0, streak_txs([(20, 1, 4), 3, (21, 1, 4), (0, 20, 4)])),
+            ],
+        )
+        assert counts["decline_short"] > 0, counts
+
+    def test_fault_mid_stream(self):
+        """A faulting page ends the streak; the kernel's leading step hands
+        it to the fault handler and planning resumes after it."""
+        counts = streak_identical(
+            W256, [(0, 0.0, streak_txs([(0, 40, 6), 5, (40, 40, 6)]))]
+        )
+        assert counts["streak_plans"] >= 2, counts
+        assert counts["streak_drained"] >= 70 * 6, counts
+
+    def test_tpreg_builds_no_streak_calendar(self):
+        """Path caches make completions depend on the walker: the TPreg
+        NeuMMU builds no streak calendar."""
+        from repro.core.mmu import neummu_config
+
+        _, counts = run_streak(
+            True, neummu_config(), [(0, 0.0, pages_txs(0, 60, 16))]
+        )
+        assert counts == {}
+
+
 def zero_counts(cal):
     cal.chain_attempts = cal.chain_plans = cal.chain_drained = 0
     cal.cadence_attempts = cal.cadence_plans = cal.cadence_drained = 0
+    cal.streak_attempts = cal.streak_plans = cal.streak_drained = 0
     cal.declines = dict.fromkeys(cal.declines, 0)
 
 
@@ -488,6 +737,21 @@ class TestCounts:
             before_plan=zero_counts,
         )
         assert counts["cadence_drained"] and counts["chain_drained"], counts
+        assert plain == zeroed
+
+    def test_streak_counts_are_observation_only(self):
+        """The same for the merge streak on a PRMB machine: a walker-short
+        tail, busy channels and a binade edge make it plan and decline."""
+        bursts = [
+            (5, 1_000_000.0, streak_txs([(100, 16, 1)])),
+            (0, 0.0, pages_txs(0, 60, 9)),
+            (0, float((1 << 20) - 3000) + 0.25 + 2.0 ** -33,
+             pages_txs(60, 120, 6)),
+        ]
+        config = STREAK_CONFIGS[0]
+        plain, counts = run_streak(True, config, bursts)
+        zeroed, _ = run_streak(True, config, bursts, before_plan=zero_counts)
+        assert counts["streak_drained"] and counts["decline_window"], counts
         assert plain == zeroed
 
 

@@ -141,6 +141,38 @@ class TestDispatch:
             r"\[table1 completed in \d+\.\ds\]", capsys.readouterr().out
         )
 
+    def test_run_all_keeps_own_batch_axes(self, capsys, monkeypatch):
+        """``run all --batches`` sets the dense figures' grid, not the
+        large-batch study's or Figure 15's own batch axis; a named run of
+        either still forwards its batches."""
+        from repro.analysis.figures import FigureResult
+
+        received = {}
+
+        def fake(name):
+            def experiment(**kwargs):
+                received[name] = kwargs.get("batches")
+                fig = FigureResult(name, "demo", columns=["value"])
+                fig.add("x", value=1.0)
+                return fig
+
+            return experiment
+
+        for name in list(EXPERIMENTS):
+            monkeypatch.setitem(EXPERIMENTS, name, fake(name))
+        assert main(["run", "all", "--batches", "1"]) == 0
+        assert received["fig11"] == (1,) and received["fig10"] == (1,)
+        assert received["sens_batch"] is None, received
+        assert received["fig15"] is None, received
+        assert received["table1"] is None, received
+        received.clear()
+        assert main(["run", "sens_batch", "--batches", "32", "64"]) == 0
+        assert received == {"sens_batch": (32, 64)}
+        received.clear()
+        assert main(["run", "fig15", "--batches", "8"]) == 0
+        assert received == {"fig15": (8,)}
+        capsys.readouterr()
+
     def test_run_overhead(self, capsys):
         assert main(["run", "overhead"]) == 0
         assert "PRMB" in capsys.readouterr().out

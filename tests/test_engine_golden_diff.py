@@ -36,6 +36,7 @@ from repro.analysis import (
     fairness,
     fig7_translation_bursts,
     fig8_baseline_iommu,
+    fig11_ptw_sweep,
     fig13_tpreg_hit_rates,
     fig14_va_trace,
     fig15_numa,
@@ -150,6 +151,16 @@ class TestDenseSweeps:
         golden_diff(
             lambda: fig8_baseline_iommu(
                 batches=B1, runner=ExperimentRunner()
+            )
+        )
+
+    def test_fig11_ptw_sweep(self):
+        # PRMB(32) without a path cache: the merge streak retires whole
+        # streaks of fresh pages (one walk plus merges each) on the wide
+        # pools and the stretches between walker stalls at 16 walkers.
+        golden_diff(
+            lambda: fig11_ptw_sweep(
+                ptws=(16, 64, 1024), batches=B1, runner=ExperimentRunner()
             )
         )
 

@@ -50,6 +50,8 @@ PARITY_CONFIGS = [
     MMUConfig(name="tpc", n_walkers=16, prmb_slots=8, path_cache="tpc"),
     MMUConfig(name="tpreg0", n_walkers=6, prmb_slots=0, path_cache="tpreg"),
     MMUConfig(name="tiny_tlb", tlb_entries=4, n_walkers=4, prmb_slots=2),
+    # A wide PRMB pool without a path cache: the merge streak's machine.
+    MMUConfig(name="w256", n_walkers=256, prmb_slots=32),
     neummu_config(page_size=PAGE_SIZE_2M),
     baseline_iommu_config(page_size=PAGE_SIZE_2M),
 ]
@@ -288,6 +290,28 @@ class TestSimulatorParity:
             results.append(sim.run())
         assert results[0].total_cycles == results[1].total_cycles
         assert results[0].mmu_summary == results[1].mmu_summary
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("network", ["CNN-2", "RNN-2"])
+    @pytest.mark.parametrize("walkers", [16, 256])
+    def test_real_network_prmb_identical(self, network, walkers):
+        """Figure 11's PRMB(32) design points without a path cache: the
+        merge streak drains most of each run (walker-short at 16
+        walkers, stall-free at 256), and the whole RunResult (cycles,
+        summary, per-layer results) matches the reference loop."""
+        config = MMUConfig(
+            name=f"ptw{walkers}", n_walkers=walkers, prmb_slots=32,
+            path_cache="none",
+        )
+        results = []
+        for batched in (True, False):
+            sim = NPUSimulator(dense_workload(network, 1), config)
+            sim.engine.batched = batched
+            results.append(sim.run())
+            if batched:
+                drained = sim.engine.calendars[0].counts()["streak_drained"]
+        assert results[0] == results[1]
+        assert drained > 0
 
 
 class TestContendedPathParity:
@@ -304,6 +328,8 @@ class TestContendedPathParity:
         MMUConfig(name="w2", n_walkers=2, prmb_slots=4),
         MMUConfig(name="s1", n_walkers=8, prmb_slots=1),
         MMUConfig(name="tiny_tlb", tlb_entries=4, n_walkers=4, prmb_slots=2),
+    # A wide PRMB pool without a path cache: the merge streak's machine.
+    MMUConfig(name="w256", n_walkers=256, prmb_slots=32),
         MMUConfig(name="tpc0", n_walkers=16, prmb_slots=0, path_cache="tpc"),
         MMUConfig(name="tpreg0", n_walkers=6, prmb_slots=0, path_cache="tpreg"),
     ]

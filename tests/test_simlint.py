@@ -350,6 +350,12 @@ def test_calendar_retire_quiet_in_init_plan_and_drain():
             def drain_stretch(self, m):
                 self.cal_cursor = m
 
+            def plan_streak(self, ends):
+                self.cal_ends = ends
+
+            def drain_streak(self):
+                self.cal_cursor = 0
+
             def reset(self):
                 self.cal_ready = ()
         """

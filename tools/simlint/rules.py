@@ -498,12 +498,14 @@ def check_epoch_raw_write(ctx: FileContext) -> Iterator[Triple]:
 # --------------------------------------------------------------------------
 
 #: The only methods allowed to touch ``cal_*`` bucket columns: the
-#: planner materializes a bucket, the drain retires it, construction and
-#: reset-style helpers empty it.  Anything else retiring entries out of
-#: band would bypass the drain's telescoped stall accounting and PTS
-#: replay, silently diverging from the heap-based per-event path.
-_CALENDAR_WRITE_OK = ("plan_stretch", "drain_stretch", "reset", "_reset",
-                      "clear", "_clear")
+#: planners materialize a bucket (``plan_stretch`` for the FIFO runner's
+#: regimes, ``plan_streak`` for the PRMB kernel's merge streak), the
+#: matching drains retire it, construction and reset-style helpers empty
+#: it.  Anything else retiring entries out of band would bypass the
+#: drain's telescoped stall accounting and PTS replay, silently diverging
+#: from the heap-based per-event path.
+_CALENDAR_WRITE_OK = ("plan_stretch", "drain_stretch", "plan_streak",
+                      "drain_streak", "reset", "_reset", "clear", "_clear")
 
 
 def check_cyc_calendar_retire(ctx: FileContext) -> Iterator[Triple]:
@@ -529,7 +531,7 @@ def check_cyc_calendar_retire(ctx: FileContext) -> Iterator[Triple]:
                 node.lineno, node.col_offset,
                 f"raw write to calendar bucket column {attr!r} outside the "
                 f"designated plan/drain methods; buckets retire only via "
-                f"drain_stretch so the telescoped stall sums and PTS replay "
+                f"drain_stretch/drain_streak so the stall sums and PTS replay "
                 f"stay bit-identical to the per-event heap discipline",
             )
 
