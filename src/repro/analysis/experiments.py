@@ -52,6 +52,13 @@ ENERGY_PAIRS = (
     (1, 4096),
 )
 
+#: Batched experiments whose ``batches`` is their own study axis, not the
+#: dense figures' grid: the large-batch common-layer study (32/64/128)
+#: and Figure 15's recsys batches (1/8/64).  ``run all --batches`` and
+#: ``report --batches`` leave them on their own axes; naming one in
+#: ``run`` still forwards ``--batches``.
+OWN_BATCH_AXIS = frozenset({"sens_batch", "fig15"})
+
 
 # --------------------------------------------------------------------- #
 # Table I                                                                #

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .experiments import OWN_BATCH_AXIS
 from .figures import FigureResult
 
 
@@ -89,8 +90,9 @@ def build_report(
 
     ``experiments`` maps experiment names to callables (typically
     :data:`repro.cli.EXPERIMENTS`); only those named by ``claims`` run.
-    ``batches`` reaches the callables whose signature takes it; errors
-    raised by an experiment propagate.
+    ``batches`` reaches the callables whose signature takes it, except
+    the experiments on their own batch axis (:data:`OWN_BATCH_AXIS`);
+    errors raised by an experiment propagate.
     """
     lines: List[str] = [
         "# NeuMMU reproduction report",
@@ -104,7 +106,10 @@ def build_report(
     for claim in claims:
         func = experiments[claim.experiment]
         if claim.experiment not in results:
-            takes_batches = "batches" in inspect.signature(func).parameters
+            takes_batches = (
+                "batches" in inspect.signature(func).parameters
+                and claim.experiment not in OWN_BATCH_AXIS
+            )
             if batches is not None and takes_batches:
                 results[claim.experiment] = func(batches=tuple(batches))
             else:

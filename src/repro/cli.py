@@ -72,12 +72,6 @@ def _accepting(keyword: str) -> frozenset:
 #: Experiments that accept a ``batches`` keyword.
 _BATCHED = _accepting("batches")
 
-#: Batched experiments whose ``batches`` is their own study axis, not the
-#: dense figures' grid: the large-batch common-layer study (32/64/128)
-#: and Figure 15's recsys batches (1/8/64).  ``run all --batches`` leaves
-#: them on their own axes; naming one still forwards ``--batches``.
-_OWN_BATCH_AXIS = frozenset({"sens_batch", "fig15"})
-
 #: Experiments that accept a ``runner`` keyword (and therefore honour
 #: ``--jobs``/``--cache-dir`` and share the command's result memo).
 #: ``spatial`` builds its own runner with a spatial-array compute model,
@@ -386,7 +380,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # simulation once, across every experiment that takes a runner.
     runner = ExperimentRunner(jobs=args.jobs, cache_dir=args.cache_dir)
     for name in names:
-        own_axis = len(names) > 1 and name in _OWN_BATCH_AXIS
+        own_axis = len(names) > 1 and name in analysis.OWN_BATCH_AXIS
         _run_experiment(
             name,
             None if own_axis else args.batches,

@@ -70,12 +70,16 @@ head: without busy sets a retired walker restarts for this tenant
 whoever held it.
 
 Each stretch is validated against every interaction point the runner's
-loop would honour — recurrence, residency, fault, latency class, channel
-queueing, the other tenants' first completion, ``_STRETCH_CAP`` — and
-retired as one bucket.  The merge streak needs no window: under full
-sharing the other tenants' walks are simply earlier walks of the heap,
-retired in order at the leads, and every walker count it needs is
-checked lead by lead.
+loop would honour — recurrence, residency, fault, latency class, the
+other tenants' first completion, ``_STRETCH_CAP`` — and retired as one
+bucket.  A memory channel still busy with another tenant's transfers
+(or the stretch's own) is no interaction point: walks never use the
+channels and the runner's issue and stall timing never reads them, so
+queueing changes only each transfer's finish, which the plan computes
+exactly (:func:`_channel_finish`).  The merge streak needs no window:
+under full sharing the other tenants' walks are simply earlier walks of
+the heap, retired in order at the leads, and every walker count it
+needs is checked lead by lead.
 
 Bit-identity contract
 ---------------------
@@ -101,8 +105,14 @@ equals the closed form's value.  The stall accumulators take the
 reference's one float operation for the entry stall and then only
 integral increments; they too must stay below their own bound, so the
 telescoped sums are reassociation-free.  Derived values (hit release
-``cycle + tlb latency``, channel finish ``release + size / bandwidth``)
-are computed by the same float operation on the same operands.
+``cycle + tlb latency``, channel finish ``start + size / bandwidth``)
+are computed by the same float operation on the same operands.  A
+transfer starts at its release, or at its channel's previous finish when
+that is later, so through a backlog each finish is the previous finish
+plus one transfer time: ``np.cumsum`` over ``[finish, s_k, s_k+1, ...]``
+performs exactly those sequential additions
+(``tests/test_calendar.py::TestRunningSum`` pins it), and a channel that
+queues again after a backlog clears takes the reference's own loop.
 The merge streak has no stall at all: its leads, walk completions and
 releases are ``c`` plus the integers ``a_k``, ``a_k + dur`` and ``a_k +
 dur + p``, each page's largest offset is at most ``(end_k - i) *
@@ -126,7 +136,8 @@ written only by the planners and drains, and the simlint rule
 Counts
 ------
 Each calendar counts its attempts, plans and drained transactions per
-regime (chain, cadence, streak) and its declines by reason
+regime (chain, cadence, streak), the drained chain and cadence transfers
+that waited for their channel (``queued``) and its declines by reason
 (:data:`DECLINE_REASONS`).  They are observation only: no simulation
 path reads them.  A FIFO runner's calendar only chains and cadences; a
 PRMB kernel's only plans streaks.
@@ -151,9 +162,10 @@ from .walk_info import WalkInfo
 #: Planned-stretch hard cap (bounds planning arrays and drain latency).
 _STRETCH_CAP = 8192
 
-#: First channel-validation chunk: quota-bound regimes plan short
-#: stretches every few pages, so the candidate arrays start small and
-#: only extend to the full cap when the page scan actually gets there.
+#: First validation chunk: quota-bound regimes plan short stretches every
+#: few pages (a recurring page or another tenant's next completion ends
+#: them), so the candidate arrays start small and only extend to the full
+#: cap when the page scan actually gets there.
 _FIRST_CHUNK = 256
 
 #: Minimum worthwhile stretch, in transactions (below this the per-plan
@@ -175,7 +187,8 @@ _MIN_STREAK_PAGES = 6
 #: ``exact`` — a cycle or stall sum would leave the exactly representable
 #: range (or the configuration's interval or latency is fractional);
 #: ``horizon`` — another tenant's walk completes too soon; ``channel`` —
-#: a memory channel would queue too soon.
+#: a memory channel would queue too soon (the merge streak only: the
+#: chain and the cadence compute a queued channel's finishes).
 DECLINE_REASONS = ("short", "window", "exact", "horizon", "channel")
 
 _INF = float("inf")
@@ -206,31 +219,62 @@ def _exact_limit(x: float) -> float:
     return float(1 << 53) / x.as_integer_ratio()[1]
 
 
-def _feasible(release: Any, finish: Any, ch: Any, channel_free: List[float],
-              n_ch: int) -> int:
-    """Length of the prefix in which no memory channel queues.
+def _channel_finish(release: Any, cost: Any, ch: Any,
+                    channel_free: List[float], n_ch: int) -> Tuple[Any, int]:
+    """The finish column of a stretch's transfers, and how many queued.
 
     Transaction ``t`` is released at ``release[t]`` to channel ``ch[t]``
-    and finishes at ``finish[t]``; it must not start before its channel
-    frees (``channel_free`` for the first, its predecessor's finish for
-    the rest).  Any prefix of a feasible stretch stays feasible.
+    and holds it for ``cost[t]`` cycles.  The reference starts it at
+    ``max(release, free)``, ``free`` being its channel's previous finish
+    (``channel_free`` for the first), and finishes it at ``start +
+    cost``.  Per channel, one vectorized comparison finds the first
+    transfer released before its predecessor's finish.  From there the
+    channel is backlogged: each finish is the previous one plus the
+    transfer's cost, a running sum (``np.cumsum`` adds one term at a
+    time, the reference's own additions), until a release comes after
+    its predecessor's finish.  Free flow then holds up to the next
+    transfer the first comparison found late, if any; a channel with a
+    second backlog (a tenant's own transfers queueing page after page)
+    takes the reference loop from there, since its many short backlogs
+    would each cost a few NumPy calls.  The recurrence is causal: any
+    prefix of the column is exact.
     """
-    feasible = int(release.shape[0])
+    finish = release + cost
+    queued = 0
     for c in range(n_ch):
         idxs = np.flatnonzero(ch == c)
         if not idxs.size:
             continue
         r = release[idxs]
-        bad = np.empty(idxs.size, dtype=bool)
-        bad[0] = bool(r[0] < channel_free[c])
-        if idxs.size > 1:
-            bad[1:] = r[1:] < finish[idxs[:-1]]
-        w = np.flatnonzero(bad)
-        if w.size:
-            v = int(idxs[w[0]])
-            if v < feasible:
-                feasible = v
-    return feasible
+        f = finish[idxs]
+        pred = np.empty(idxs.size)
+        pred[0] = channel_free[c]
+        pred[1:] = f[:-1]
+        late = np.flatnonzero(r < pred)
+        if not late.size:
+            continue
+        k = int(late[0])
+        s = cost[idxs[k:]]
+        acc = np.cumsum(np.concatenate(((pred[k],), s)))
+        free_again = np.flatnonzero(r[k + 1:] > acc[1:-1])
+        end = k + 1 + int(free_again[0]) if free_again.size else idxs.size
+        queued += int(np.count_nonzero(r[k:end] < acc[:end - k]))
+        f[k:end] = acc[1:end - k + 1]
+        again = int(np.searchsorted(late, end))
+        if again < late.size:
+            k = int(late[again])
+            prev = float(f[k - 1])
+            out = []
+            for r_t, s_t in zip(r[k:].tolist(), cost[idxs[k:]].tolist()):
+                if r_t < prev:
+                    prev += s_t
+                    queued += 1
+                else:
+                    prev = r_t + s_t
+                out.append(prev)
+            f[k:] = out
+        finish[idxs] = f
+    return finish, queued
 
 
 class CompletionCalendar:
@@ -258,12 +302,13 @@ class CompletionCalendar:
         "_plan_window_walks",
         "_plan_window_walkers", "_plan_window_keys", "_plan_inert",
         "_plan_head", "_plan_dur", "_plan_levels", "_plan_ch",
-        "_plan_finish", "_plan_bytes", "_plan_rc", "_plan_rest",
+        "_plan_finish", "_plan_queued", "_plan_bytes", "_plan_rc",
+        "_plan_rest",
         "_plan_stall_events", "_plan_fresh_stalls", "_plan_hits",
         "_plan_peak", "_plan_stream", "_channel_info",
         "chain_attempts", "chain_plans", "chain_drained",
         "cadence_attempts", "cadence_plans", "cadence_drained",
-        "streak_attempts", "streak_plans", "streak_drained",
+        "streak_attempts", "streak_plans", "streak_drained", "queued",
         "declines",
     )
 
@@ -330,6 +375,7 @@ class CompletionCalendar:
         self._plan_levels = 0
         self._plan_ch: Any = None
         self._plan_finish: Any = None
+        self._plan_queued = 0
         self._plan_bytes = 0
         self._plan_rc = 0
         self._plan_rest = 0
@@ -350,6 +396,7 @@ class CompletionCalendar:
         self.streak_attempts = 0
         self.streak_plans = 0
         self.streak_drained = 0
+        self.queued = 0
         self.declines: Dict[str, int] = dict.fromkeys(DECLINE_REASONS, 0)
 
     # ------------------------------------------------------------------ #
@@ -368,6 +415,7 @@ class CompletionCalendar:
             "streak_attempts": self.streak_attempts,
             "streak_plans": self.streak_plans,
             "streak_drained": self.streak_drained,
+            "queued": self.queued,
         }
         for reason, count in self.declines.items():
             out["decline_" + reason] = count
@@ -475,6 +523,26 @@ class CompletionCalendar:
         njend, nstream = runs[rc]
         return nkey, nvpn, nwalk, njend, nstream, rc
 
+    def _plan_channels(
+        self, stream: TransactionStream, i: int, release: Any
+    ) -> None:
+        """Plan the memory side of the stretch of ``stream`` from ``i``
+        whose transfers are released at ``release``: their channels, exact
+        finishes (another tenant's backlog included) and bytes."""
+        m = release.shape[0]
+        ch = (stream.vas[i:i + m] >> 8) % self._n_channels
+        sizes = stream.sizes
+        if sizes is None:
+            cost = np.full(m, stream.uniform_size / self._ch_bw)
+            self._plan_bytes = m * stream.uniform_size
+        else:
+            cost = sizes[i:i + m] / self._ch_bw
+            self._plan_bytes = int(sizes[i:i + m].sum())
+        self._plan_ch = ch
+        self._plan_finish, self._plan_queued = _channel_finish(
+            release, cost, ch, self._channel_free, self._n_channels
+        )
+
     # ------------------------------------------------------------------ #
     # planning                                                           #
     # ------------------------------------------------------------------ #
@@ -568,9 +636,6 @@ class CompletionCalendar:
             self._decline("exact")
             return None
         va_list = stream.va_list
-        vas = stream.vas
-        sizes = stream.sizes
-        uniform = stream.uniform_size
         n = len(va_list)
         asid = self.asid
         live = len(order) - idx
@@ -608,10 +673,6 @@ class CompletionCalendar:
                     return None
         levels = walk0.levels
         dur = levels * self._walk_latency
-        if h0 + dur < self._channel_free[(va_list[i] >> 8) % self._n_channels]:
-            # The first restart's transfer would queue.
-            self._decline("channel")
-            return None
 
         # -- the window: every walk completing within one walk latency of
         # the head retires in the stretch (under a policy, exactly the
@@ -660,36 +721,23 @@ class CompletionCalendar:
         # and the telescoped stall sums stay exactly representable.
         ready_room, stall_room = self._rooms(cycle, h0 - cycle, sc, stall)
 
-        # -- channel timing, the horizon and exactness: validate the
-        # no-queueing hypothesis over a lazily extended candidate prefix
-        # *before* the page scan (the checks depend only on the
-        # closed-form ready column and the address stream, and bounding
-        # the scan by the feasible prefix keeps a busy channel table from
-        # costing a full scan per plan) --------------------------------
+        # -- the horizon and exactness over a lazily extended candidate
+        # prefix *before* the page scan (the checks depend only on the
+        # closed-form ready column, and bounding the scan by the feasible
+        # prefix keeps a near horizon from costing a full scan per plan)
         cap_total = _STRETCH_CAP if n - i > _STRETCH_CAP else n - i
-        n_ch = self._n_channels
-        channel_free = self._channel_free
-        ch_bw = self._ch_bw
         ready_col: Any = None
-        finish: Any = None
-        ch: Any = None
         bound = "short"
 
         def _validate(lim: int) -> int:
             # Returns the feasible prefix length (<= lim) and records
             # which limit bound it.
-            nonlocal ready_col, finish, ch, bound
+            nonlocal ready_col, bound
             k = -(-lim // W)
             ready_col = (
                 np.arange(k, dtype=np.int64)[:, None] * dur
                 + offs_int[None, :]
             ).ravel()[:lim]
-            ch = (vas[i:i + lim] >> 8) % n_ch
-            release = cycle + (ready_col + dur).astype(np.float64)
-            if sizes is None:
-                finish = release + uniform / ch_bw
-            else:
-                finish = release + sizes[i:i + lim] / ch_bw
             feasible = lim
             bound = "short"
             limits = (
@@ -704,9 +752,6 @@ class CompletionCalendar:
                 ("horizon", int(np.searchsorted(
                     cycle + ready_col.astype(np.float64), horizon, "left"
                 ))),
-                ("channel", _feasible(
-                    release, finish, ch, channel_free, n_ch
-                )),
             )
             for reason, limit_at in limits:
                 if limit_at < feasible:
@@ -783,18 +828,16 @@ class CompletionCalendar:
             self._decline("short" if m < cap else bound)
             return None
 
-        # -- slice the validated columns to the scanned stretch -----------
+        # -- slice the validated column to the scanned stretch; each
+        # restart's transfer is released when its walk completes --------
         ready_col = ready_col[:m]
         walker_col = np.tile(
             np.fromiter((entry[2] for entry in window), np.int64, W),
             -(-m // W),
         )[:m]
-        ch = ch[:m]
-        finish = finish[:m]
-        if sizes is None:
-            stretch_bytes = m * uniform
-        else:
-            stretch_bytes = int(sizes[i:i + m].sum())
+        self._plan_channels(
+            stream, i, cycle + (ready_col + dur).astype(np.float64)
+        )
 
         # Stall events: transaction t stalls iff its completion spacing
         # strictly exceeds the issue interval — on equality it retires the
@@ -818,9 +861,6 @@ class CompletionCalendar:
         self._plan_head = h0
         self._plan_dur = dur
         self._plan_levels = levels
-        self._plan_ch = ch
-        self._plan_finish = finish
-        self._plan_bytes = stretch_bytes
         self._plan_rc = rc
         self._plan_rest = (
             int(ready_col[-1]) - int(ready_col[0]) - (m - 1) * interval_int
@@ -884,13 +924,6 @@ class CompletionCalendar:
         # -- the own window: exactly this page's walks, at consecutive
         # issue slots, ahead of an inert foreign suffix --------------------
         h0 = order[idx][0]
-        if h0 + self._tlb_latency < self._channel_free[
-            (va_list[i] >> 8) % self._n_channels
-        ]:
-            # The first hit would queue (another tenant's transfers
-            # backlog the channels): decline before the window walk.
-            self._decline("channel")
-            return None
         horizon = self._window(
             order, idx, W, True, policied, my_quota, work_conserving, others,
         )
@@ -916,16 +949,14 @@ class CompletionCalendar:
 
         # -- page scan: fresh same-class pages whose runs exceed W, in
         # chunks that grow while every constraint holds over the scanned
-        # pages (a channel queued by another tenant usually cuts a plan
-        # within its first pages, so a decline scans only the first chunk).
+        # pages (a plan that another tenant's next completion cuts within
+        # its first pages scans only the first chunk).
         h_first = j - i
         pages: List[_CadencePage] = [
             (tkey, walk0.vpn, walk0, h_first, j, run_streamable, rc)
         ]
         total = h_first
         nxt_run: Optional[_Run] = first
-        n_ch = self._n_channels
-        sizes = stream.sizes
         chunk = _FIRST_CHUNK // 4
         while True:
             while nxt_run is not None and total < chunk:
@@ -962,12 +993,6 @@ class CompletionCalendar:
                 is_start, pos * interval_int, dur + (pos - W) * interval_int
             )
             cyc_f = cycle + issue.astype(np.float64)
-            release = cyc_f + np.where(is_start, dur, self._tlb_latency)
-            ch = (stream.vas[i:i + M] >> 8) % n_ch
-            if sizes is None:
-                finish = release + stream.uniform_size / self._ch_bw
-            else:
-                finish = release + sizes[i:i + M] / self._ch_bw
 
             # -- the last page K: every constraint is monotone in K --------
             # A stretch ending at page K's flip holds m_K = starts[K] + W
@@ -987,11 +1012,6 @@ class CompletionCalendar:
                     m_k, int(np.searchsorted(cyc_f, horizon, "left")),
                     "right",
                 ))),
-                ("channel", int(np.searchsorted(
-                    m_k,
-                    _feasible(release, finish, ch, self._channel_free, n_ch),
-                    "right",
-                ))),
             )
             K = S
             bound = "short"
@@ -1006,6 +1026,12 @@ class CompletionCalendar:
             self._decline(bound)
             return None
         m = int(m_k[K - 1])
+        # A walk start's transfer is released when its walk completes, a
+        # hit's after the TLB latency.
+        self._plan_channels(
+            stream, i,
+            cyc_f[:m] + np.where(is_start[:m], dur, self._tlb_latency),
+        )
 
         # Walker ids: page k's hits retire its walks in start order onto
         # the free list; the next page's starts first restart the walkers
@@ -1027,12 +1053,6 @@ class CompletionCalendar:
         self._plan_head = h0
         self._plan_dur = dur
         self._plan_levels = levels
-        self._plan_ch = ch[:m]
-        self._plan_finish = finish[:m]
-        if sizes is None:
-            self._plan_bytes = m * stream.uniform_size
-        else:
-            self._plan_bytes = int(sizes[i:i + m].sum())
         self._plan_rest = (K - 1) * per_page_stall
         self._plan_stall_events = K
         self._plan_fresh_stalls = 0
@@ -1088,8 +1108,9 @@ class CompletionCalendar:
         inert = self._plan_inert
         order[idx:] = list(heapq.merge(tail, inert)) if inert else tail
 
-        # Channel table: under the validated no-queueing hypothesis only
-        # the last transaction per channel is observable.
+        # Channel table: a channel ends free at the finish of its last
+        # transaction, queued or not; nothing earlier is observable.
+        self.queued += self._plan_queued
         ch = self._plan_ch
         finish = self._plan_finish
         channel_free = self._channel_free
@@ -1374,9 +1395,9 @@ class CompletionCalendar:
         channel still busy from before the streak, or behind its nearest
         same-channel predecessor in the streak when that lies within
         ``reach`` transactions (a transfer lasts less than ``reach + 1``
-        cycles).  Those are exactly the checks of
-        :func:`_feasible`'s first-queue search, restricted to the
-        transactions that can fail them.
+        cycles).  Those are exactly the first-queue comparisons of
+        :func:`_channel_finish`, restricted to the transactions that can
+        fail them.
         """
         va_list = stream.va_list
         size_list = stream.size_list

@@ -515,7 +515,8 @@ class TranslationEngine:
 
         A declined plan falls through to the stall; the gate then skips
         the rest of the run, and after six consecutive declines the
-        next ``_CAL_BACKOFF_RUNS`` runs.
+        next ``_CAL_BACKOFF_RUNS`` runs.  That backoff holds across the
+        runner's returns at the faults of one burst.
         Consecutive retirements of the same walk object collapse to one
         TLB insert: with nothing interleaved the repeats are bare
         present-key LRU bumps (stamp renumbering is monotone, so victim
@@ -590,6 +591,10 @@ class TranslationEngine:
         my_busy = None
         others = ()
 
+        # The calendar's backoff, kept across a fault return: ``(stream,
+        # i, cal_skip, cal_fails)`` when the last call stopped at a fault.
+        resume: Optional[Tuple[TransactionStream, int, int, int]] = None
+
         def run(
             stream: TransactionStream,
             i: int,
@@ -599,7 +604,7 @@ class TranslationEngine:
             stall: float,
             rc: int,
         ) -> Tuple[int, float, float, int, float, bool, int]:
-            nonlocal order, idx
+            nonlocal order, idx, resume
             nonlocal pol_obj, pol_ver, my_quota, work_conserving, my_busy, others
             va_list = stream.va_list
             size_list = stream.size_list
@@ -649,8 +654,13 @@ class TranslationEngine:
             levels_sum = 0
             released_n = 0
             prev_walk = None
-            cal_skip = 0  # plan-failure hysteresis: the next index to try
-            cal_fails = 0  # consecutive declines (backoff gate)
+            if resume is not None and resume[0] is stream and i > resume[1]:
+                # The kernel replayed this stream's fault and re-enters
+                # past it: the declines before the fault still count.
+                cal_skip, cal_fails = resume[2], resume[3]
+            else:
+                cal_skip = 0  # plan-failure hysteresis: the next index to try
+                cal_fails = 0  # consecutive declines (backoff gate)
 
             while True:
                 if i >= j:
@@ -853,8 +863,11 @@ class TranslationEngine:
                     # Declines are pure overhead: skipping an attempt is
                     # always bit-identical (per-event fallback), so skip
                     # the rest of the run, and after a streak of failures
-                    # the next ``_CAL_BACKOFF_RUNS`` runs (where the other
-                    # tenant's clock skew keeps the channels queued, say).
+                    # the next ``_CAL_BACKOFF_RUNS`` runs (where every
+                    # page faults on first touch, say, and each scan stops
+                    # at the next unmapped page).  The backoff survives
+                    # the runner's return at a fault: the kernel replays
+                    # the fault and re-enters on the same stream.
                     cal_fails += 1
                     if cal_fails < _CAL_MAX_FAILS:
                         cal_skip = j
@@ -909,6 +922,7 @@ class TranslationEngine:
                 pts.hits += walks_n + stalls_n
             if stalls_n or fresh_stall_n:
                 stats.stall_events += stalls_n + fresh_stall_n
+            resume = (stream, i, cal_skip, cal_fails) if faulted else None
             return i, cycle, data_end, total_bytes, stall, faulted, rc
 
         self._np_runners[asid] = run

@@ -17,18 +17,22 @@ fresh miss clusters on wide walker pools, which the figure sweeps never
 reach) — and verify via a drain spy that the calendar actually fired.
 The cadence cases (runs longer than the walker window) assert through
 the calendar's counts that the cadence drained and that every decline
-reason fired.
+reason fired.  The queued-channel cases plan the chain and the cadence
+behind another tenant's backlogged memory channels and assert that
+queued transfers drained; ``TestRunningSum`` pins the running sums
+their finishes rest on.
 """
 
 from contextlib import nullcontext
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.calendar import CompletionCalendar
+from repro.core.calendar import CompletionCalendar, _channel_finish
 from repro.core.engine import TranslationEngine
 from repro.core.mmu import MMU, MMUConfig, baseline_iommu_config
 from repro.core.qos import ARBITRATION_POLICIES, SHARE_POLICIES
@@ -440,9 +444,9 @@ class TestCadence:
         assert counts["decline_horizon"] > 0, counts
         assert counts["cadence_drained"] > 0, counts
 
-    def test_channels_left_busy_decline(self):
+    def test_channels_left_busy_drain(self):
         """Another tenant's transfers queued far ahead on every channel:
-        each plan declines on channel queueing."""
+        the cadence drains behind the backlog, every transfer queued."""
         counts = modes_identical(
             baseline_iommu_config(), "static_partition",
             [
@@ -450,8 +454,9 @@ class TestCadence:
                 (0, 0.0, pages_txs(0, 30, 9)),
             ],
         )
-        assert counts["decline_channel"] > 0, counts
-        assert counts["cadence_drained"] == 0, counts
+        assert counts["decline_channel"] == 0, counts
+        assert counts["cadence_drained"] > 0, counts
+        assert counts["queued"] == counts["cadence_drained"], counts
 
     def test_window_and_short_declines(self):
         """Runs shorter than the quota window block mid-page with another
@@ -463,6 +468,226 @@ class TestCadence:
         )
         assert counts["decline_window"] > 0, counts
         assert counts["decline_short"] > 0, counts
+
+
+# --------------------------------------------------------------------- #
+# queued channels: stretches behind another tenant's backlog
+# --------------------------------------------------------------------- #
+
+
+def reference_finish(release, cost, ch, channel_free):
+    """The reference loop's channel arithmetic, one transfer at a time:
+    ``(finishes, transfers that waited)``."""
+    free = list(channel_free)
+    out = []
+    queued = 0
+    for r, s, c in zip(release.tolist(), cost.tolist(), ch.tolist()):
+        free_at = free[c]
+        start = r if r > free_at else free_at
+        queued += free_at > r
+        free[c] = start + s
+        out.append(start + s)
+    return out, queued
+
+
+#: Transfer times of the default memory (75 B per channel-cycle): 256 B
+#: and the inexact 200 B among them, so running sums round.
+_COSTS = [size / MemoryConfig().channel_bandwidth for size in (64, 200, 256)]
+
+
+def sequential_sums(start, terms):
+    """``[start, start + t0, (start + t0) + t1, ...]`` by ``+=``."""
+    total = start
+    sums = [total]
+    for term in terms:
+        total += term
+        sums.append(total)
+    return sums
+
+
+class TestRunningSum:
+    """A backlog's finishes are ``np.cumsum`` of its transfer times; the
+    engine's bit-identity rests on it adding one term at a time."""
+
+    @given(
+        start=st.floats(0, 2.0 ** 40, allow_nan=False),
+        terms=st.lists(
+            st.one_of(
+                st.sampled_from(_COSTS),
+                st.floats(0, 1e6, allow_nan=False, allow_infinity=False),
+            ),
+            max_size=3000,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cumsum_is_sequential(self, start, terms):
+        assert np.cumsum(np.array([start] + terms)).tolist() == (
+            sequential_sums(start, terms)
+        )
+
+    @pytest.mark.parametrize(
+        "start", [0.0, 777.25, 1000.3, float((1 << 20) - 3000) + 0.25 + 2.0 ** -33],
+    )
+    def test_transfer_times(self, start):
+        """256 B transfers, and mixed ones, from integral, fractional and
+        full-mantissa starts."""
+        for terms in (
+            [_COSTS[2]] * 5000,
+            [_COSTS[k % 3] for k in range(5000)],
+        ):
+            assert np.cumsum(np.array([start] + terms)).tolist() == (
+                sequential_sums(start, terms)
+            )
+
+    @given(
+        gaps=st.lists(st.integers(0, 6), min_size=1, max_size=300),
+        channels=st.sampled_from([1, 2, 8]),
+        picks=st.randoms(use_true_random=False),
+        base=st.sampled_from([0.0, 1000.3, 777.25]),
+        backlog=st.lists(st.floats(0, 400), min_size=8, max_size=8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_channel_finish_matches_reference(
+        self, gaps, channels, picks, base, backlog
+    ):
+        """The planners' finish column equals the reference loop's, with
+        channels backlogged at entry and stretches whose own transfers
+        queue in one or many backlogs."""
+        n = len(gaps)
+        release = base + np.cumsum(gaps).astype(np.float64)
+        ch = np.array([picks.randrange(channels) for _ in range(n)])
+        cost = np.array([picks.choice(_COSTS) for _ in range(n)])
+        free = [base + b for b in backlog[:channels]]
+        finish, queued = _channel_finish(release, cost, ch, free, channels)
+        assert (finish.tolist(), queued) == reference_finish(
+            release, cost, ch, free
+        )
+
+
+def backlog_txs(depths, size):
+    """ASID 5's page 200 with ``depths[c]`` transfers of ``size`` bytes
+    at 256 B offset ``c`` (DRAM channel ``c``), channel after channel:
+    one walk, then hits at one per cycle pile onto each channel in turn,
+    leaving each backlogged to its own depth."""
+    return [
+        (BASE + 200 * PAGE_SIZE_4K + c * 256, size)
+        for c, depth in enumerate(depths)
+        for _ in range(depth)
+    ]
+
+
+#: Mixed transfer sizes, 200 B among them (an inexact transfer time).
+_MIXED = (64, 128, 200, 256)
+
+
+def own_txs(shape, pages, sizes):
+    """ASID 0's stream: 1-transaction pages (the chain) or runs of
+    ``shape`` transactions (the cadence), 256 B or mixed sizes."""
+    if shape == 1:
+        txs = materialize([(0, pages, 1)])
+    else:
+        txs = pages_txs(0, pages, shape)
+    if sizes == "uniform":
+        return txs
+    return [(va, _MIXED[(k * 7 + k // 5) % 4]) for k, (va, _) in enumerate(txs)]
+
+
+#: Backlog depths per channel (transfers); at 256 B a transfer takes 3.41
+#: cycles and a hit issues each cycle, so a depth of 300 leaves about
+#: 700 cycles queued.
+_depths = st.lists(st.integers(0, 300), min_size=8, max_size=8)
+
+#: The own burst's start relative to the other tenant's: far before
+#: (every own transfer queues), around its walks and its hits, after.
+_skew = st.tuples(
+    st.sampled_from([-200_000, -2000, 0, 400, 1200, 3000]),
+    st.integers(0, 800),
+    st.sampled_from([0.0, 0.25, 0.3, 0.72]),
+).map(lambda t: float(t[0] + t[1]) + t[2])
+
+
+class TestQueuedChannels:
+    """The chain and the cadence plan through a backlogged channel: each
+    queued transfer finishes at its predecessor's finish plus its own
+    transfer time.  Differential against plans forced to decline."""
+
+    @given(
+        depths=_depths,
+        foreign_size=st.sampled_from([256, 200]),
+        shape=st.sampled_from([1, 1, 4, 9, 16]),
+        pages=st.integers(20, 80),
+        sizes=st.sampled_from(["uniform", "mixed"]),
+        skew=_skew,
+        qos=_qos,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_queued_matches_declined(
+        self, depths, foreign_size, shape, pages, sizes, skew, qos
+    ):
+        start = 250_000.0
+        counts = modes_identical(
+            baseline_iommu_config(), qos,
+            [
+                (5, start, backlog_txs(depths, foreign_size)),
+                (0, start + skew, own_txs(shape, pages, sizes)),
+            ],
+        )
+        assert counts["decline_channel"] == 0, counts
+
+    @pytest.mark.parametrize("qos", SHARE_POLICIES)
+    @pytest.mark.parametrize("sizes", ["uniform", "mixed"])
+    @pytest.mark.parametrize("shape", [1, 9])
+    def test_backlog_drains(self, shape, sizes, qos):
+        """Channels backlogged to different depths at a fractional entry:
+        some clear mid-stretch, some outlast it.  Queued stretches drain."""
+        depths = [0, 40, 80, 120, 160, 200, 300, 600]
+        counts = modes_identical(
+            baseline_iommu_config(), qos,
+            [
+                (5, 0.0, backlog_txs(depths, 256)),
+                (0, 600.25, own_txs(shape, 60, sizes)),
+            ],
+        )
+        drained = counts["chain_drained"] + counts["cadence_drained"]
+        assert counts["queued"] > 0 and drained > counts["queued"], counts
+        assert counts["decline_channel"] == 0, counts
+
+    def test_chain_channels_left_busy_drain(self):
+        """The chain twin of the cadence's busy-channel case: 1-transaction
+        pages behind the same far-ahead backlog all queue, and drain."""
+        counts = modes_identical(
+            baseline_iommu_config(), "static_partition",
+            [
+                (5, 1_000_000.0, materialize([(100, 64, 1)])),
+                (0, 0.0, materialize([(0, 60, 1)])),
+            ],
+        )
+        assert counts["decline_channel"] == 0, counts
+        assert counts["chain_drained"] > 0, counts
+        assert counts["queued"] == counts["chain_drained"], counts
+
+
+class TestFaultBackoff:
+    def test_backoff_survives_fault_returns(self):
+        """Every other run faults (the handler maps it): the FIFO runner
+        returns at each fault and the kernel re-enters it on the same
+        stream.  The declines before a fault keep counting toward the
+        backoff, so the plans the next faulting page dooms stop early."""
+        chunks = []
+        for k in range(150):
+            chunks += [(k, 1, 9), k + 1]
+        bursts = [(0, 0.0, materialize(chunks))]
+        on, counts = run_bursts(
+            True, baseline_iommu_config(), "static_partition", bursts
+        )
+        off, _ = run_bursts(
+            False, baseline_iommu_config(), "static_partition", bursts
+        )
+        assert on == off
+        assert on["summary"].faults == 150
+        attempts = counts["chain_attempts"] + counts["cadence_attempts"]
+        # One attempt per faulting segment (150) without the backoff.
+        assert 0 < attempts <= 30, counts
 
 
 # --------------------------------------------------------------------- #
@@ -717,6 +942,7 @@ def zero_counts(cal):
     cal.chain_attempts = cal.chain_plans = cal.chain_drained = 0
     cal.cadence_attempts = cal.cadence_plans = cal.cadence_drained = 0
     cal.streak_attempts = cal.streak_plans = cal.streak_drained = 0
+    cal.queued = 0
     cal.declines = dict.fromkeys(cal.declines, 0)
 
 

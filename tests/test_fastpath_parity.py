@@ -313,6 +313,21 @@ class TestSimulatorParity:
         assert results[0] == results[1]
         assert drained > 0
 
+    @pytest.mark.parametrize("network", ["CNN-1", "CNN-3"])
+    def test_real_network_iommu_identical(self, network):
+        """Figure 8's baseline IOMMU cells whose chain and cadence plans
+        run through queued channels (the tenant's own transfers backlog
+        them): the whole RunResult matches the reference loop."""
+        results = []
+        for batched in (True, False):
+            sim = NPUSimulator(dense_workload(network, 1), baseline_iommu_config())
+            sim.engine.batched = batched
+            results.append(sim.run())
+            if batched:
+                queued = sim.engine.calendars[0].counts()["queued"]
+        assert results[0] == results[1]
+        assert queued > 0
+
 
 class TestContendedPathParity:
     """Under non-trivial QoS policies the batched kernel is bit-identical

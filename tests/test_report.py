@@ -89,6 +89,31 @@ class TestBuildReport:
         build_report({"fig8": fig8}, claims=claims, batches=(1, 8))
         assert seen["batches"] == (1, 8)
 
+    def test_own_batch_axis_keeps_its_batches(self):
+        """Figure 15 runs on its own recsys batches; the dense figures
+        still take the report's batch grid."""
+        seen = {}
+
+        def fig8(batches=None):
+            seen["fig8"] = batches
+            fig = FigureResult("fig8", "demo", columns=["normalized_perf"])
+            fig.add("x", normalized_perf=0.1)
+            return fig
+
+        def fig15(batches=(1, 8, 64)):
+            seen["fig15"] = batches
+            fig = FigureResult("fig15", "demo", columns=["total"])
+            fig.add("x", total=1.0)
+            return fig
+
+        claims = (
+            Claim("fig8", "a", lambda f: "1", "one"),
+            Claim("fig15", "b", lambda f: "2", "two"),
+        )
+        build_report({"fig8": fig8, "fig15": fig15}, claims=claims,
+                     batches=(1,))
+        assert seen == {"fig8": (1,), "fig15": (1, 8, 64)}
+
     def test_batches_skipped_when_not_accepted(self):
         def fig8():
             fig = FigureResult("fig8", "demo", columns=["normalized_perf"])
