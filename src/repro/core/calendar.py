@@ -83,14 +83,30 @@ needs is checked lead by lead.
 
 Bit-identity contract
 ---------------------
-The drain performs exactly the state transitions the per-event loop
-would: the same ``TLB.insert`` calls in the same order (with the same
-per-page ``prev_walk`` dedup and set-MRU same-PFN elision, which make a
-page's redundant retirements no-ops), the page's hits as one bulk touch
-(stamp renumbering stays monotone), the same PTS map contents and dict
-key order, the same walker ids (the free list's LIFO pops and appends
+The drain leaves exactly the state the per-event loop would: the TLB
+state its ``TLB.insert`` calls leave (the same entries in the same LRU
+and per-tenant recency order; stamp renumbering stays monotone), the
+page's hits as bulk counts, the same PTS map contents and dict key
+order, the same walker ids (the free list's LIFO pops and appends
 replayed), the same busy-set and channel final states, and the same
 float values for every observable timing quantity.
+
+*The fill sequence.*  The per-event loop fills the TLB at each walk
+retirement, except that consecutive retirements of one walk object within
+a page's transactions collapse to one fill (``prev_walk``) and a refill of
+the set-MRU key with the same PFN is elided; both make a page's redundant
+retirements no-ops.  A chain stretch retires the window walks first, which
+the drain replays per pair with that dedup and elision (at most ``W``).
+Then every planned page whose restarts complete inside the stretch (``a <
+m - W``) fills exactly once, at its first retirement: its walk differs
+from the one retired before it, and its page is fresh.  Its retire run may
+straddle into the next issuing page, where the dedup resets; that refill
+finds the key just filled set-MRU with the same PFN, so it is elided.  A
+cadence fills each of its completed pages once, at its first retirement.
+The page scan takes no resident or repeated page, so each drain hands
+those fresh, distinct pages to one :meth:`TLB.insert_many`, which leaves
+the state ``insert`` per page leaves and applies them as one state
+transition where it can.
 
 *Exactness.*  Every cycle the runner computes in a stretch is the entry
 cycle ``c`` plus an integer (an integral interval and walk latency, and
@@ -148,7 +164,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -331,7 +347,10 @@ class CompletionCalendar:
         self._tlb = tlb
         # A cadence page hits right after its fill, so the fill must
         # land: only a policied set-associative TLB may drop one (an
-        # at-quota tenant with no entry in the target set).
+        # at-quota tenant with no entry in the target set).  The chain
+        # has no such hit: a dropped fill is dropped again at a straddle
+        # refill, which changes nothing.  ``TLB.insert_many`` fills a
+        # set-associative TLB per pair.
         self._fills_land = tlb._mirrors is None or tlb._set_mask == 0
         self._resolvers = mmu._resolvers
         self._walk_latency = pool.walk_latency_per_level
@@ -494,7 +513,7 @@ class CompletionCalendar:
             _exact_limit(sc1) - sc1, _exact_limit(stall1) - stall1
         )
 
-    def _fresh_run(
+    def _fresh_runs(
         self,
         va_list: List[int],
         runs: List[Tuple[int, bool]],
@@ -502,26 +521,39 @@ class CompletionCalendar:
         rc: int,
         seen: Set[int],
         levels: int,
-    ) -> Optional[_Run]:
-        """The same-page run starting at ``nxt`` when a stretch may take
-        it: a page not yet in the stretch, not resident, mapped, and in
-        the stretch's latency class.  None at any interaction point."""
-        nvpn = va_list[nxt] >> self._vpn_shift
-        nkey = nvpn | (self.asid << ASID_SHIFT)
-        if nkey in seen or nkey in self._tlb_sets[nkey & self._tlb_set_mask]:
-            return None
+    ) -> Iterator[_Run]:
+        """The same-page runs from ``nxt`` on, each starting where the last
+        ended, while a stretch may take them: a page not yet in the
+        stretch (``seen``, which each yielded page joins), not resident,
+        mapped, and in the stretch's latency class.  Stops at the stream's
+        end or at any interaction point.  Each page is read from
+        ``va_list`` at its run's start as the run is reached: nothing is
+        precomputed per stream, whose runs may each hold one transaction
+        (an embedding gather)."""
+        n = len(va_list)
+        vpn_shift = self._vpn_shift
+        asid_bits = self.asid << ASID_SHIFT
+        tlb_sets = self._tlb_sets
+        set_mask = self._tlb_set_mask
         resolver = self._resolvers[self.asid]
-        nwalk = resolver._cache.get(nvpn)
-        if nwalk is None:
-            nwalk = resolver.resolve_vpn(nvpn)
+        cache = resolver._cache
+        while nxt < n:
+            nvpn = va_list[nxt] >> vpn_shift
+            nkey = nvpn | asid_bits
+            if nkey in seen or nkey in tlb_sets[nkey & set_mask]:
+                return
+            nwalk = cache.get(nvpn)
             if nwalk is None:
-                return None  # faulting page: the runner raises it
-        if nwalk.levels != levels:
-            return None  # latency class changes: FIFO order not closed form
-        while runs[rc][0] <= nxt:
-            rc += 1
-        njend, nstream = runs[rc]
-        return nkey, nvpn, nwalk, njend, nstream, rc
+                nwalk = resolver.resolve_vpn(nvpn)
+                if nwalk is None:
+                    return  # faulting page: the runner raises it
+            if nwalk.levels != levels:
+                return  # latency class changes: FIFO order not closed form
+            while runs[rc][0] <= nxt:
+                rc += 1
+            nxt, nstream = runs[rc]
+            seen.add(nkey)
+            yield nkey, nvpn, nwalk, nxt, nstream, rc
 
     def _plan_channels(
         self, stream: TransactionStream, i: int, release: Any
@@ -786,9 +818,9 @@ class CompletionCalendar:
 
         # -- page scan: collect whole same-page runs until an interaction
         # point (recurrence, residency, fault, depth change) --------------
-        runs = stream.runs
         seen = set(window_keys)
         seen.add(tkey)
+        scan = self._fresh_runs(va_list, stream.runs, j, rc, seen, levels)
         pages: List[_PlannedRun] = []
         m = 0
         cur_start, cur_end = i, j
@@ -816,13 +848,12 @@ class CompletionCalendar:
                 (cur_key, cur_vpn, cur_walk, m, m + take, cur_end, cur_stream)
             )
             m += take
-            if stop or cur_end >= n:
+            if stop:
                 break
-            nxt_run = self._fresh_run(va_list, runs, cur_end, rc, seen, levels)
+            nxt_run = next(scan, None)
             if nxt_run is None:
                 break
             cur_key, cur_vpn, cur_walk, njend, cur_stream, rc = nxt_run
-            seen.add(cur_key)
             cur_start, cur_end = cur_end, njend
         if m < _MIN_STRETCH:
             self._decline("short" if m < cap else bound)
@@ -914,9 +945,8 @@ class CompletionCalendar:
         if per_page_stall <= 0:
             self._decline("window")  # the fill would land before the flip
             return None
-        seen = {tkey}
-        runs = stream.runs
-        first = self._fresh_run(va_list, runs, j, rc, seen, levels)
+        scan = self._fresh_runs(va_list, stream.runs, j, rc, {tkey}, levels)
+        first = next(scan, None)
         if first is None or first[3] - j <= W:
             self._decline("short")
             return None
@@ -963,14 +993,11 @@ class CompletionCalendar:
                 nkey, nvpn, nwalk, njend, nstream, nrc = nxt_run
                 length = njend - pages[-1][4]
                 pages.append((nkey, nvpn, nwalk, length, njend, nstream, nrc))
-                seen.add(nkey)
                 total += length
-                if total >= _STRETCH_CAP or njend >= n:
+                if total >= _STRETCH_CAP:
                     nxt_run = None
                     break
-                nxt_run = self._fresh_run(
-                    va_list, runs, njend, nrc, seen, levels
-                )
+                nxt_run = next(scan, None)
                 if nxt_run is not None and nxt_run[3] - njend <= W:
                     nxt_run = None  # a run no longer than W ends the cadence
 
@@ -1174,53 +1201,43 @@ class CompletionCalendar:
         boundary = m - W
         lim = W if W < m else m
 
-        # Retired-walk runs in retire order: the first ``lim`` window
-        # walks (transactions 0..lim-1, grouped by object adjacency),
-        # then each planned run's own walk as its redundant restarts
-        # complete (transactions a+W..b+W, clipped to the stretch).
-        retire_runs: List[Tuple[WalkInfo, int, int]] = []
-        t = 0
-        while t < lim:
-            wobj = window_walks[t]
-            t2 = t + 1
-            while t2 < lim and window_walks[t2] is wobj:
-                t2 += 1
-            retire_runs.append((wobj, t, t2))
-            t = t2
-        for pkey, pvpn, pwalk, a, b, pend, pstream in pages:
-            if a >= boundary:
-                break
-            retire_runs.append((pwalk, a + W, b + W if b < boundary else m))
-
-        # TLB inserts: replay the per-event sequence — within one page's
-        # transaction span consecutive retirements of the same walk
+        # TLB fills.  Transactions 0..lim-1 retire the window walks,
+        # replayed per pair as the per-event loop makes them: within one
+        # page's transaction span consecutive retirements of the same walk
         # object collapse to one insert (``prev_walk`` dedup), the dedup
         # resets at each page change, and a present set-MRU same-PFN
         # refill is elided as a state no-op.
-        ri = 0
-        n_runs = len(retire_runs)
-        for page_index, (pkey, pvpn, pwalk, a, b, pend, pstream) in enumerate(
-            pages
-        ):
-            prev = prev_walk if page_index == 0 else None
-            while ri < n_runs:
-                wobj, rlo, rhi = retire_runs[ri]
-                if rlo >= b:
-                    break
-                if wobj is not prev:
-                    dkey = wobj.vpn | (wobj.asid << ASID_SHIFT)
-                    dset = tlb_sets[dkey & set_mask]
-                    if not (
-                        dset
-                        and next(reversed(dset)) == dkey
-                        and dset[dkey] == wobj.pfn
-                    ):
-                        tlb_insert(wobj.vpn, wobj.pfn, wobj.asid)
-                    prev = wobj
-                if rhi <= b:
-                    ri += 1
-                else:
-                    break  # the retire run continues into the next page
+        prev = prev_walk
+        pg = 0
+        pg_b = pages[0][4]
+        for t in range(lim):
+            while t >= pg_b:
+                pg += 1
+                pg_b = pages[pg][4]
+                prev = None
+            wobj = window_walks[t]
+            if wobj is not prev:
+                dkey = wobj.vpn | (wobj.asid << ASID_SHIFT)
+                dset = tlb_sets[dkey & set_mask]
+                if not (
+                    dset
+                    and next(reversed(dset)) == dkey
+                    and dset[dkey] == wobj.pfn
+                ):
+                    tlb_insert(wobj.vpn, wobj.pfn, wobj.asid)
+                prev = wobj
+        # Then each planned page whose restarts complete inside the stretch
+        # (``a < boundary``) fills exactly once, at its first retirement:
+        # its walk differs from the one retired before it and its page is
+        # fresh.  Its later retirements are ``prev_walk`` repeats, or, where
+        # its retire run straddles into the next issuing page, a refill of
+        # the key just filled (set-MRU with the same PFN, elided).  The
+        # page scan made those pages fresh and distinct: one bulk fill.
+        filled = [prun[2] for prun in pages if prun[3] < boundary]
+        self._tlb.insert_many(
+            [pwalk.vpn for pwalk in filled], [pwalk.pfn for pwalk in filled],
+            self.asid,
+        )
 
         pts_by_vpn = self._pts_by_vpn
         final_ready = (base + (ready_col + dur).astype(np.float64)).tolist()
@@ -1307,16 +1324,20 @@ class CompletionCalendar:
         pages: List[_CadencePage] = self._plan_pages
         K = len(pages) - 1
         W = len(self._plan_window_walkers)
-        tlb_insert = self._tlb_insert
 
         # TLB: each completed page's first retirement fills it.  The fill
         # leaves the page set-MRU (and tenant-MRU with the newest stamp),
         # so its hits only count, and its redundant retirements are
         # no-ops (set-MRU with the same PFN, or the ``prev_walk`` dedup).
-        for k in range(K):
-            pwalk = pages[k][2]
-            tlb_insert(pwalk.vpn, pwalk.pfn, pwalk.asid)
-        self._tlb.hits += self._plan_hits
+        # The K pages are fresh and distinct (the flip page is not
+        # resident, the scan took the rest): one bulk fill.
+        tlb = self._tlb
+        filled = [page[2] for page in pages[:K]]
+        tlb.insert_many(
+            [pwalk.vpn for pwalk in filled], [pwalk.pfn for pwalk in filled],
+            self.asid,
+        )
+        tlb.hits += self._plan_hits
 
         # Every earlier page's walks retire inside the stretch; the last
         # page's W walks are in flight on the replayed walker ids.
@@ -1529,16 +1550,12 @@ class CompletionCalendar:
         peak = j - i
         due_at: Optional[List[float]] = None  # the earlier walks' readies
         n_due = hi = si = 0
-        seen = {tkey}
-        runs = stream.runs
         entry_rc = rc
         end = j
         bound = "short"
-        while end < n:
-            nxt = self._fresh_run(va_list, runs, end, rc, seen, levels)
-            if nxt is None:
-                break
-            nkey, nvpn, nwalk, njend, nstream, rc = nxt
+        for nkey, nvpn, nwalk, njend, nstream, rc in self._fresh_runs(
+            va_list, stream.runs, j, rc, {tkey}, levels
+        ):
             length = njend - end
             if length > max_len or nkey in pts_by_vpn:
                 break
@@ -1564,7 +1581,6 @@ class CompletionCalendar:
             free -= 1
             if length > peak:
                 peak = length
-            seen.add(nkey)
             walks.append(nwalk)
             ends.append(njend)
             ready.append(lead + dur)

@@ -6,14 +6,14 @@ TLB is *not* the lever it is for CPUs/GPUs: translation bursts query the TLB
 before in-flight walks return, and streaming tile fetches revisit pages
 rarely — "even with an unrealistically large TLB with 128K entries ...
 less than 0.02% performance improvement".  Reproducing that result requires
-a faithful TLB, so one is provided: fully associative or set-associative,
-LRU replacement.
+a faithful TLB, so one is provided: fully associative, LRU replacement
+(with a set-associative mode that only tests build).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..memory.address import ASID_SHIFT
 from .qos import SharePolicy
@@ -24,7 +24,10 @@ class TLB:
 
     ``associativity=None`` (the default) selects full associativity, which is
     how IOTLBs are typically modelled in the GPU-MMU literature the paper
-    builds on.  Set-associative mode is provided for sensitivity studies.
+    builds on.  Every TLB the simulator builds is fully associative (no
+    :class:`~repro.core.mmu.MMUConfig` field selects associativity); only
+    tests build set-associative ones, swapping them into an MMU to check
+    the fast paths' set handling and the policied victim choice per set.
 
     Entries are tagged with an address-space identifier: every probe/fill
     method takes ``asid`` (default 0) and internally keys the entry by
@@ -43,6 +46,10 @@ class TLB:
     work-conserving policies let a capped tenant keep growing while free
     capacity remains.  With the default ``full_share`` policy every code
     path below is exactly the historical TLB.
+
+    :meth:`insert_many` fills a sequence of pages, leaving exactly the
+    state :meth:`insert` per pair leaves; it takes one bulk step for fresh,
+    distinct pages in a fully associative TLB (see there).
     """
 
     def __init__(
@@ -158,6 +165,108 @@ class TLB:
         if len(entry_set) >= self._ways:
             entry_set.popitem(last=False)
         entry_set[key] = pfn
+
+    def insert_many(
+        self, vpns: Sequence[int], pfns: Sequence[int], asid: int = 0
+    ) -> None:
+        """Fill ``vpns[t] -> pfns[t]`` in order, as ``insert`` per pair does.
+
+        A fully associative TLB takes one bulk step when the batch holds
+        two or more fresh (not resident), distinct pages:
+
+        * **Full sharing.**  Every fill past the capacity pops the LRU
+          entry, old entries first and then the batch's own earliest, so
+          the TLB ends as the last ``entries`` keys of old-then-new order.
+        * **A tenant at or over its quota that cannot borrow** (the policy
+          is not work-conserving, or the TLB is full), holding two or more
+          entries.  Each fill evicts the tenant's own LRU entry, so its
+          occupancy and the TLB's size never change and its entries rotate
+          as one FIFO: its ``min(k, count)`` LRU entries leave and the
+          batch's last ``min(k, count)`` pages enter, stamped as their
+          fills would stamp them.  Other tenants' entries are untouched.
+
+        Every other batch (a set-associative TLB, a tenant under its quota
+        or able to borrow, a resident or repeated page, one page, a tenant
+        holding one entry) is filled per pair.  The test is made once per
+        call: a bulk-eligible batch stays eligible after each of its fills.
+        """
+        k = len(vpns)
+        if k > 1 and self._set_mask == 0:
+            bits = asid << ASID_SHIFT
+            keys = [vpn | bits for vpn in vpns]
+            entry_set = self._sets[0]
+            if len(set(keys)) == k and entry_set.keys().isdisjoint(keys):
+                if self._policy is None:
+                    self._rotate_lru(entry_set, keys, pfns)
+                    return
+                if self._rotate_fifo(entry_set, keys, pfns, asid):
+                    return
+        for vpn, pfn in zip(vpns, pfns):
+            self.insert(vpn, pfn, asid)
+
+    def _rotate_lru(
+        self, entry_set: OrderedDict, keys: List[int], pfns: Sequence[int]
+    ) -> None:
+        """Full-sharing bulk fill of fresh, distinct ``keys``."""
+        k = len(keys)
+        old = len(entry_set)
+        excess = old + k - self._ways
+        if excess >= old:
+            entry_set.clear()
+            drop = excess - old  # the batch's own head, filled and evicted
+            if drop > 0:
+                keys = keys[drop:]
+                pfns = pfns[drop:]
+        else:
+            popitem = entry_set.popitem
+            for _ in range(excess):
+                popitem(last=False)
+        entry_set.update(zip(keys, pfns))
+
+    def _rotate_fifo(
+        self,
+        entry_set: OrderedDict,
+        keys: List[int],
+        pfns: Sequence[int],
+        asid: int,
+    ) -> bool:
+        """Bulk fill of fresh, distinct ``keys`` by a tenant at or over its
+        quota that cannot borrow; False (nothing done) otherwise."""
+        policy = self._policy
+        assert policy is not None and self._mirrors is not None
+        memo = self._quota_memo
+        if self._quota_version != policy.version:
+            memo.clear()
+            self._quota_version = policy.version
+        try:
+            quota = memo[asid]
+        except KeyError:
+            quota = memo[asid] = policy.tlb_quota(asid, self.entries)
+        occupancy = self._asid_occupancy
+        count = occupancy.get(asid, 0)
+        if quota is None or count < quota or count < 2:
+            return False
+        if (
+            policy.work_conserving
+            and len(entry_set) < self._ways
+            and sum(occupancy.values()) < self.entries
+        ):
+            return False  # it borrows free capacity instead
+        tenant_lru = self._mirrors[0][asid]
+        k = len(keys)
+        rotated = k if k < count else count
+        popitem = tenant_lru.popitem
+        for _ in range(rotated):
+            del entry_set[popitem(last=False)[0]]
+        first = k - rotated
+        if first:
+            keys = keys[first:]
+            pfns = pfns[first:]
+        stamp = self._stamp
+        entry_set.update(zip(keys, pfns))
+        tenant_lru.update(zip(keys, range(stamp + first + 1, stamp + k + 1)))
+        self._stamp = stamp + k
+        return True
 
     def _insert_policied(
         self, key: int, pfn: int, asid: int, entry_set: OrderedDict, set_idx: int

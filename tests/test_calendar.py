@@ -37,6 +37,7 @@ from repro.core.engine import TranslationEngine
 from repro.core.mmu import MMU, MMUConfig, baseline_iommu_config
 from repro.core.qos import ARBITRATION_POLICIES, SHARE_POLICIES
 from repro.core.stream import TransactionStream
+from repro.core.tlb import TLB
 from repro.memory.address import PAGE_SIZE_4K
 from repro.memory.dram import MainMemory, MemoryConfig
 from repro.memory.page_table import PageTable
@@ -53,6 +54,7 @@ CAL_CONFIGS = [
     baseline_iommu_config(),
     MMUConfig(name="w16", n_walkers=16, prmb_slots=0),
     MMUConfig(name="w32", n_walkers=32, prmb_slots=0),
+    replace(baseline_iommu_config(), name="tlb32", tlb_entries=32),
 ]
 
 
@@ -665,6 +667,80 @@ class TestQueuedChannels:
         assert counts["decline_channel"] == 0, counts
         assert counts["chain_drained"] > 0, counts
         assert counts["queued"] == counts["chain_drained"], counts
+
+
+# --------------------------------------------------------------------- #
+# stretches longer than the TLB: one bulk fill per stretch
+# --------------------------------------------------------------------- #
+
+#: The paper's IOMMU with a 32-entry TLB: a stretch fills more pages than
+#: the TLB holds, so its fills evict the stretch's own earlier pages.
+TLB32 = CAL_CONFIGS[-1]
+
+
+class _BulkFillSpy:
+    """Records every ``TLB.insert_many`` call that took the bulk step, as
+    ``(pages, held, free)``: the batch size, the filling tenant's entries
+    and the TLB's free entries before the call."""
+
+    def __init__(self, monkeypatch):
+        self.bulk = []
+        spy = self
+        insert_many = TLB.insert_many
+        rotate_lru = TLB._rotate_lru
+        rotate_fifo = TLB._rotate_fifo
+        took = []
+
+        def spied(tlb, vpns, pfns, asid=0):
+            took.clear()
+            before = (
+                len(vpns), tlb.occupancy_of(asid), tlb.entries - tlb.occupancy
+            )
+            insert_many(tlb, vpns, pfns, asid)
+            if took:
+                spy.bulk.append(before)
+
+        def spied_lru(tlb, *args):
+            took.append(True)
+            return rotate_lru(tlb, *args)
+
+        def spied_fifo(tlb, *args):
+            done = rotate_fifo(tlb, *args)
+            if done:
+                took.append(True)
+            return done
+
+        monkeypatch.setattr(TLB, "insert_many", spied)
+        monkeypatch.setattr(TLB, "_rotate_lru", spied_lru)
+        monkeypatch.setattr(TLB, "_rotate_fifo", spied_fifo)
+
+
+class TestStretchesLongerThanTheTLB:
+    """A 32-entry TLB: each chain or cadence stretch hands its fills to one
+    ``TLB.insert_many``, which must leave the state the per-event loop's
+    fills leave when the stretch evicts its own pages.  A first burst
+    takes the tenant to its quota (and, under ``weighted``, the TLB to
+    full), so the second burst's stretches rotate the tenant's entries."""
+
+    @pytest.mark.parametrize("qos", SHARE_POLICIES)
+    @pytest.mark.parametrize("per_page", [1, 9], ids=["chain", "cadence"])
+    def test_bulk_fill_matches_per_event(self, qos, per_page, monkeypatch):
+        spy = _BulkFillSpy(monkeypatch)
+        counts = modes_identical(
+            TLB32, qos,
+            [
+                (0, 0.0, materialize([(0, 60, per_page)])),
+                (0, 200_000.0, materialize([(100, 120, per_page)])),
+            ],
+        )
+        regime = "chain" if per_page == 1 else "cadence"
+        assert counts[regime + "_drained"] >= 100 * per_page, counts
+        if qos == "full_share":
+            # More pages than the TLB had free: the LRU rotation.
+            assert any(pages > free for pages, _, free in spy.bulk), spy.bulk
+        else:
+            # More pages than the tenant held: the FIFO rotation.
+            assert any(pages > held for pages, held, _ in spy.bulk), spy.bulk
 
 
 class TestFaultBackoff:

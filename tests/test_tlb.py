@@ -125,10 +125,22 @@ class ReferenceLRU:
         self.data[key] = value
 
 
+#: A batch of 1..20 pages for ``TLB.insert_many``: fresh, distinct pages
+#: from a wider range (the bulk step), or pages that may be resident or
+#: repeated (the per-pair path).  Batches outrun the TLBs and the quotas.
+_batch_vpns = st.one_of(
+    st.lists(st.integers(0, 63), min_size=1, max_size=20, unique=True),
+    st.lists(st.integers(0, 23), min_size=1, max_size=20),
+)
+
+
 @given(
     st.integers(1, 8),
     st.lists(
-        st.tuples(st.sampled_from(["lookup", "insert"]), st.integers(0, 15)),
+        st.one_of(
+            st.tuples(st.sampled_from(["lookup", "insert"]), st.integers(0, 15)),
+            st.tuples(st.just("batch"), _batch_vpns),
+        ),
         max_size=200,
     ),
 )
@@ -139,10 +151,15 @@ def test_property_matches_reference_lru(capacity, ops):
     for op, key in ops:
         if op == "lookup":
             assert tlb.lookup(key) == ref.lookup(key)
-        else:
+        elif op == "insert":
             tlb.insert(key, key * 7)
             ref.insert(key, key * 7)
+        else:
+            tlb.insert_many(key, [vpn * 7 for vpn in key])
+            for vpn in key:
+                ref.insert(vpn, vpn * 7)
     assert tlb.occupancy == len(ref.data)
+    assert list(tlb._sets[0].items()) == list(ref.data.items())
 
 
 # --------------------------------------------------------------------- #
@@ -248,18 +265,26 @@ class _ScanVictimTLB:
 
 
 policied_ops = st.lists(
-    st.tuples(
-        st.sampled_from(["lookup", "insert", "insert", "invalidate", "drop_asid"]),
-        st.integers(0, 23),  # vpn
-        st.integers(0, 2),  # asid
+    st.one_of(
+        st.tuples(
+            st.sampled_from(
+                ["lookup", "insert", "insert", "invalidate", "drop_asid"]
+            ),
+            st.integers(0, 23),  # vpn
+            st.integers(0, 2),  # asid
+        ),
+        # One ASID's batch: ``insert_many`` on the TLB, per pair on the
+        # reference.
+        st.tuples(st.just("batch"), _batch_vpns, st.integers(0, 2)),
     ),
     max_size=300,
 )
 
 
 class TestPoliciedVictimMirrors:
-    """The O(1) mirror-based victim selection is bit-identical to the
-    historical O(n) scanning implementation."""
+    """The O(1) mirror-based victim selection, and ``insert_many``'s bulk
+    step, are bit-identical to the historical O(n) scanning implementation
+    filling one page at a time."""
 
     def _fuzz(self, kind, weights, ops, entries=8, associativity=None):
         from repro.core.qos import make_share_policy
@@ -277,6 +302,10 @@ class TestPoliciedVictimMirrors:
             elif op == "insert":
                 tlb.insert(vpn, vpn * 7 + asid, asid)
                 ref.insert(vpn, vpn * 7 + asid, asid)
+            elif op == "batch":
+                tlb.insert_many(vpn, [v * 7 + asid for v in vpn], asid)
+                for v in vpn:
+                    ref.insert(v, v * 7 + asid, asid)
             elif op == "invalidate":
                 tlb.invalidate(vpn, asid)
                 ref.invalidate(vpn, asid)
@@ -288,6 +317,17 @@ class TestPoliciedVictimMirrors:
         ]
         for asid in weights:
             assert tlb.occupancy_of(asid) == ref.occ.get(asid, 0)
+        # Each tenant's mirror holds exactly its keys of the set, in set
+        # order, with strictly increasing stamps.
+        for entry_set, mirror in zip(tlb._sets, tlb._mirrors):
+            owned = {}
+            for key in entry_set:
+                owned.setdefault(key >> ref.shift, []).append(key)
+            assert sorted(mirror) == sorted(owned)
+            for asid, keys in owned.items():
+                assert list(mirror[asid]) == keys
+                stamps = list(mirror[asid].values())
+                assert all(a < b for a, b in zip(stamps, stamps[1:]))
 
     @given(ops=policied_ops)
     @settings(max_examples=120, deadline=None)
