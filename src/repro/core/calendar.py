@@ -33,7 +33,7 @@ the issue port blocked, and a third the PRMB kernel's fresh pages:
   ``2W``, each start first retires one of its redundant walks), stalls
   until ``a_k + dur``, fills the TLB, and issues its remaining
   ``L_k - W`` transactions as hits while its redundant walks retire, so
-  ``a_{k+1} = a_k + dur + (L_k - W) * interval``.  The stretch ends at a
+  ``a_{k+1} = a_k + dur + (L_k - W)``.  The stretch ends at a
   later page's flip stall, the runner's state at entry.
 * **Merge streak** (a PRMB machine without a path cache, under full
   sharing, at a leading step whose page is in neither the TLB nor the
@@ -41,8 +41,8 @@ the issue port blocked, and a third the PRMB kernel's fresh pages:
   Figures 10-11): each fresh page costs one walk plus merges.  Over a
   streak of fresh, mapped pages of one walk latency whose runs fit the
   PRMB (``L_k - 1 <= prmb_slots``) and end before their own walk
-  (``(L_k - 1) * interval < dur``), page ``k`` starts its walk at
-  ``a_k = c + interval * sum(L_k' for k' < k)``, the walk completes at
+  (``L_k - 1 < dur``), page ``k`` starts its walk at
+  ``a_k = c + sum(L_k' for k' < k)``, the walk completes at
   ``r_k = a_k + dur`` and the page's ``p``-th transaction is released at
   ``r_k + p``.  At each lead the walks due by ``a_k`` retire first (the
   heap's earlier walks and the streak's own, merged by ``(ready, seq)``),
@@ -94,14 +94,14 @@ float values for every observable timing quantity.
 *The fill sequence.*  The per-event loop fills the TLB at each walk
 retirement, except that consecutive retirements of one walk object within
 a page's transactions collapse to one fill (``prev_walk``) and a refill of
-the set-MRU key with the same PFN is elided; both make a page's redundant
+the MRU key with the same PFN is elided; both make a page's redundant
 retirements no-ops.  A chain stretch retires the window walks first, which
 the drain replays per pair with that dedup and elision (at most ``W``).
 Then every planned page whose restarts complete inside the stretch (``a <
 m - W``) fills exactly once, at its first retirement: its walk differs
 from the one retired before it, and its page is fresh.  Its retire run may
 straddle into the next issuing page, where the dedup resets; that refill
-finds the key just filled set-MRU with the same PFN, so it is elided.  A
+finds the key just filled MRU with the same PFN, so it is elided.  A
 cadence fills each of its completed pages once, at its first retirement.
 The page scan takes no resident or repeated page, so each drain hands
 those fresh, distinct pages to one :meth:`TLB.insert_many`, which leaves
@@ -109,14 +109,16 @@ the state ``insert`` per page leaves and applies them as one state
 transition where it can.
 
 *Exactness.*  Every cycle the runner computes in a stretch is the entry
-cycle ``c`` plus an integer (an integral interval and walk latency, and
-window completions verified to be ``c`` plus integers).  ``c`` is a
+cycle ``c`` plus an integer (one issue per cycle, an integral walk
+latency, which :class:`~repro.core.mmu.MMUConfig` and
+:class:`~repro.core.ptw.WalkerPool` check at construction, and window
+completions verified to be ``c`` plus integers).  ``c`` is a
 multiple of ``1/den`` for a power of two ``den`` (1 when integral), so
 ``c + k`` is exactly representable for every integer ``k >= 0`` with
 ``c + k < 2**53 / den``: below the end of ``c``'s binade when ``c`` uses
 its full mantissa, below ``2**53`` when it is an integer
 (:func:`_exact_limit`).  A stretch stays below that bound, so each
-per-event ``+ interval``, ``+ dur`` and ``retry - cycle`` is exact and
+per-event ``+ 1``, ``+ dur`` and ``retry - cycle`` is exact and
 equals the closed form's value.  The stall accumulators take the
 reference's one float operation for the entry stall and then only
 integral increments; they too must stay below their own bound, so the
@@ -131,8 +133,8 @@ performs exactly those sequential additions
 queues again after a backlog clears takes the reference's own loop.
 The merge streak has no stall at all: its leads, walk completions and
 releases are ``c`` plus the integers ``a_k``, ``a_k + dur`` and ``a_k +
-dur + p``, each page's largest offset is at most ``(end_k - i) *
-interval + dur - 1``, and the scan stops before that reaches the room.
+dur + p``, each page's largest offset is at most ``end_k - i + dur -
+1``, and the scan stops before that reaches the room.
 A streak's releases rise by at least one cycle per transaction, so a
 transfer can only queue behind a channel still busy at entry or behind
 its nearest same-channel predecessor within the longest transfer time;
@@ -201,7 +203,7 @@ _MIN_STREAK_PAGES = 6
 #: window the regime models (for the streak: a lead finds no walker
 #: free too early);
 #: ``exact`` — a cycle or stall sum would leave the exactly representable
-#: range (or the configuration's interval or latency is fractional);
+#: range;
 #: ``horizon`` — another tenant's walk completes too soon; ``channel`` —
 #: a memory channel would queue too soon (the merge streak only: the
 #: chain and the cadence compute a queued channel's finishes).
@@ -297,7 +299,7 @@ class CompletionCalendar:
     """Cycle-indexed completion calendar for one address space.
 
     Binds the same stable structures the fused runner and the kernel
-    close over (walker arrays, TLB sets, PTS map, channel table) once at
+    close over (walker arrays, TLB entries, PTS map, channel table) once at
     construction; each :meth:`plan_stretch` validates a chain or cadence
     stretch and fills the bucket columns, and :meth:`drain_stretch` — the
     only consumer of those columns — applies the whole bucket to
@@ -307,11 +309,10 @@ class CompletionCalendar:
 
     __slots__ = (
         "asid", "_walk_of", "_vpn_arr", "_completion_of",
-        "_free_list", "_pts_by_vpn", "_tlb_sets",
-        "_tlb", "_tlb_set_mask", "_tlb_insert", "_fills_land",
+        "_free_list", "_pts_by_vpn", "_tlb_set", "_tlb", "_tlb_insert",
         "_resolvers", "_walk_latency", "_tlb_latency",
         "_vpn_shift", "_channel_free", "_n_channels", "_ch_bw",
-        "_mem_latency", "_interval_int", "_static_ok",
+        "_mem_latency",
         "_mmu", "_pool", "_pts", "_heap", "_buffers", "_prmb_slots",
         "cal_ready", "cal_walker", "cal_seq", "cal_ends", "cal_offsets",
         "_plan_cadence", "_plan_base", "_plan_m", "_plan_pages",
@@ -328,9 +329,7 @@ class CompletionCalendar:
         "declines",
     )
 
-    def __init__(
-        self, mmu: MMU, memory: MainMemory, asid: int, issue_interval: float
-    ) -> None:
+    def __init__(self, mmu: MMU, memory: MainMemory, asid: int) -> None:
         pool = mmu.pool
         pts = mmu.pts
         tlb = mmu.tlb
@@ -341,17 +340,9 @@ class CompletionCalendar:
         self._completion_of = pool._completion_of
         self._free_list = pool._free
         self._pts_by_vpn = pts._by_vpn
-        self._tlb_sets = tlb._sets
-        self._tlb_set_mask = tlb._set_mask
+        self._tlb_set = tlb._set
         self._tlb_insert = tlb.insert
         self._tlb = tlb
-        # A cadence page hits right after its fill, so the fill must
-        # land: only a policied set-associative TLB may drop one (an
-        # at-quota tenant with no entry in the target set).  The chain
-        # has no such hit: a dropped fill is dropped again at a straddle
-        # refill, which changes nothing.  ``TLB.insert_many`` fills a
-        # set-associative TLB per pair.
-        self._fills_land = tlb._mirrors is None or tlb._set_mask == 0
         self._resolvers = mmu._resolvers
         self._walk_latency = pool.walk_latency_per_level
         self._tlb_latency = mmu._tlb_latency
@@ -367,14 +358,6 @@ class CompletionCalendar:
         self._heap = pool.heap
         self._buffers = pool._buffers
         self._prmb_slots = pool.prmb_slots
-        self._interval_int = int(issue_interval)
-        # The closed form relies on integral cycle increments; a
-        # fractional issue interval or walk latency disables it outright.
-        self._static_ok = (
-            float(issue_interval).is_integer()
-            and isinstance(self._walk_latency, int)
-            and self._n_channels > 0
-        )
         empty = np.zeros(0, dtype=np.int64)
         self.cal_ready = empty
         self.cal_walker = empty
@@ -533,14 +516,13 @@ class CompletionCalendar:
         n = len(va_list)
         vpn_shift = self._vpn_shift
         asid_bits = self.asid << ASID_SHIFT
-        tlb_sets = self._tlb_sets
-        set_mask = self._tlb_set_mask
+        tlb_set = self._tlb_set
         resolver = self._resolvers[self.asid]
         cache = resolver._cache
         while nxt < n:
             nvpn = va_list[nxt] >> vpn_shift
             nkey = nvpn | asid_bits
-            if nkey in seen or nkey in tlb_sets[nkey & set_mask]:
+            if nkey in seen or nkey in tlb_set:
                 return
             nwalk = cache.get(nvpn)
             if nwalk is None:
@@ -664,9 +646,6 @@ class CompletionCalendar:
     ) -> Optional[Tuple[Any, Any, Any]]:
         """The chain regime: stall, retire the head, restart, per
         transaction, from a fresh page across run boundaries."""
-        if not self._static_ok:
-            self._decline("exact")
-            return None
         va_list = stream.va_list
         n = len(va_list)
         asid = self.asid
@@ -687,7 +666,7 @@ class CompletionCalendar:
             nkey = (va_list[j] >> self._vpn_shift) | (asid << ASID_SHIFT)
             if (
                 nkey == tkey
-                or nkey in self._tlb_sets[nkey & self._tlb_set_mask]
+                or nkey in self._tlb_set
                 or nkey in self._pts_by_vpn
             ):
                 self._decline("short")
@@ -736,17 +715,16 @@ class CompletionCalendar:
         ):
             self._decline("exact")
             return None
-        # Circular completion spacing must be at least the issue interval:
-        # then the issue clock never overruns the next completion, each
-        # transaction retires exactly one walk (a stall when the spacing
-        # exceeds the interval, a retire-at-issue on equality), and the
-        # restart cycle equals the retire cycle — so the appended ready
-        # values follow the closed form in both cases.
-        interval_int = self._interval_int
+        # Circular completion spacing must be at least one cycle, the
+        # issue interval: then the issue clock never overruns the next
+        # completion, each transaction retires exactly one walk (a stall
+        # when the spacing exceeds one cycle, a retire-at-issue on
+        # equality), and the restart cycle equals the retire cycle — so
+        # the appended ready values follow the closed form in both cases.
         cdiffs = np.empty(W, dtype=np.int64)
         cdiffs[0] = int(offs_int[0]) + dur - int(offs_int[-1])
         cdiffs[1:] = np.diff(offs_int)
-        if int(cdiffs.min()) < interval_int:
+        if int(cdiffs.min()) < 1:
             self._decline("window")  # coincident dues
             return None
         # Exactness bounds: ready offsets (the largest planned cycles)
@@ -778,7 +756,7 @@ class CompletionCalendar:
                 ))),
                 ("exact", int(np.count_nonzero(
                     ready_col - ready_col[0]
-                    - np.arange(lim, dtype=np.int64) * interval_int
+                    - np.arange(lim, dtype=np.int64)
                     < stall_room
                 ))),
                 ("horizon", int(np.searchsorted(
@@ -871,10 +849,10 @@ class CompletionCalendar:
         )
 
         # Stall events: transaction t stalls iff its completion spacing
-        # strictly exceeds the issue interval — on equality it retires the
-        # due walk at issue with no stall attempt.  The spacing pattern is
+        # strictly exceeds one cycle — on equality it retires the due
+        # walk at issue with no stall attempt.  The spacing pattern is
         # periodic in W; a page-lead stall is a "fresh" (PTS-miss) probe.
-        stall_flags = np.tile(cdiffs > interval_int, -(-m // W))[:m]
+        stall_flags = np.tile(cdiffs > 1, -(-m // W))[:m]
         stall_flags[0] = True  # the planning point itself is a stall
         stall_events = int(stall_flags.sum())
         fresh_stalls = 0
@@ -893,9 +871,7 @@ class CompletionCalendar:
         self._plan_dur = dur
         self._plan_levels = levels
         self._plan_rc = rc
-        self._plan_rest = (
-            int(ready_col[-1]) - int(ready_col[0]) - (m - 1) * interval_int
-        )
+        self._plan_rest = int(ready_col[-1]) - int(ready_col[0]) - (m - 1)
         self._plan_stall_events = stall_events
         self._plan_fresh_stalls = fresh_stalls
         self._plan_hits = 0
@@ -928,9 +904,6 @@ class CompletionCalendar:
         W = len(my_walkers)
         walk_of = self._walk_of
         # -- O(1) pre-checks before any NumPy work --------------------------
-        if not self._static_ok or not self._fills_land:
-            self._decline("exact" if not self._static_ok else "window")
-            return None
         if j >= n:
             self._decline("short")
             return None
@@ -940,8 +913,7 @@ class CompletionCalendar:
             return None
         levels = walk0.levels
         dur = levels * self._walk_latency
-        interval_int = self._interval_int
-        per_page_stall = dur - W * interval_int
+        per_page_stall = dur - W
         if per_page_stall <= 0:
             self._decline("window")  # the fill would land before the flip
             return None
@@ -963,7 +935,7 @@ class CompletionCalendar:
             entry = order[idx + t]
             if (
                 entry[2] != my_walkers[t]
-                or entry[0] != h0 + t * interval_int
+                or entry[0] != h0 + t
                 or walk_of[entry[2]] is not walk0
             ):
                 self._decline("window")
@@ -972,7 +944,7 @@ class CompletionCalendar:
         off0 = int(d0) if d0.is_integer() else -1
         ready_room, stall_room = self._rooms(cycle, d0, sc, stall)
         if off0 <= 0 or cycle + float(off0) != h0 or not (
-            off0 + (W - 1) * interval_int < ready_room
+            off0 + (W - 1) < ready_room
         ):
             self._decline("exact")
             return None
@@ -1009,7 +981,7 @@ class CompletionCalendar:
             # Page k >= 1 enters at a_k (offsets from the entry cycle).
             a = np.empty(S + 1, dtype=np.int64)
             a[0] = off0 - dur
-            a[1:] = off0 + np.cumsum(hits[:-1] * interval_int + dur) - dur
+            a[1:] = off0 + np.cumsum(hits[:-1] + dur) - dur
             starts = np.zeros(S + 1, dtype=np.int64)
             starts[1:] = np.cumsum(lengths[:-1])
             M = total
@@ -1017,7 +989,7 @@ class CompletionCalendar:
             pos[:h_first] += W  # the entry page holds hits only
             is_start = pos < W
             issue = np.repeat(a, lengths) + np.where(
-                is_start, pos * interval_int, dur + (pos - W) * interval_int
+                is_start, pos, dur + (pos - W)
             )
             cyc_f = cycle + issue.astype(np.float64)
 
@@ -1025,7 +997,7 @@ class CompletionCalendar:
             # A stretch ending at page K's flip holds m_K = starts[K] + W
             # transactions; its largest cycle is the last start's ready.
             m_k = starts[1:] + W
-            last_ready = a[1:] + (W - 1) * interval_int + dur
+            last_ready = a[1:] + (W - 1) + dur
             limits = (
                 ("short", int(np.searchsorted(m_k, _STRETCH_CAP, "right"))),
                 ("exact", int(np.searchsorted(
@@ -1069,7 +1041,7 @@ class CompletionCalendar:
                 walkers.reverse()
             else:
                 walkers = walkers[h:] + walkers[h - 1::-1]
-        final_ready = a[K] + dur + np.arange(W, dtype=np.int64) * interval_int
+        final_ready = a[K] + dur + np.arange(W, dtype=np.int64)
 
         pages = pages[:K + 1]
         self._plan_base = cycle
@@ -1192,8 +1164,7 @@ class CompletionCalendar:
         walk_of = self._walk_of
         vpn_arr = self._vpn_arr
         completion_of = self._completion_of
-        tlb_sets = self._tlb_sets
-        set_mask = self._tlb_set_mask
+        tlb_set = self._tlb_set
         tlb_insert = self._tlb_insert
         ready_col = self.cal_ready
         walker_col = self.cal_walker
@@ -1205,8 +1176,8 @@ class CompletionCalendar:
         # replayed per pair as the per-event loop makes them: within one
         # page's transaction span consecutive retirements of the same walk
         # object collapse to one insert (``prev_walk`` dedup), the dedup
-        # resets at each page change, and a present set-MRU same-PFN
-        # refill is elided as a state no-op.
+        # resets at each page change, and a present MRU same-PFN refill is
+        # elided as a state no-op.
         prev = prev_walk
         pg = 0
         pg_b = pages[0][4]
@@ -1218,11 +1189,10 @@ class CompletionCalendar:
             wobj = window_walks[t]
             if wobj is not prev:
                 dkey = wobj.vpn | (wobj.asid << ASID_SHIFT)
-                dset = tlb_sets[dkey & set_mask]
                 if not (
-                    dset
-                    and next(reversed(dset)) == dkey
-                    and dset[dkey] == wobj.pfn
+                    tlb_set
+                    and next(reversed(tlb_set)) == dkey
+                    and tlb_set[dkey] == wobj.pfn
                 ):
                     tlb_insert(wobj.vpn, wobj.pfn, wobj.asid)
                 prev = wobj
@@ -1231,7 +1201,7 @@ class CompletionCalendar:
         # its walk differs from the one retired before it and its page is
         # fresh.  Its later retirements are ``prev_walk`` repeats, or, where
         # its retire run straddles into the next issuing page, a refill of
-        # the key just filled (set-MRU with the same PFN, elided).  The
+        # the key just filled (MRU with the same PFN, elided).  The
         # page scan made those pages fresh and distinct: one bulk fill.
         filled = [prun[2] for prun in pages if prun[3] < boundary]
         self._tlb.insert_many(
@@ -1309,7 +1279,7 @@ class CompletionCalendar:
         # Runner segment state at the stretch end: the cycle after the
         # last restart.
         last_key, last_vpn, last_walk, a, b, last_end, last_stream = pages[-1]
-        end = int(ready_col[-1]) + self._interval_int
+        end = int(ready_col[-1]) + 1
         return tail, m, len(pages), (
             last_key, last_vpn, last_walk, last_end, last_stream,
             self._plan_rc, end,
@@ -1326,9 +1296,9 @@ class CompletionCalendar:
         W = len(self._plan_window_walkers)
 
         # TLB: each completed page's first retirement fills it.  The fill
-        # leaves the page set-MRU (and tenant-MRU with the newest stamp),
-        # so its hits only count, and its redundant retirements are
-        # no-ops (set-MRU with the same PFN, or the ``prev_walk`` dedup).
+        # leaves the page MRU (and tenant-MRU with the newest stamp), so
+        # its hits only count, and its redundant retirements are no-ops
+        # (MRU with the same PFN, or the ``prev_walk`` dedup).
         # The K pages are fresh and distinct (the flip page is not
         # resident, the scan took the rest): one bulk fill.
         tlb = self._tlb
@@ -1360,7 +1330,7 @@ class CompletionCalendar:
             tail.append((ready_t, seq + seq_t, walker))
         pts_by_vpn[last_key] = walkers
         # The runner resumes blocked at the last page's flip.
-        end = int(self.cal_ready[0]) - self._plan_dur + W * self._interval_int
+        end = int(self.cal_ready[0]) - self._plan_dur + W
         return tail, K * W, K, (
             last_key, last_vpn, last_walk, last_end, last_stream, last_rc,
             end,
@@ -1490,7 +1460,7 @@ class CompletionCalendar:
         nkey = (va_list[j] >> self._vpn_shift) | asid_bits
         if (
             nkey == tkey
-            or nkey in self._tlb_sets[nkey & self._tlb_set_mask]
+            or nkey in self._tlb_set
             or nkey in pts_by_vpn
         ):
             self._decline("short")
@@ -1504,11 +1474,10 @@ class CompletionCalendar:
                 return 0
         levels = walk0.levels
         dur = levels * self._walk_latency
-        interval = self._interval_int
         # The longest run whose merges all park in its page's one walker
         # and issue before that walk completes: ``L - 1 <= prmb_slots``
-        # and ``(L - 1) * interval < dur``.
-        max_len = (dur - 1) // interval + 1
+        # and ``L - 1 < dur``.
+        max_len = dur
         if max_len > self._prmb_slots + 1:
             max_len = self._prmb_slots + 1
         if j - i > max_len:
@@ -1520,7 +1489,7 @@ class CompletionCalendar:
             # Walker-short: estimate the walkers free by the lead of page
             # _MIN_STREAK_PAGES - 1 if every page ran as long as this one,
             # and decline before the scan when they fall short.
-            horizon = cycle + (_MIN_STREAK_PAGES - 1) * (j - i) * interval
+            horizon = cycle + (_MIN_STREAK_PAGES - 1) * (j - i)
             due_n = 0
             for entry in heap:
                 if entry[0] <= horizon:
@@ -1529,10 +1498,10 @@ class CompletionCalendar:
                 self._decline("window")
                 return 0
         # Exactness: page ``k``'s largest cycle offset (its last release,
-        # or the issue cycle after its run) is at most ``(end_k - i) *
-        # interval + dur - 1``, which must stay below the room.
+        # or the issue cycle after its run) is at most ``end_k - i + dur -
+        # 1``, which must stay below the room.
         top = math.ceil(_exact_limit(cycle) - cycle) - 1
-        exact_end = i + (top - dur + 1) // interval
+        exact_end = i + top - dur + 1
         if j > exact_end:
             self._decline("exact")
             return 0
@@ -1563,7 +1532,7 @@ class CompletionCalendar:
                 if njend > exact_end:
                     bound = "exact"
                 break
-            lead = (end - i) * interval
+            lead = end - i
             if free < 1:
                 if due_at is None:
                     due_at = sorted([entry[0] for entry in heap])
@@ -1645,9 +1614,8 @@ class CompletionCalendar:
         buffers = self._buffers
         pts_by_vpn = self._pts_by_vpn
         # TLB fills inline (``TLB.insert`` without a policy: full sharing).
-        tlb_sets = self._tlb_sets
-        set_mask = self._tlb_set_mask
-        ways = self._tlb._ways
+        tlb_set = self._tlb_set
+        capacity = self._tlb.entries
         heap = self._heap
         heappop = heapq.heappop
         free = self._free_list
@@ -1670,11 +1638,9 @@ class CompletionCalendar:
                     # smaller).  Its page is not in the TLB.
                     free_append(walkers[s])
                     done = walks[s]
-                    key = done.vpn | asid_bits
-                    entry_set = tlb_sets[key & set_mask]
-                    if len(entry_set) >= ways:
-                        entry_set.popitem(last=False)
-                    entry_set[key] = done.pfn
+                    if len(tlb_set) >= capacity:
+                        tlb_set.popitem(last=False)
+                    tlb_set[done.vpn | asid_bits] = done.pfn
                     s += 1
                 elif heap and heap[0][0] <= due:
                     # The heap's next earlier walk.
@@ -1690,12 +1656,11 @@ class CompletionCalendar:
                     registered.remove(walker)
                     if not registered:
                         del pts_by_vpn[key]
-                    entry_set = tlb_sets[key & set_mask]
-                    if key in entry_set:
-                        entry_set.move_to_end(key)
-                    elif len(entry_set) >= ways:
-                        entry_set.popitem(last=False)
-                    entry_set[key] = gone.pfn
+                    if key in tlb_set:
+                        tlb_set.move_to_end(key)
+                    elif len(tlb_set) >= capacity:
+                        tlb_set.popitem(last=False)
+                    tlb_set[key] = gone.pfn
                     retired += 1
                 else:
                     break
@@ -1784,6 +1749,6 @@ class CompletionCalendar:
         else:
             total_bytes += sum(size_list[first:last + 1])
         return (
-            base + float(m * self._interval_int), data_end, total_bytes,
+            base + float(m), data_end, total_bytes,
             self._plan_rc,
         )

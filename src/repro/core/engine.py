@@ -133,7 +133,6 @@ def _issue_span(
     streamable: bool,
     cycle: float,
     latency: float,
-    interval: float,
     data_end: float,
     total_bytes: int,
     channel_free: List[float],
@@ -143,7 +142,7 @@ def _issue_span(
 ) -> Tuple[float, float, int]:
     """Issue transactions ``[i, i + span)`` of one same-page run.
 
-    They issue one per ``interval`` from ``cycle``, and each is released
+    They issue one per cycle from ``cycle``, and each is released
     to its memory channel ``latency`` cycles after it issues: 0 for the
     oracle, the TLB hit latency for a resident page.  Returns the updated
     ``(cycle, data_end, total_bytes)``.
@@ -161,7 +160,7 @@ def _issue_span(
     """
     if span >= 8 and streamable:
         s_cycles = 256 / ch_bw
-        if span <= n_channels or n_channels * interval >= s_cycles:
+        if span <= n_channels or n_channels >= s_cycles:
             base_ch = va_list[i] >> 8
             lim = span if span < n_channels else n_channels
             # Cheap dominating probe first: if every channel is free by
@@ -176,14 +175,14 @@ def _issue_span(
                     ):
                         ok = False
                         break
-                    probe += interval
+                    probe += 1.0
             if ok:
                 for _ in range(span - lim):
-                    cycle += interval
+                    cycle += 1.0
                 for k in range(span - lim, span):
                     finish = cycle + latency + s_cycles
                     channel_free[(base_ch + k) % n_channels] = finish
-                    cycle += interval
+                    cycle += 1.0
                 done = finish + mem_latency
                 if done > data_end:
                     data_end = done
@@ -203,7 +202,7 @@ def _issue_span(
         if done > data_end:
             data_end = done
         total_bytes += size
-        cycle += interval
+        cycle += 1.0
     return cycle, data_end, total_bytes
 
 
@@ -237,15 +236,11 @@ class TranslationEngine:
         self,
         mmu: MMU,
         memory: MainMemory,
-        issue_interval: float = 1.0,
         timeline_window: int = 0,
         fault_handler: Optional[FaultHandler] = None,
     ) -> None:
-        if issue_interval <= 0:
-            raise ValueError("issue interval must be positive")
         self.mmu = mmu
         self.memory = memory
-        self.issue_interval = issue_interval
         self.timeline_window = timeline_window
         self.fault_handler = fault_handler
         #: window index -> number of translation requests issued in it
@@ -288,10 +283,10 @@ class TranslationEngine:
     ) -> BurstResult:
         """Replay one burst for context ``asid``; returns its timing.
 
-        ``transactions`` are issued in order at one per ``issue_interval``
-        cycles, subject to translation-bandwidth blocking.  ``asid`` selects
-        the address-space context the burst translates under (0 = the
-        single-tenant default); shared-MMU tenants each pass their own.
+        ``transactions`` are issued in order at one per cycle, subject to
+        translation-bandwidth blocking.  ``asid`` selects the address-space
+        context the burst translates under (0 = the single-tenant
+        default); shared-MMU tenants each pass their own.
         The fast paths take a :class:`TransactionStream` whose runs are at
         the MMU's page size; anything else is wrapped once here.
         """
@@ -321,7 +316,6 @@ class TranslationEngine:
         vpn_shift = mmu._vpn_shift
         window = self.timeline_window
         timeline = self.timeline
-        interval = self.issue_interval
         fault_handler = self.fault_handler
         translate = mmu.translate
         process = mmu.process_completions
@@ -374,7 +368,7 @@ class TranslationEngine:
             if done > data_end:
                 data_end = done
             total_bytes += size
-            cycle += interval
+            cycle += 1.0
 
         memory.total_bytes += total_bytes
         memory.total_accesses += len(transactions)
@@ -409,7 +403,6 @@ class TranslationEngine:
         stats = mmu.stats
         resolve = mmu.resolver_for(asid).resolve_vpn
         vpn_shift = mmu._vpn_shift
-        interval = self.issue_interval
 
         mem_cfg = memory.config
         channel_free = memory._channel_free
@@ -437,8 +430,8 @@ class TranslationEngine:
                 j, streamable, rc = _run_bounds(runs, i, rc)
                 cycle, data_end, total_bytes = _issue_span(
                     va_list, size_list, i, j - i, streamable, cycle, 0,
-                    interval, data_end, total_bytes, channel_free,
-                    n_channels, ch_bw, mem_latency,
+                    data_end, total_bytes, channel_free, n_channels, ch_bw,
+                    mem_latency,
                 )
                 counted += j - i
                 i = j
@@ -477,7 +470,7 @@ class TranslationEngine:
         the kernel's leading step replays before entering it again.
 
         * **Closure binding.**  Every stable structure (heap, free list,
-          scoreboard, TLB sets, channel table ...) binds once when the
+          scoreboard, TLB entries, channel table ...) binds once when the
           runner is built, not once per burst; per-call setup reduces to
           the snapshot check and the policy quota memo.
         * **Persistent snapshot.**  The sorted heap image survives
@@ -539,15 +532,13 @@ class TranslationEngine:
         stats = mmu.stats
         pool_stats = pool.stats
         heap = pool.heap
-        interval = self.issue_interval
         memory = self.memory
         mem_cfg = memory.config
         channel_free = memory._channel_free
         n_channels = mem_cfg.channels
         ch_bw = mem_cfg.channel_bandwidth
         mem_latency = mem_cfg.access_latency_cycles
-        tlb_sets = tlb._sets
-        tlb_set_mask = tlb._set_mask
+        tlb_set = tlb._set
         pts_by_vpn = pts._by_vpn
         walk_of = pool._walk_of
         vpn_arr = pool._vpn
@@ -571,7 +562,7 @@ class TranslationEngine:
 
         # Batched walker-completion calendar: whole saturated multi-run
         # stretches retire as one planned bucket.
-        calendar = CompletionCalendar(mmu, memory, asid, interval)
+        calendar = CompletionCalendar(mmu, memory, asid)
         self.calendars[asid] = calendar
 
         # Persistent completion snapshot: ``order[idx:]`` mirrors the heap
@@ -669,7 +660,6 @@ class TranslationEngine:
                         break
                     vpn = va_list[i] >> vpn_shift
                     tkey = vpn | asid_bits
-                    tlb_set = tlb_sets[tkey & tlb_set_mask]
                     j, run_streamable, rc = run_bounds(runs, i, rc)
                     walk = None
                     my_walkers = pts_by_vpn.get(tkey)
@@ -714,16 +704,15 @@ class TranslationEngine:
                             # nothing interleaved: a bare present-key
                             # LRU bump.
                             continue
-                        dset = tlb_sets[dkey & tlb_set_mask]
                         if not (
-                            dset
-                            and next(reversed(dset)) == dkey
-                            and dset[dkey] == done_walk.pfn
+                            tlb_set
+                            and next(reversed(tlb_set)) == dkey
+                            and tlb_set[dkey] == done_walk.pfn
                         ):
-                            # A resident set-MRU refill with the same PFN
-                            # is a state no-op (the LRU bump lands on the
-                            # tail; mirror order and all same-set stamp
-                            # orderings are preserved).
+                            # A resident MRU refill with the same PFN is a
+                            # state no-op (the LRU bump lands on the tail;
+                            # mirror order and all stamp orderings are
+                            # preserved).
                             tlb_insert(done_walk.vpn, done_walk.pfn, d_asid)
                         prev_walk = done_walk
                     my_walkers = pts_by_vpn.get(tkey)
@@ -737,15 +726,14 @@ class TranslationEngine:
                     # Conservative count of the transactions that issue
                     # strictly before ``h``; the current one always does
                     # (``h > cycle`` once retirement is done).
-                    # simlint: disable=cyc-true-div -- completion/interval live in the float cycle domain; int() truncation is the reference semantics and // floors differently at float boundaries, breaking bit-identity
-                    t = int((h - cycle) / interval) - 1 if h != inf else n
+                    t = int(h - cycle) - 1 if h != inf else n
                     span = j - i
                     if span > t:
                         span = t if t > 1 else 1
                     cycle, data_end, total_bytes = issue_span(
                         va_list, size_list, i, span, run_streamable, cycle,
-                        tlb_latency, interval, data_end, total_bytes,
-                        channel_free, n_channels, ch_bw, mem_latency,
+                        tlb_latency, data_end, total_bytes, channel_free,
+                        n_channels, ch_bw, mem_latency,
                     )
                     stats.requests += span
                     stats.tlb_hits += span
@@ -818,7 +806,7 @@ class TranslationEngine:
                     if done > data_end:
                         data_end = done
                     total_bytes += size
-                    cycle += interval
+                    cycle += 1.0
                     i += 1
                     continue
 
@@ -847,7 +835,6 @@ class TranslationEngine:
                             cal_fresh_stalls, cal_hits,
                         ) = cal_counts
                         dur = levels * walk_latency
-                        tlb_set = tlb_sets[tkey & tlb_set_mask]
                         my_walkers = pts_by_vpn.get(tkey)
                         prev_walk = None
                         stalls_n += cal_stalls - cal_fresh_stalls
@@ -970,10 +957,10 @@ class TranslationEngine:
         * **Hit span.**  Resident-page hits through :func:`_issue_span`,
           never past a walk completion: a policied TLB fill selects
           victims from per-tenant LRU state, and in the corner where the
-          run's tenant holds a single entry in the target set a deferred
-          fill could evict the run page itself — so fills are retired
-          exactly when the reference loop would, and a hit span is
-          bounded by the earliest in-flight completion.  Between two
+          run's tenant holds a single entry a deferred fill could evict
+          the run page itself — so fills are retired exactly when the
+          reference loop would, and a hit span is bounded by the earliest
+          in-flight completion.  Between two
           completions a resident page stays resident, so the span is
           ``span`` identical lookups: one MRU bump, bulk counters, the
           reference's channel arithmetic.  A completion due within two
@@ -997,7 +984,6 @@ class TranslationEngine:
         mmu = self.mmu
         memory = self.memory
         vpn_shift = mmu._vpn_shift
-        interval = self.issue_interval
         fault_handler = self.fault_handler
         process = mmu.process_completions
         stats = mmu.stats
@@ -1032,11 +1018,9 @@ class TranslationEngine:
         merge_stream_ok = n_channels >= s_cycles
         asid_bits = asid << ASID_SHIFT
 
-        # Inlined TLB membership probe: ``key in tlb_sets[key & set_mask]``
-        # covers both the fully-associative default (mask 0, one set) and
-        # set-associative mode without a method call per transaction.
-        tlb_sets = tlb._sets
-        tlb_set_mask = tlb._set_mask
+        # Inlined TLB probes: ``key in tlb_set`` without a method call per
+        # transaction.
+        tlb_set = tlb._set
         mirrored = tlb._mirrors is not None
 
         # Structures of the inlined leading translate.
@@ -1066,17 +1050,14 @@ class TranslationEngine:
             runner = self._no_prmb_fifo_runner(asid)
         # The merge-streak calendar: PRMB machines without a path cache
         # under full sharing, whose fresh pages each take one walk plus
-        # merges while walkers are free (a fractional issue interval or
-        # walk latency leaves the closed form inexact: no calendar).
+        # merges while walkers are free.
         streak = None
         if prmb_capacity and pool._no_path_cache and not policied:
             streak = self.calendars.get(asid)
             if streak is None:
-                streak = CompletionCalendar(mmu, memory, asid, interval)
-                if streak._static_ok:
-                    self.calendars[asid] = streak
-                else:
-                    streak = None
+                streak = self.calendars[asid] = CompletionCalendar(
+                    mmu, memory, asid
+                )
         poisoned = mmu._poisoned_walkers
         streak_skip = 0  # plan-failure hysteresis: the next index to try
         streak_fails = 0  # consecutive declines (backoff gate)
@@ -1104,7 +1085,7 @@ class TranslationEngine:
                 and i >= streak_skip
                 and free_list
                 and not poisoned
-                and tkey not in tlb_sets[tkey & tlb_set_mask]
+                and tkey not in tlb_set
                 and tkey not in pts_by_vpn
             ):
                 # ---------------- merge streak ----------------
@@ -1131,10 +1112,9 @@ class TranslationEngine:
                         min(rc + _CAL_BACKOFF_RUNS, len(runs) - 1)
                     ][0]
             while True:
-                entry_set = tlb_sets[tkey & tlb_set_mask]
-                if tkey in entry_set:
+                if tkey in tlb_set:
                     stats.requests += 1
-                    entry_set.move_to_end(tkey)
+                    tlb_set.move_to_end(tkey)
                     if mirrored:
                         tlb._bump_mirror(tkey, asid)
                     tlb.hits += 1
@@ -1236,14 +1216,14 @@ class TranslationEngine:
             if done > data_end:
                 data_end = done
             total_bytes += size
-            cycle += interval
+            cycle += 1.0
             i += 1
             if fifo:
                 continue  # a replayed fault: the runner resumes
 
             # Bulk continuation of the same-page run.
             while i < n and va_list[i] >> vpn_shift == vpn:
-                if tkey in tlb_sets[tkey & tlb_set_mask]:
+                if tkey in tlb_set:
                     # ---------------- hit span ----------------
                     h = heap[0][0] if heap else inf
                     if h <= cycle:
@@ -1251,8 +1231,7 @@ class TranslationEngine:
                         continue
                     # Conservative count of transactions that issue
                     # strictly before the next completion.
-                    # simlint: disable=cyc-true-div -- completion/interval live in the float cycle domain; int() truncation is the reference semantics and // floors differently at float boundaries, breaking bit-identity
-                    t = int((h - cycle) / interval) - 1 if h != inf else n
+                    t = int(h - cycle) - 1 if h != inf else n
                     if t <= 0:
                         break  # a completion due within two issue slots
                     j, run_streamable, rc = _run_bounds(runs, i, rc)
@@ -1261,8 +1240,8 @@ class TranslationEngine:
                         span = t
                     cycle, data_end, total_bytes = _issue_span(
                         va_list, size_list, i, span, run_streamable, cycle,
-                        tlb_latency, interval, data_end, total_bytes,
-                        channel_free, n_channels, ch_bw, mem_latency,
+                        tlb_latency, data_end, total_bytes, channel_free,
+                        n_channels, ch_bw, mem_latency,
                     )
                     stats.requests += span
                     stats.tlb_hits += span
@@ -1316,8 +1295,7 @@ class TranslationEngine:
                     room = cap - pos
                     avail = j - i
                     span = avail if avail < room else room
-                    # simlint: disable=cyc-true-div -- completion/interval live in the float cycle domain; int() truncation is the reference semantics and // floors differently at float boundaries, breaking bit-identity
-                    t = int((h_mine - cycle) / interval) - 1
+                    t = int(h_mine - cycle) - 1
                     if t < span:
                         span = t
                     k = i
@@ -1339,7 +1317,7 @@ class TranslationEngine:
                                 ok = True
                         if ok:
                             for _ in range(span):
-                                cycle += interval
+                                cycle += 1.0
                             for off in range(span - lim, span):
                                 ready = comp + (pos + 1 + off)
                                 finish = ready + s_cycles
@@ -1358,7 +1336,7 @@ class TranslationEngine:
                     # are shorter than 8, too short to pay for slicing the
                     # columns) and finishes whatever the bulk span left
                     # over (the conservative trip count stops up to one
-                    # interval short of the page's own completion), so a
+                    # cycle short of the page's own completion), so a
                     # walker is only ever abandoned because its buffer is
                     # truly full, the segment ended, or that completion is
                     # due.
@@ -1376,7 +1354,7 @@ class TranslationEngine:
                         if done > data_end:
                             data_end = done
                         total_bytes += size
-                        cycle += interval
+                        cycle += 1.0
                         k += 1
                     count = k - i
                     if count:
@@ -1415,7 +1393,7 @@ class TranslationEngine:
         # where a stale backlog would desynchronize walker allocation
         # between the two paths.
         if n:
-            last_cycle = cycle - interval
+            last_cycle = cycle - 1.0
             if heap and heap[0][0] <= last_cycle:
                 process(last_cycle)
 

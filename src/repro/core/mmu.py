@@ -103,8 +103,12 @@ class MMUConfig:
                 raise ValueError("l1_tlb_latency cannot be negative")
             if self.n_walkers <= 0:
                 raise ValueError("n_walkers must be positive")
-            if self.walk_latency_per_level <= 0:
-                raise ValueError("walk_latency_per_level must be positive")
+            walk_latency = self.walk_latency_per_level
+            if not isinstance(walk_latency, int) or walk_latency <= 0:
+                raise ValueError(
+                    f"walk_latency_per_level must be a positive integer, "
+                    f"got {walk_latency!r}"
+                )
             if self.prmb_slots < 0:
                 raise ValueError("prmb_slots cannot be negative")
             if self.l1_tlb_entries < 0 or self.prefetch_depth < 0:
@@ -627,7 +631,6 @@ class SharedMMU:
         self,
         config: MMUConfig,
         memory: Optional[MainMemory] = None,
-        issue_interval: float = 1.0,
         share_policy: Optional[SharePolicy] = None,
     ) -> None:
         from ..memory.dram import MainMemory, MemoryConfig
@@ -636,9 +639,7 @@ class SharedMMU:
         self.config = config
         self.mmu = MMU(config, page_table=None, share_policy=share_policy)
         self.memory = memory if memory is not None else MainMemory(MemoryConfig())
-        self.engine = TranslationEngine(
-            self.mmu, self.memory, issue_interval=issue_interval
-        )
+        self.engine = TranslationEngine(self.mmu, self.memory)
         self.usage: Dict[int, TenantUsage] = {}
         self._contention_epoch = 0
 

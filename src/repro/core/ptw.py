@@ -63,8 +63,11 @@ class WalkerPool:
     ) -> None:
         if n_walkers <= 0:
             raise ValueError(f"need at least one walker, got {n_walkers}")
-        if walk_latency_per_level <= 0:
-            raise ValueError("walk latency must be positive")
+        if not isinstance(walk_latency_per_level, int) or walk_latency_per_level <= 0:
+            raise ValueError(
+                f"walk latency must be a positive integer, "
+                f"got {walk_latency_per_level!r}"
+            )
         self.n_walkers = n_walkers
         self.walk_latency_per_level = walk_latency_per_level
         self.prmb_slots = prmb_slots

@@ -33,7 +33,7 @@ class TransactionStream:
     the run is a contiguous uniform 256 B stream, the closed-form
     precondition).  The ASID is a per-burst scalar (a stream never mixes
     address spaces; ``run_burst(asid=...)`` carries it), and issue cycles
-    are affine in the index (one transaction per ``issue_interval``).
+    are affine in the index (the DMA issues one transaction per cycle).
 
     ``len`` and iteration yield the ``(va, size)`` tuples.  Hot engine
     loops instead bind :attr:`va_list`/:attr:`size_list` and walk

@@ -6,8 +6,7 @@ TLB is *not* the lever it is for CPUs/GPUs: translation bursts query the TLB
 before in-flight walks return, and streaming tile fetches revisit pages
 rarely — "even with an unrealistically large TLB with 128K entries ...
 less than 0.02% performance improvement".  Reproducing that result requires
-a faithful TLB, so one is provided: fully associative, LRU replacement
-(with a set-associative mode that only tests build).
+a faithful TLB, so one is provided: fully associative, LRU replacement.
 """
 
 from __future__ import annotations
@@ -20,23 +19,21 @@ from .qos import SharePolicy
 
 
 class TLB:
-    """An LRU TLB mapping virtual page numbers to physical frame numbers.
+    """A fully associative LRU TLB mapping virtual page numbers to physical
+    frame numbers.
 
-    ``associativity=None`` (the default) selects full associativity, which is
-    how IOTLBs are typically modelled in the GPU-MMU literature the paper
-    builds on.  Every TLB the simulator builds is fully associative (no
-    :class:`~repro.core.mmu.MMUConfig` field selects associativity); only
-    tests build set-associative ones, swapping them into an MMU to check
-    the fast paths' set handling and the policied victim choice per set.
+    That is how IOTLBs are typically modelled in the GPU-MMU literature
+    the paper builds on, and it is the only organization the model has:
+    every entry lives in one recency-ordered map, ``_set``.
 
     Entries are tagged with an address-space identifier: every probe/fill
     method takes ``asid`` (default 0) and internally keys the entry by
     ``vpn | (asid << ASID_SHIFT)``.  The tag bits sit above every possible
-    VPN *and* above the set-index mask, so ASID 0 behaves exactly like the
-    historical untagged TLB — same sets, same LRU order, same victims —
-    while distinct contexts can never alias each other's translations.
-    Context teardown and page migration use :meth:`invalidate_asid` /
-    :meth:`invalidate` as the shootdown primitives.
+    VPN, so ASID 0 behaves exactly like the historical untagged TLB — same
+    LRU order, same victims — while distinct contexts can never alias each
+    other's translations.  Context teardown and page migration use
+    :meth:`invalidate_asid` / :meth:`invalidate` as the shootdown
+    primitives.
 
     A non-trivial :class:`~repro.core.qos.SharePolicy` adds per-ASID
     occupancy caps with policy-respecting victim selection (the
@@ -49,52 +46,36 @@ class TLB:
 
     :meth:`insert_many` fills a sequence of pages, leaving exactly the
     state :meth:`insert` per pair leaves; it takes one bulk step for fresh,
-    distinct pages in a fully associative TLB (see there).
+    distinct pages (see there).
     """
 
     def __init__(
         self,
         entries: int = 2048,
-        associativity: Optional[int] = None,
         policy: Optional[SharePolicy] = None,
     ) -> None:
         if entries <= 0:
             raise ValueError(f"TLB needs a positive entry count, got {entries}")
-        if associativity is not None:
-            if associativity <= 0 or entries % associativity:
-                raise ValueError(
-                    f"associativity {associativity} must divide entry count {entries}"
-                )
         self.entries = entries
-        self.associativity = associativity
         #: Non-trivial share policy (None = full sharing, zero overhead).
         self._policy = policy if policy is not None and not policy.trivial else None
         #: Per-ASID valid-entry counts, maintained only under a policy.
         self._asid_occupancy: Dict[int, int] = {}
         self.hits = 0
         self.misses = 0
-        if associativity is None:
-            self._sets: List[OrderedDict] = [OrderedDict()]
-            self._set_mask = 0
-            self._ways = entries
-        else:
-            n_sets = entries // associativity
-            if n_sets & (n_sets - 1):
-                raise ValueError(f"number of sets {n_sets} must be a power of two")
-            self._sets = [OrderedDict() for _ in range(n_sets)]
-            self._set_mask = n_sets - 1
-            self._ways = associativity
-        # Policy mode keeps, per set, one OrderedDict per resident ASID
-        # mirroring that tenant's keys in recency order (value = a global
-        # recency stamp).  Victim selection then reads a mirror head in
-        # O(1) instead of scanning the whole set per fill — the scan was
-        # the dominant cost of policied multi-tenant runs.  The mirrors
-        # are pure acceleration state: every recency change updates the
-        # main set first, so the LRU semantics (and victims) are
-        # bit-identical to the historical scanning implementation
-        # (``tests/test_tlb.py`` locks this in differentially).
-        self._mirrors: Optional[List[Dict[int, OrderedDict]]] = (
-            [{} for _ in self._sets] if self._policy is not None else None
+        #: Every entry, ``key -> pfn``, in LRU order (the head is the LRU).
+        self._set: OrderedDict[int, int] = OrderedDict()
+        # Policy mode keeps one OrderedDict per resident ASID mirroring
+        # that tenant's keys in recency order (value = a global recency
+        # stamp).  Victim selection then reads a mirror head in O(1)
+        # instead of scanning the whole TLB per fill — the scan was the
+        # dominant cost of policied multi-tenant runs.  The mirrors are
+        # pure acceleration state: every recency change updates ``_set``
+        # first, so the LRU semantics (and victims) are bit-identical to
+        # the historical scanning implementation (``tests/test_tlb.py``
+        # locks this in differentially).
+        self._mirrors: Optional[Dict[int, OrderedDict[int, int]]] = (
+            {} if self._policy is not None else None
         )
         self._stamp = 0
         # Flat ``asid -> tlb_quota(asid, entries)`` memo, validated
@@ -107,7 +88,7 @@ class TLB:
     def lookup(self, vpn: int, asid: int = 0) -> Optional[int]:
         """Probe the TLB; returns the cached PFN or None, updating LRU/stats."""
         key = vpn | (asid << ASID_SHIFT)
-        entry_set = self._sets[key & self._set_mask]
+        entry_set = self._set
         pfn = entry_set.get(key)
         if pfn is None:
             self.misses += 1
@@ -121,14 +102,13 @@ class TLB:
     def _bump_mirror(self, key: int, asid: int) -> None:
         """Record a recency bump for a resident key (policy mode only)."""
         self._stamp += 1
-        mirror = self._mirrors[key & self._set_mask][asid]
+        mirror = self._mirrors[asid]
         mirror.move_to_end(key)
         mirror[key] = self._stamp
 
     def contains(self, vpn: int, asid: int = 0) -> bool:
         """Probe without disturbing LRU order or statistics."""
-        key = vpn | (asid << ASID_SHIFT)
-        return key in self._sets[key & self._set_mask]
+        return (vpn | (asid << ASID_SHIFT)) in self._set
 
     def touch(self, vpn: int, count: int = 1, asid: int = 0) -> None:
         """Bulk equivalent of ``count`` consecutive hitting lookups.
@@ -140,8 +120,7 @@ class TLB:
         :meth:`contains` first).
         """
         key = vpn | (asid << ASID_SHIFT)
-        entry_set = self._sets[key & self._set_mask]
-        entry_set.move_to_end(key)
+        self._set.move_to_end(key)
         if self._mirrors is not None:
             self._bump_mirror(key, asid)
         self.hits += count
@@ -153,16 +132,15 @@ class TLB:
         per-ASID occupancy quotas (see :meth:`_insert_policied`).
         """
         key = vpn | (asid << ASID_SHIFT)
-        set_idx = key & self._set_mask
-        entry_set = self._sets[set_idx]
         if self._policy is not None:
-            self._insert_policied(key, pfn, asid, entry_set, set_idx)
+            self._insert_policied(key, pfn, asid)
             return
+        entry_set = self._set
         if key in entry_set:
             entry_set.move_to_end(key)
             entry_set[key] = pfn
             return
-        if len(entry_set) >= self._ways:
+        if len(entry_set) >= self.entries:
             entry_set.popitem(last=False)
         entry_set[key] = pfn
 
@@ -171,8 +149,8 @@ class TLB:
     ) -> None:
         """Fill ``vpns[t] -> pfns[t]`` in order, as ``insert`` per pair does.
 
-        A fully associative TLB takes one bulk step when the batch holds
-        two or more fresh (not resident), distinct pages:
+        A batch of two or more fresh (not resident), distinct pages takes
+        one bulk step:
 
         * **Full sharing.**  Every fill past the capacity pops the LRU
           entry, old entries first and then the batch's own earliest, so
@@ -185,32 +163,30 @@ class TLB:
           batch's last ``min(k, count)`` pages enter, stamped as their
           fills would stamp them.  Other tenants' entries are untouched.
 
-        Every other batch (a set-associative TLB, a tenant under its quota
-        or able to borrow, a resident or repeated page, one page, a tenant
-        holding one entry) is filled per pair.  The test is made once per
-        call: a bulk-eligible batch stays eligible after each of its fills.
+        Every other batch (a tenant under its quota or able to borrow, a
+        resident or repeated page, one page, a tenant holding one entry)
+        is filled per pair.  The test is made once per call: a
+        bulk-eligible batch stays eligible after each of its fills.
         """
         k = len(vpns)
-        if k > 1 and self._set_mask == 0:
+        if k > 1:
             bits = asid << ASID_SHIFT
             keys = [vpn | bits for vpn in vpns]
-            entry_set = self._sets[0]
-            if len(set(keys)) == k and entry_set.keys().isdisjoint(keys):
+            if len(set(keys)) == k and self._set.keys().isdisjoint(keys):
                 if self._policy is None:
-                    self._rotate_lru(entry_set, keys, pfns)
+                    self._rotate_lru(keys, pfns)
                     return
-                if self._rotate_fifo(entry_set, keys, pfns, asid):
+                if self._rotate_fifo(keys, pfns, asid):
                     return
         for vpn, pfn in zip(vpns, pfns):
             self.insert(vpn, pfn, asid)
 
-    def _rotate_lru(
-        self, entry_set: OrderedDict, keys: List[int], pfns: Sequence[int]
-    ) -> None:
+    def _rotate_lru(self, keys: List[int], pfns: Sequence[int]) -> None:
         """Full-sharing bulk fill of fresh, distinct ``keys``."""
+        entry_set = self._set
         k = len(keys)
         old = len(entry_set)
-        excess = old + k - self._ways
+        excess = old + k - self.entries
         if excess >= old:
             entry_set.clear()
             drop = excess - old  # the batch's own head, filled and evicted
@@ -224,11 +200,7 @@ class TLB:
         entry_set.update(zip(keys, pfns))
 
     def _rotate_fifo(
-        self,
-        entry_set: OrderedDict,
-        keys: List[int],
-        pfns: Sequence[int],
-        asid: int,
+        self, keys: List[int], pfns: Sequence[int], asid: int
     ) -> bool:
         """Bulk fill of fresh, distinct ``keys`` by a tenant at or over its
         quota that cannot borrow; False (nothing done) otherwise."""
@@ -242,17 +214,13 @@ class TLB:
             quota = memo[asid]
         except KeyError:
             quota = memo[asid] = policy.tlb_quota(asid, self.entries)
-        occupancy = self._asid_occupancy
-        count = occupancy.get(asid, 0)
+        count = self._asid_occupancy.get(asid, 0)
         if quota is None or count < quota or count < 2:
             return False
-        if (
-            policy.work_conserving
-            and len(entry_set) < self._ways
-            and sum(occupancy.values()) < self.entries
-        ):
+        entry_set = self._set
+        if policy.work_conserving and len(entry_set) < self.entries:
             return False  # it borrows free capacity instead
-        tenant_lru = self._mirrors[0][asid]
+        tenant_lru = self._mirrors[asid]
         k = len(keys)
         rotated = k if k < count else count
         popitem = tenant_lru.popitem
@@ -268,19 +236,23 @@ class TLB:
         self._stamp = stamp + k
         return True
 
-    def _insert_policied(
-        self, key: int, pfn: int, asid: int, entry_set: OrderedDict, set_idx: int
-    ) -> None:
+    def _insert_policied(self, key: int, pfn: int, asid: int) -> None:
         """Quota-aware fill: the QoS layer's TLB partitioning.
 
         * A tenant at/over its quota self-victimizes (evicts its own LRU
-          entry in the target set) unless the policy is work-conserving
-          and genuinely free capacity remains to borrow.
-        * A tenant under its quota inserting into a full set reclaims an
-          over-quota tenant's LRU entry first, falling back to plain set
-          LRU only when every resident tenant is within quota.
+          entry; it holds at least ``quota >= 1`` of them) unless the
+          policy is work-conserving and genuinely free capacity remains
+          to borrow.
+        * A tenant under its quota inserting into a full TLB reclaims an
+          over-quota tenant's LRU entry first, falling back to plain LRU
+          only when every resident tenant is within quota.
+
+        Under a policy the per-tenant counts sum to the TLB's size (every
+        path that adds or drops an entry updates both), so "free capacity
+        remains" is ``len(self._set) < self.entries``.
         """
-        occupancy = self._asid_occupancy
+        entry_set = self._set
+        mirrors = self._mirrors
         if key in entry_set:
             entry_set.move_to_end(key)
             entry_set[key] = pfn
@@ -295,108 +267,85 @@ class TLB:
             quota = memo[asid]
         except KeyError:
             quota = memo[asid] = policy.tlb_quota(asid, self.entries)
+        occupancy = self._asid_occupancy
         count = occupancy.get(asid, 0)
-        victim = None
-        if quota is not None and count >= quota:
-            borrow = (
-                policy.work_conserving
-                and len(entry_set) < self._ways
-                and sum(occupancy.values()) < self.entries
-            )
-            if not borrow:
-                victim = self._victim(entry_set, set_idx, owner=asid)
-                if victim is None:
-                    # Set-associative corner: the at-quota tenant holds no
-                    # entry in the target set, so self-victimization is
-                    # impossible.  Drop the fill — growing into the set
-                    # would breach this tenant's cap, and evicting another
-                    # tenant's way would steal its reservation.
-                    return
-        if victim is None and len(entry_set) >= self._ways:
-            victim = self._victim(entry_set, set_idx, over_quota_first=True)
+        full = len(entry_set) >= self.entries
+        if (
+            quota is not None
+            and count >= quota
+            and (full or not policy.work_conserving)
+        ):
+            victim: Optional[int] = next(iter(mirrors[asid]))
+        elif full:
+            victim = self._victim()
+        else:
+            victim = None
         if victim is not None:
             del entry_set[victim]
             v_asid = victim >> ASID_SHIFT
             occupancy[v_asid] = occupancy.get(v_asid, 1) - 1
-            self._drop_mirror(victim, v_asid, set_idx)
+            self._drop_mirror(victim, v_asid)
         entry_set[key] = pfn
         occupancy[asid] = occupancy.get(asid, 0) + 1
         self._stamp += 1
-        mirror = self._mirrors[set_idx]
-        tenant_lru = mirror.get(asid)
+        tenant_lru = mirrors.get(asid)
         if tenant_lru is None:
-            mirror[asid] = tenant_lru = OrderedDict()
+            mirrors[asid] = tenant_lru = OrderedDict()
         tenant_lru[key] = self._stamp
 
-    def _drop_mirror(self, key: int, asid: int, set_idx: int) -> None:
+    def _drop_mirror(self, key: int, asid: int) -> None:
         """Remove an evicted/invalidated key from its tenant mirror."""
-        mirror = self._mirrors[set_idx]
-        tenant_lru = mirror.get(asid)
+        mirrors = self._mirrors
+        tenant_lru = mirrors.get(asid)
         if tenant_lru is not None:
             tenant_lru.pop(key, None)
             if not tenant_lru:
-                del mirror[asid]
+                del mirrors[asid]
 
-    def _victim(
-        self,
-        entry_set: OrderedDict,
-        set_idx: int,
-        owner: Optional[int] = None,
-        over_quota_first: bool = False,
-    ) -> Optional[int]:
-        """Pick an eviction victim key from ``entry_set`` in LRU order.
-
-        ``owner`` restricts the search to one tenant's entries (self
-        victimization) and yields None when that tenant holds nothing in
-        this set; ``over_quota_first`` prefers the LRU entry of any tenant
-        exceeding its quota, falling back to the set's global LRU.
+    def _victim(self) -> Optional[int]:
+        """Pick the eviction victim when a tenant below its quota (or with
+        none) fills a full TLB: the LRU entry of any tenant exceeding its
+        quota, falling back to the TLB's global LRU.
 
         Selection reads the per-tenant recency mirrors: a tenant's LRU key
-        in this set is its mirror head, and cross-tenant "first in global
-        LRU order" is decided by the global recency stamps the mirrors
-        store — O(#tenants) instead of an O(#entries) set scan, with
-        victims identical to the historical scanning implementation.
+        is its mirror head, and cross-tenant "first in global LRU order" is
+        decided by the global recency stamps the mirrors store —
+        O(#tenants) instead of an O(#entries) scan, with victims identical
+        to the historical scanning implementation.
         """
-        mirror = self._mirrors[set_idx]
-        if owner is not None:
-            tenant_lru = mirror.get(owner)
+        mirrors = self._mirrors
+        policy = self._policy
+        memo = self._quota_memo
+        best_key = None
+        best_stamp = None
+        for asid, count in self._asid_occupancy.items():
+            try:
+                quota = memo[asid]
+            except KeyError:
+                quota = memo[asid] = policy.tlb_quota(asid, self.entries)
+            if quota is None or count <= quota:
+                continue
+            tenant_lru = mirrors.get(asid)
             if not tenant_lru:
-                return None
-            return next(iter(tenant_lru))
-        if over_quota_first:
-            policy = self._policy
-            memo = self._quota_memo
-            best_key = None
-            best_stamp = None
-            for asid, count in self._asid_occupancy.items():
-                try:
-                    quota = memo[asid]
-                except KeyError:
-                    quota = memo[asid] = policy.tlb_quota(asid, self.entries)
-                if quota is None or count <= quota:
-                    continue
-                tenant_lru = mirror.get(asid)
-                if not tenant_lru:
-                    continue
-                head = next(iter(tenant_lru))
-                stamp = tenant_lru[head]
-                if best_stamp is None or stamp < best_stamp:
-                    best_key, best_stamp = head, stamp
-            if best_key is not None:
-                return best_key
-        # Nobody to reclaim from: the set LRU is the victim.
-        return next(iter(entry_set), None)
+                continue
+            head = next(iter(tenant_lru))
+            stamp = tenant_lru[head]
+            if best_stamp is None or stamp < best_stamp:
+                best_key, best_stamp = head, stamp
+        if best_key is not None:
+            return best_key
+        # Nobody to reclaim from: the TLB's LRU is the victim.
+        return next(iter(self._set), None)
 
     def invalidate(self, vpn: int, asid: int = 0) -> bool:
         """Drop one translation (e.g. after page migration); True if present."""
         key = vpn | (asid << ASID_SHIFT)
-        set_idx = key & self._set_mask
-        entry_set = self._sets[set_idx]
+        entry_set = self._set
         if key in entry_set:
             del entry_set[key]
             if self._policy is not None:
                 self._asid_occupancy[asid] = self._asid_occupancy.get(asid, 1) - 1
-                self._drop_mirror(key, asid, set_idx)
+                self._drop_mirror(key, asid)
             return True
         return False
 
@@ -406,30 +355,25 @@ class TLB:
         Returns the number of entries dropped.  LRU order of surviving
         entries and all statistics are untouched.
         """
-        lo = asid << ASID_SHIFT
-        hi = (asid + 1) << ASID_SHIFT
-        dropped = 0
-        for set_idx, entry_set in enumerate(self._sets):
-            if self._mirrors is not None:
-                tenant_lru = self._mirrors[set_idx].pop(asid, None)
-                victims = list(tenant_lru) if tenant_lru else []
-            else:
-                victims = [key for key in entry_set if lo <= key < hi]
-            for key in victims:
-                del entry_set[key]
-            dropped += len(victims)
-        if self._policy is not None:
+        entry_set = self._set
+        if self._mirrors is not None:
+            tenant_lru = self._mirrors.pop(asid, None)
+            victims = list(tenant_lru) if tenant_lru else []
             self._asid_occupancy.pop(asid, None)
-        return dropped
+        else:
+            lo = asid << ASID_SHIFT
+            hi = (asid + 1) << ASID_SHIFT
+            victims = [key for key in entry_set if lo <= key < hi]
+        for key in victims:
+            del entry_set[key]
+        return len(victims)
 
     def flush(self) -> None:
         """Invalidate everything (keeps hit/miss statistics)."""
-        for entry_set in self._sets:
-            entry_set.clear()
+        self._set.clear()
         self._asid_occupancy.clear()
         if self._mirrors is not None:
-            for mirror in self._mirrors:
-                mirror.clear()
+            self._mirrors.clear()
 
     def reset_stats(self) -> None:
         """Zero hit/miss counters."""
@@ -439,7 +383,7 @@ class TLB:
     @property
     def occupancy(self) -> int:
         """Number of valid entries currently cached."""
-        return sum(len(s) for s in self._sets)
+        return len(self._set)
 
     def occupancy_of(self, asid: int) -> int:
         """Valid entries held by one address space.
@@ -451,9 +395,7 @@ class TLB:
             return self._asid_occupancy.get(asid, 0)
         lo = asid << ASID_SHIFT
         hi = (asid + 1) << ASID_SHIFT
-        return sum(
-            1 for entry_set in self._sets for key in entry_set if lo <= key < hi
-        )
+        return sum(1 for key in self._set if lo <= key < hi)
 
     @property
     def hit_rate(self) -> float:
@@ -462,8 +404,7 @@ class TLB:
         return self.hits / total if total else 0.0
 
     def __repr__(self) -> str:
-        assoc = "full" if self.associativity is None else str(self.associativity)
-        return f"TLB(entries={self.entries}, assoc={assoc}, occupancy={self.occupancy})"
+        return f"TLB(entries={self.entries}, occupancy={self.occupancy})"
 
 
 class TwoLevelTLB:

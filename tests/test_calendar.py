@@ -183,7 +183,7 @@ def run_bursts(calendar_on, config, qos, bursts, memory_config=None,
             "channels": tuple(memory._channel_free),
             "mem": (memory.total_bytes, memory.total_accesses),
             "pts": (mmu.pts.lookups, mmu.pts.hits, mmu.pts.in_flight),
-            "tlb_sets": [list(s.items()) for s in mmu.tlb._sets],
+            "tlb": list(mmu.tlb._set.items()),
             "occupancy": dict(mmu.tlb._asid_occupancy),
         }
         counts = {}
@@ -849,7 +849,7 @@ def run_streak(streak_on, config, bursts, memory_config=None,
             "pts": [(k, list(v)) for k, v in pts._by_vpn.items()],
             "pts_count": pts._count,
             "channels": tuple(memory._channel_free),
-            "tlb_sets": [list(s.items()) for s in tlb._sets],
+            "tlb": list(tlb._set.items()),
         }
         mmu.drain()
         prmb = pool.prmb_stats
@@ -860,8 +860,7 @@ def run_streak(streak_on, config, bursts, memory_config=None,
             "mmu": mmu.stats.snapshot(),
             "mem": (memory.total_bytes, memory.total_accesses),
             "pts": (pts.lookups, pts.hits, pts._count, list(pts._by_vpn)),
-            "tlb": (tlb.hits, tlb.misses,
-                    [list(s.items()) for s in tlb._sets]),
+            "tlb": (tlb.hits, tlb.misses, list(tlb._set.items())),
             "prmb": (prmb.merges, prmb.rejects_full, prmb.peak_occupancy),
             "free": list(pool._free),
         }

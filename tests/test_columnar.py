@@ -240,7 +240,7 @@ def run_mode(mode, config, qos, schedule, page_size, epoch_ops=None):
         state["prmb"] = dict(mmu.pool.prmb_stats.__dict__)
         state["pts"] = (mmu.pts.lookups, mmu.pts.hits, mmu.pts.in_flight)
         # Items in order capture the exact service/insertion sequence.
-        state["tlb_sets"] = [list(s.items()) for s in mmu.tlb._sets]
+        state["tlb"] = list(mmu.tlb._set.items())
         state["occupancy"] = dict(mmu.tlb._asid_occupancy)
     return state
 

@@ -198,11 +198,3 @@ class TestFaultHandling:
         missing = BASE + 5 * PAGE_SIZE_4K
         result = engine.run_burst([(missing, 256)], 0.0)
         assert result.data_end_cycle == pytest.approx(1000 + 256 / 75 + 100)
-
-
-class TestValidation:
-    def test_rejects_bad_issue_interval(self):
-        table = PageTable()
-        mmu = MMU(oracle_config(), table)
-        with pytest.raises(ValueError):
-            TranslationEngine(mmu, MainMemory(), issue_interval=0)

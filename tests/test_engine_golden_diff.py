@@ -6,7 +6,7 @@ whether the engine runs its fast paths (``columnar``) or the
 per-transaction reference loop (``reference``).  Both modes read the same
 DMA emitter and the same cached transaction streams, so these diffs
 check the engine loops only; the absolute goldens (the report, Figures
-12a and 16, fairness, tenants) cover what both modes share.  Each
+7, 12a and 16, fairness, tenants) cover what both modes share.  Each
 experiment here runs twice on trimmed grids, once per mode: the
 reference run patches ``TranslationEngine.batched`` to False on the
 class, which reaches every engine the figure builds in this process.
@@ -14,11 +14,14 @@ Each run has a fresh :class:`~repro.analysis.runner.ExperimentRunner`,
 so each mode starts from a cold result memo and simulates every cell
 itself, and the rendered figures are compared field for field.
 
-The fast tier covers one figure per engine regime (oracle timeline,
-demand paging, VA trace); the slow tier adds the dense sweeps, most
-importantly Figure 8 — the saturated baseline-IOMMU regime where the
-fused FIFO runner stalls, retires and restarts a walk per transaction
-and the completion calendar retires whole stretches.
+The fast tier covers demand paging, the VA trace and the shared-MMU
+figures; the slow tier adds the dense sweeps, most importantly Figure
+8 — the saturated baseline-IOMMU regime where the fused FIFO runner
+stalls, retires and restarts a walk per transaction and the completion
+calendar retires whole stretches.  Figure 7 has no diff here: its
+timeline capture runs the reference loop in both modes
+(``TranslationEngine._batchable``), so ``tests/fig7_default.txt`` pins
+it absolutely instead (``tests/test_experiments.py``).
 
 :func:`golden_diff` returns the columnar figure, so the shared-MMU diffs
 (contention, fairness, paged tenants) also check that figure's claims:
@@ -34,7 +37,6 @@ import pytest
 from repro.analysis import (
     ExperimentRunner,
     fairness,
-    fig7_translation_bursts,
     fig8_baseline_iommu,
     fig11_ptw_sweep,
     fig13_tpreg_hit_rates,
@@ -88,11 +90,6 @@ def slowdowns_by_cell(figure, key_fields):
 
 
 class TestFastTier:
-    def test_fig7_bursts(self):
-        golden_diff(
-            lambda: fig7_translation_bursts(workloads=("RNN-1",), batch=1)
-        )
-
     def test_fig14_va_trace(self):
         golden_diff(lambda: fig14_va_trace(max_rows=10))
 

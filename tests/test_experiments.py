@@ -48,6 +48,9 @@ MB = 1024 * 1024
 #: Default-grid Figure 6 rows, rendered by the per-row loop decomposition.
 FIG6_DEFAULT_GRID = Path(__file__).with_name("fig6_default_grid.json")
 
+#: ``run fig7 --out DIR``'s render of the default grid.
+FIG7_DEFAULT = Path(__file__).with_name("fig7_default.txt")
+
 
 @pytest.fixture(scope="module")
 def runner():
@@ -97,6 +100,9 @@ class TestCharacterization:
         assert fig.value("RNN-1/b01", "peak") == 1000
         assert fig.value("RNN-1/b01", "full_rate_frac") > 0.5
         assert fig.mean("full_rate_frac") > 0.5
+        # Pinned absolutely: timeline capture runs only the reference
+        # loop, so no engine-mode diff can check this figure.
+        assert fig.render() + "\n" == FIG7_DEFAULT.read_text()
 
     def test_fig14_trace_ascends_within_stream(self):
         fig = fig14_va_trace(max_rows=10)

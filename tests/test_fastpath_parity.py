@@ -24,7 +24,6 @@ from repro.core.mmu import (
     oracle_config,
 )
 from repro.core.stream import TransactionStream
-from repro.core.tlb import TLB
 from repro.memory.address import PAGE_SIZE_2M, PAGE_SIZE_4K
 from repro.memory.dram import MainMemory, MemoryConfig
 from repro.memory.page_table import PageTable
@@ -89,9 +88,9 @@ def streaming_stream(n):
     return [(BASE + k * 256, 256) for k in range(n)]
 
 
-def make_engine(mmu, memory, batched, **kwargs):
+def make_engine(mmu, memory, batched):
     """An engine pinned to the fast paths (``batched``) or the reference."""
-    engine = TranslationEngine(mmu, memory, **kwargs)
+    engine = TranslationEngine(mmu, memory)
     engine.batched = batched
     return engine
 
@@ -131,7 +130,7 @@ def run_both(config, bursts_batched, bursts_reference, channels=8):
         if mmu.pool is not None:
             state["prmb"] = dict(mmu.pool.prmb_stats.__dict__)
             state["pts"] = (mmu.pts.lookups, mmu.pts.hits)
-            state["tlb_sets"] = [list(s.items()) for s in mmu.tlb._sets]
+            state["tlb"] = list(mmu.tlb._set.items())
             state["pool_live"] = live
             state["pool"] = pool_bookkeeping(mmu.pool)
         out.append(state)
@@ -176,32 +175,6 @@ class TestBurstParity:
             assert stream.runs == runs
             assert (stream.vas == vas).all()
 
-    def test_direct_mapped_tlb_falls_back(self):
-        """A direct-mapped TLB (one way per set) stays bit-identical."""
-        config = MMUConfig(name="dm", n_walkers=8, prmb_slots=8)
-        txs = streaming_stream(1500)
-        out = []
-        for batched in (True, False):
-            mmu = MMU(config, build_table())
-            mmu.tlb = TLB(16, associativity=1)
-            engine = make_engine(mmu, MainMemory(), batched)
-            result = engine.run_burst(txs, 0.0)
-            mmu.drain()
-            out.append((result, mmu.summary()))
-        assert out[0] == out[1]
-
-    def test_non_unit_issue_interval(self):
-        config = neummu_config()
-        txs = streaming_stream(1000)
-        out = []
-        for batched in (True, False):
-            mmu = MMU(config, build_table())
-            engine = make_engine(mmu, MainMemory(), batched, issue_interval=1.5)
-            result = engine.run_burst(txs, 0.25)
-            mmu.drain()
-            out.append((result, mmu.summary()))
-        assert out[0] == out[1]
-
 
 class TestMultiASIDParity:
     """ASID-tagged bursts retire bit-identically on both engine paths."""
@@ -227,7 +200,7 @@ class TestMultiASIDParity:
                 "channels": tuple(memory._channel_free),
             }
             if mmu.pool is not None:
-                state["tlb_sets"] = [list(s.items()) for s in mmu.tlb._sets]
+                state["tlb"] = list(mmu.tlb._set.items())
                 state["pts"] = (mmu.pts.lookups, mmu.pts.hits)
             out.append(state)
         return out
@@ -249,9 +222,7 @@ class TestMultiASIDParity:
         config = neummu_config()
         txs = streaming_stream(600)
         batched_state, _ = self.run_both_tagged(config, [(0, txs), (5, txs)])
-        pfns = {
-            pfn for s in batched_state["tlb_sets"] for _, pfn in s
-        }
+        pfns = {pfn for _, pfn in batched_state["tlb"]}
         assert any(pfn < 700_000 for pfn in pfns)
         assert any(pfn >= 700_000 for pfn in pfns)
 
@@ -349,12 +320,10 @@ class TestContendedPathParity:
         MMUConfig(name="tpreg0", n_walkers=6, prmb_slots=0, path_cache="tpreg"),
     ]
 
-    def run_both_policied(self, config, qos, schedule, w0=2.0, make_tlb=None):
+    def run_both_policied(self, config, qos, schedule, w0=2.0):
         out = []
         for batched in (True, False):
             mmu = MMU(replace(config, qos=qos), None)
-            if make_tlb is not None:
-                mmu.tlb = make_tlb(mmu)
             mmu.register_context(0, build_table(), weight=w0)
             other = PageTable()
             other.map_range(BASE, N_PAGES * PAGE_SIZE_4K, first_pfn=500_000)
@@ -375,7 +344,7 @@ class TestContendedPathParity:
                     "mem": (memory.total_bytes, memory.total_accesses),
                     "prmb": dict(mmu.pool.prmb_stats.__dict__),
                     "pts": (mmu.pts.lookups, mmu.pts.hits, mmu.pts.in_flight),
-                    "tlb_sets": [list(s.items()) for s in mmu.tlb._sets],
+                    "tlb": list(mmu.tlb._set.items()),
                     "occupancy": dict(mmu.tlb._asid_occupancy),
                     "pool_live": live,
                     "pool": pool_bookkeeping(mmu.pool),
@@ -406,44 +375,6 @@ class TestContendedPathParity:
             baseline_iommu_config(), "weighted", schedule, w0=3.0
         )
         assert batched_state == reference_state
-
-    @pytest.mark.parametrize("qos", ["static_partition", "weighted"])
-    def test_set_associative_dropped_fills(self, qos, monkeypatch):
-        """A 2-way policied TLB drops fills: a tenant at its quota with
-        no entry in the target set can neither grow nor self-victimize.
-        The FIFO runner must retire through those drops, and through the
-        hits between repeated completions of one walk, exactly as the
-        reference does."""
-        drops = []
-        victim = TLB._victim
-
-        def spy(tlb, entry_set, set_idx, owner=None, over_quota_first=False):
-            key = victim(tlb, entry_set, set_idx, owner, over_quota_first)
-            if owner is not None and key is None:
-                drops.append(tlb)
-            return key
-
-        monkeypatch.setattr(TLB, "_victim", spy)
-        rng = random.Random(22)
-
-        def runs(n):
-            # Pages recur within a 64-page pool, so hit spans land
-            # between repeated completions of one walk.
-            txs = []
-            while len(txs) < n:
-                base = BASE + rng.randrange(64) * PAGE_SIZE_4K
-                run = rng.choice([1, 2, 4, 16])
-                txs.extend((base + k * 256, 256) for k in range(run))
-            return txs[:n]
-
-        schedule = [(0, runs(800)), (5, runs(800)), (0, runs(400)), (5, runs(400))]
-        batched_state, reference_state = self.run_both_policied(
-            baseline_iommu_config(), qos, schedule,
-            make_tlb=lambda mmu: TLB(16, associativity=2, policy=mmu.share_policy),
-        )
-        assert batched_state == reference_state
-        # Both legs (batched first, then reference) dropped fills.
-        assert len({id(tlb) for tlb in drops}) == 2
 
     def test_every_share_policy_reaches_the_one_kernel(self):
         """A full_share and a static_partition PRMB burst dispatch to the

@@ -10,6 +10,7 @@ from repro.core.mmu import (
     neummu_config,
     oracle_config,
 )
+from repro.core.ptw import WalkerPool
 from repro.memory.address import PAGE_SIZE_2M, PAGE_SIZE_4K
 from repro.memory.page_table import PageTable
 
@@ -66,6 +67,16 @@ class TestConfigs:
         with pytest.raises(ValueError, match="walk_latency_per_level"):
             MMUConfig(walk_latency_per_level=0)
         assert MMUConfig(walk_latency_per_level=1).walk_latency_per_level == 1
+
+    def test_fractional_walk_latency_rejected(self):
+        # One issue per cycle plus integral walk latencies keep every
+        # cycle of a completion-calendar stretch an integer offset from
+        # its entry cycle; the config and the walker pool enforce the
+        # second half at construction.
+        with pytest.raises(ValueError, match="walk_latency_per_level"):
+            MMUConfig(walk_latency_per_level=100.5)
+        with pytest.raises(ValueError, match="walk latency"):
+            WalkerPool(1, walk_latency_per_level=100.5)
 
     def test_oracle_skips_latency_validation(self):
         # The oracle has no TLB or walkers; nonsense latencies are inert

@@ -93,16 +93,6 @@ class TestTaggedStructures:
             assert not tlb.contains(vpn, asid=1)
             assert tlb.lookup(vpn, asid=2) == vpn + 100
 
-    def test_set_associative_tags_keep_set_index(self):
-        """ASID bits live above the set mask: same VPN, same set."""
-        tlb = TLB(8, associativity=2)
-        tlb.insert(VPN, 1, asid=0)
-        tlb.insert(VPN, 2, asid=7)
-        tlb.insert(VPN, 3, asid=9)  # evicts the set's LRU (asid 0)
-        assert not tlb.contains(VPN, asid=0)
-        assert tlb.lookup(VPN, asid=7) == 2
-        assert tlb.lookup(VPN, asid=9) == 3
-
     def test_two_level_tlb_isolation(self):
         tlb = TwoLevelTLB(l1_entries=4, l2_entries=16)
         tlb.insert(VPN, 111, asid=1)

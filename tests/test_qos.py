@@ -208,21 +208,6 @@ class TestTLBPartitioning:
             tlb.insert(VPN, 1, asid=0)
         assert tlb.occupancy_of(0) == 1
 
-    def test_set_associative_quota_is_hard(self):
-        """An at-quota tenant with no entry in the target set drops the
-        fill instead of growing past its cap or stealing another way."""
-        tlb = TLB(4, associativity=2, policy=two_tenant_policy())
-        # 2 sets x 2 ways; quota 2 per tenant.  Even VPNs map to set 0.
-        tlb.insert(VPN, 1, asid=0)
-        tlb.insert(VPN + 2, 2, asid=0)
-        assert tlb.occupancy_of(0) == 2
-        tlb.insert(VPN + 1, 3, asid=0)  # set 1: no self-victim available
-        assert not tlb.contains(VPN + 1, asid=0)
-        assert tlb.occupancy_of(0) == 2
-        # Tenant 1's ways in set 1 were not stolen either.
-        tlb.insert(VPN + 3, 4, asid=1)
-        assert tlb.contains(VPN + 3, asid=1)
-
     def test_two_level_tlb_partitions_both_levels(self):
         tlb = TwoLevelTLB(l1_entries=4, l2_entries=8, policy=two_tenant_policy())
         for i in range(8):

@@ -283,11 +283,10 @@ class TestDemandPaging:
             checked += 1
         assert checked > 0
         if sim.mmu.tlb is not None:
-            for entry_set in sim.mmu.tlb._sets:
-                for vpn, pfn in entry_set.items():
-                    va = vpn << sim._vpn_shift
-                    assert table.is_mapped(va), f"stale TLB entry 0x{vpn:x}"
-                    assert pfn == table.walk(va).pfn
+            for vpn, pfn in sim.mmu.tlb._set.items():
+                va = vpn << sim._vpn_shift
+                assert table.is_mapped(va), f"stale TLB entry 0x{vpn:x}"
+                assert pfn == table.walk(va).pfn
 
     def test_zipf_reuse_reduces_faults_over_time(self):
         """After warm-up, hot pages are resident: steady-state faults per
