@@ -1,6 +1,6 @@
 """Batched walker-completion calendar for the engine's translate loops.
 
-The fused FIFO runner (:meth:`TranslationEngine._no_prmb_fifo_runner`)
+The FIFO path (:meth:`TranslationEngine._run_burst_fifo`)
 already collapses the per-walk ``heappush``/``heappop`` pair into a cursor
 over one sorted snapshot, but its loop still takes one stall, one
 retirement and one walk start or hit per transaction once the tenant's
@@ -10,7 +10,7 @@ step, one merge segment and one retirement per page on a PRMB machine.
 This module batches that per-event work.  Every walk in a planned
 stretch has the same latency class (``levels * walk_latency_per_level``),
 so completions are FIFO and the whole event sequence is *closed form*.
-Two regimes cover the two states in which the FIFO runner's gate finds
+Two regimes cover the two states in which the FIFO path's gate finds
 the issue port blocked, and a third the PRMB kernel's fresh pages:
 
 * **Chain** (blocked at a *fresh* page, no walk of it in flight).  Each
@@ -34,7 +34,7 @@ the issue port blocked, and a third the PRMB kernel's fresh pages:
   until ``a_k + dur``, fills the TLB, and issues its remaining
   ``L_k - W`` transactions as hits while its redundant walks retire, so
   ``a_{k+1} = a_k + dur + (L_k - W)``.  The stretch ends at a
-  later page's flip stall, the runner's state at entry.
+  later page's flip stall, the FIFO path's state at entry.
 * **Merge streak** (a PRMB machine without a path cache, under full
   sharing, at a leading step whose page is in neither the TLB nor the
   PTS, with a walker free).  This is NeuMMU's own regime (Section IV,
@@ -58,7 +58,7 @@ in-flight walks that retire inside the stretch.  Every other in-flight
 walk must belong to another tenant and complete after the stretch's last
 event (the stretch is capped before the first such completion), so those
 walks are inert: the other tenants' busy sets, the TLB and the PTS see
-nothing of them.  ``W`` is then the own-busy count at which the runner's
+nothing of them.  ``W`` is then the own-busy count at which the FIFO path's
 startable predicate turns false while the other tenants' state is
 fixed: the pool minus the foreign-held walkers under full sharing, the
 quota under a hard partition, the quota plus the borrowable slack under
@@ -69,12 +69,12 @@ another tenant's walks that complete within one walk latency of the
 head: without busy sets a retired walker restarts for this tenant
 whoever held it.
 
-Each stretch is validated against every interaction point the runner's
+Each stretch is validated against every interaction point the FIFO path's
 loop would honour — recurrence, residency, fault, latency class, the
 other tenants' first completion, ``_STRETCH_CAP`` — and retired as one
 bucket.  A memory channel still busy with another tenant's transfers
 (or the stretch's own) is no interaction point: walks never use the
-channels and the runner's issue and stall timing never reads them, so
+channels and the FIFO path's issue and stall timing never reads them, so
 queueing changes only each transfer's finish, which the plan computes
 exactly (:func:`_channel_finish`).  The merge streak needs no window:
 under full sharing the other tenants' walks are simply earlier walks of
@@ -108,7 +108,7 @@ those fresh, distinct pages to one :meth:`TLB.insert_many`, which leaves
 the state ``insert`` per page leaves and applies them as one state
 transition where it can.
 
-*Exactness.*  Every cycle the runner computes in a stretch is the entry
+*Exactness.*  Every cycle the FIFO path computes in a stretch is the entry
 cycle ``c`` plus an integer (one issue per cycle, an integral walk
 latency, which :class:`~repro.core.mmu.MMUConfig` and
 :class:`~repro.core.ptw.WalkerPool` check at construction, and window
@@ -157,7 +157,7 @@ Each calendar counts its attempts, plans and drained transactions per
 regime (chain, cadence, streak), the drained chain and cadence transfers
 that waited for their channel (``queued``) and its declines by reason
 (:data:`DECLINE_REASONS`).  They are observation only: no simulation
-path reads them.  A FIFO runner's calendar only chains and cadences; a
+path reads them.  A FIFO path's calendar only chains and cadences; a
 PRMB kernel's only plans streaks.
 """
 
@@ -219,7 +219,7 @@ _PlannedRun = Tuple[int, int, WalkInfo, int, int, int, bool]
 #: One page of a cadence stretch: ``(tkey, vpn, walk, length, run_end,
 #: streamable, rc)``.  ``length`` is the page's transactions inside the
 #: stretch (hits only for the entry page, its whole run for the others)
-#: and ``rc`` the runner's cursor into ``stream.runs`` at the page.
+#: and ``rc`` the FIFO path's cursor into ``stream.runs`` at the page.
 _CadencePage = Tuple[int, int, WalkInfo, int, int, bool, int]
 
 #: A fresh run a stretch may take: ``(tkey, vpn, walk, run_end,
@@ -298,8 +298,8 @@ def _channel_finish(release: Any, cost: Any, ch: Any,
 class CompletionCalendar:
     """Cycle-indexed completion calendar for one address space.
 
-    Binds the same stable structures the fused runner and the kernel
-    close over (walker arrays, TLB entries, PTS map, channel table) once at
+    Binds the same stable structures the FIFO path and the kernel
+    read (walker arrays, TLB entries, PTS map, channel table) once at
     construction; each :meth:`plan_stretch` validates a chain or cadence
     stretch and fills the bucket columns, and :meth:`drain_stretch` — the
     only consumer of those columns — applies the whole bucket to
@@ -452,7 +452,7 @@ class CompletionCalendar:
         holds ``W - 1`` with one more free walker.  The restart then
         returns to the blocked state, and a start with fewer own walks
         and more free walkers is startable too, so ``W`` is the
-        threshold of the runner's startable predicate.
+        threshold of the FIFO path's startable predicate.
         """
         asid = self.asid
         walk_of = self._walk_of
@@ -528,7 +528,7 @@ class CompletionCalendar:
             if nwalk is None:
                 nwalk = resolver.resolve_vpn(nvpn)
                 if nwalk is None:
-                    return  # faulting page: the runner raises it
+                    return  # faulting page: the FIFO path faults there
             if nwalk.levels != levels:
                 return  # latency class changes: FIFO order not closed form
             while runs[rc][0] <= nxt:
@@ -585,7 +585,7 @@ class CompletionCalendar:
     ) -> int:
         """Validate and plan a stretch of ``stream`` starting at the
         blocked transaction ``i`` (whose same-page run ends at ``j``;
-        ``rc`` is the runner's cursor into ``stream.runs``); returns its
+        ``rc`` is the FIFO path's cursor into ``stream.runs``); returns its
         length in transactions (0: no stretch applies).
 
         ``my_walkers`` is the page's PTS entry: None selects the chain
@@ -679,7 +679,7 @@ class CompletionCalendar:
             if walk0 is None:
                 walk0 = resolver.resolve_vpn(vpn)
                 if walk0 is None:
-                    # Faulting lead: the runner's loop raises it.
+                    # Faulting lead: the FIFO path's loop faults there.
                     self._decline("short")
                     return None
         levels = walk0.levels
@@ -1084,12 +1084,12 @@ class CompletionCalendar:
         Tuple[int, int, int, int, int],
     ]:
         """Retire the planned bucket in one pass (the only consumer of the
-        ``cal_*`` columns) and return the runner's updated segment state.
+        ``cal_*`` columns) and return the FIFO path's updated burst state.
 
         Returns ``(i, cycle, data_end, total_bytes, stall, sc, seq, vpn,
         tkey, j, run_streamable, rc, walk, levels, counts)`` with
         ``counts = (started, fresh_started, stalls, fresh_stalls, hits)``
-        feeding the runner's deferred counters (every planned start
+        feeding the FIFO path's deferred counters (every planned start
         replaces a retired walk, so as many walks retire as start).
         """
         m = self._plan_m
@@ -1329,7 +1329,7 @@ class CompletionCalendar:
             completion_of[walker] = ready_t
             tail.append((ready_t, seq + seq_t, walker))
         pts_by_vpn[last_key] = walkers
-        # The runner resumes blocked at the last page's flip.
+        # The FIFO path resumes blocked at the last page's flip.
         end = int(self.cal_ready[0]) - self._plan_dur + W
         return tail, K * W, K, (
             last_key, last_vpn, last_walk, last_end, last_stream, last_rc,

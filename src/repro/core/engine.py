@@ -17,18 +17,27 @@ system:
 An oracular MMU makes every translation free, so the same engine computes
 the paper's normalization baseline.
 
-Three execution paths
----------------------
+Four execution paths
+--------------------
 ``run_burst`` retires transactions through exactly one of:
 
 * the *reference* path (:meth:`TranslationEngine._run_burst_reference`) —
   one fully general Python iteration per transaction, routed through
-  :meth:`MMU.translate`; the golden semantics every other path matches;
+  :meth:`MMU.translate`; the golden semantics every other path matches.
+  With ``batched`` set it serves only what no fast path models: the
+  next-page prefetcher, the two-level TLB and a timeline on a translated
+  MMU;
 * the *oracle* shortcut (:meth:`TranslationEngine._run_burst_oracle`) —
-  translation is free, so only the page-presence probe and the memory
-  arithmetic remain;
-* the *batched kernel* (:meth:`TranslationEngine._run_burst_kernel`, the
-  default for translated MMUs under every share policy), which exploits
+  translation is free, so only the page-presence probe (with its fault
+  handler), the timeline and the memory arithmetic remain;
+* the *FIFO* path (:meth:`TranslationEngine._run_burst_fifo`) for
+  PRMB-less, path-cache-less MMUs (the baseline IOMMU), whose walks
+  complete in start order: one loop over a cursor into the sorted
+  completion heap, handling its own faults, with the completion
+  calendar's chain and cadence (:mod:`repro.core.calendar`) retiring
+  whole saturated stretches as one bucket;
+* the *batched kernel* (:meth:`TranslationEngine._run_burst_kernel`, every
+  other translated MMU under every share policy), which exploits
   the streaming structure of dense tile fetches: a 4 KB page sees a run
   of ~16 back-to-back same-page transactions (Section III-C), and within
   such a run every transaction resolves the same way (all TLB hits, or
@@ -36,14 +45,11 @@ Three execution paths
   with bulk counter updates — one TLB touch per segment, one PRMB
   occupancy update per walker — and a tight arithmetic loop over the
   memory channels.  Quota checks only add segment bounds, so full
-  sharing is simply the policy whose bounds never bind.  PRMB-less,
-  path-cache-less MMUs (the baseline IOMMU) hand the whole burst to a
-  fused FIFO runner (:meth:`TranslationEngine._no_prmb_fifo_runner`).
+  sharing is simply the policy whose bounds never bind.
   On PRMB machines without a path cache under full sharing, a leading
   step at a fresh page with a walker free hands the streak of fresh
   pages from there (one walk plus merges each) to the completion
-  calendar's merge streak (:mod:`repro.core.calendar`), which retires it
-  as one bucket.
+  calendar's merge streak, which retires it as one bucket.
 
 The fast paths read one input, the DMA's
 :class:`~repro.core.stream.TransactionStream`: its plain-list columns and
@@ -54,7 +60,7 @@ path iterates whatever it is given.
 
 Same-page spans whose release latency is fixed — the oracle's runs
 (latency 0) and resident-page hit spans in the kernel and the FIFO
-runner (the TLB hit latency) — retire through one routine,
+path (the TLB hit latency) — retire through one routine,
 :func:`_issue_span`.  For fully contiguous uniform 256 B runs (the DMA's
 streaming output, as certified by the stream's run metadata) it applies
 a *closed form*: when no channel queueing can occur, only the last
@@ -75,8 +81,8 @@ from __future__ import annotations
 import bisect
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..memory.address import ASID_SHIFT
 from ..memory.dram import MainMemory
@@ -88,24 +94,38 @@ from .tlb import TLB
 #: Demand-paging hook: ``(vpn, fault_cycle, asid) -> resolved_cycle``.  The
 #: hook must install the mapping (and shoot down the stale translation, e.g.
 #: via :meth:`MMU.shootdown`) before returning; the engine retries the
-#: translation at ``resolved_cycle``.  The first-class implementation is
+#: translation at ``resolved_cycle``.  It may unmap and shoot down other
+#: pages too.  The fast paths settle the MMU's counters and its walker
+#: heap at the end of the burst, so the hook must not read them.  The
+#: first-class implementation is
 #: :meth:`repro.memory.tiering.LocalMemoryTier.handle_fault`, which routes
 #: the page move through the shared migration fabric and the ASID-tagged
 #: shootdown path.
 FaultHandler = Callable[[int, float, int], float]
 
-#: The fused FIFO runner the batched kernel hands PRMB-less,
-#: path-cache-less bursts to, built per ASID by
-#: :meth:`TranslationEngine._no_prmb_fifo_runner`.  Returns the updated
-#: ``(i, cycle, data_end, total_bytes, stall, faulted, rc)`` burst state.
-NoPrmbRunner = Callable[..., Tuple[int, float, float, int, float, bool, int]]
-
 #: Completion-calendar backoff: after this many consecutive declines the
-#: FIFO runner (and the kernel's merge-streak gate) skips the next
-#: ``_CAL_BACKOFF_RUNS`` same-page runs before it plans again (a single
-#: decline skips the rest of its run).
+#: FIFO path's calendar gate (and the kernel's merge-streak gate) skips
+#: the next ``_CAL_BACKOFF_RUNS`` same-page runs before it plans again (a
+#: single decline skips the rest of its run).
 _CAL_MAX_FAILS = 6
 _CAL_BACKOFF_RUNS = 64
+
+
+def _decline_skip(
+    runs: Sequence[Tuple[int, bool]], j: int, rc: int, fails: int
+) -> int:
+    """The next transaction index a calendar gate tries after a decline.
+
+    Declines are pure overhead: skipping an attempt is always
+    bit-identical (the per-event path takes over), so a decline skips the
+    rest of its run, which ends at ``j``, and the ``_CAL_MAX_FAILS``-th
+    consecutive decline and every later one the next ``_CAL_BACKOFF_RUNS``
+    runs past the cursor ``rc`` (where every page faults on first touch,
+    say, and each scan stops at the next unmapped page).
+    """
+    if fails < _CAL_MAX_FAILS:
+        return j
+    return runs[min(rc + _CAL_BACKOFF_RUNS, len(runs) - 1)][0]
 
 
 def _run_bounds(
@@ -116,7 +136,7 @@ def _run_bounds(
     Returns ``(j, streamable, rc)``: the run's end index, whether it is
     a contiguous uniform 256 B stream (the closed-form precondition),
     and the advanced cursor ``rc`` into the stream's ``runs``.  The
-    oracle shortcut, the batched kernel and the FIFO runner all read run
+    oracle shortcut, the FIFO path and the batched kernel all read run
     bounds through this one cursor.
     """
     while runs[rc][0] <= i:
@@ -156,7 +176,7 @@ def _issue_span(
     arithmetic.  Either way the float operations are the reference's
     (``256 / ch_bw`` is its ``size / ch_bw`` for a 256 B transaction, and
     ``cycle + 0`` is ``cycle``), which is what lets the oracle shortcut,
-    the FIFO runner and the kernel share this one copy.
+    the FIFO path and the kernel share this one copy.
     """
     if span >= 8 and streamable:
         s_cycles = 256 / ch_bw
@@ -248,35 +268,14 @@ class TranslationEngine:
         #: A defaultdict so the per-transaction histogram update is one
         #: indexed increment instead of a get-plus-store.
         self.timeline: Dict[int, int] = defaultdict(int)
-        #: asid -> fused FIFO no-PRMB runner (closure over the
-        #: MMU's stable structures; see :meth:`_no_prmb_fifo_runner`).
-        self._np_runners: Dict[int, NoPrmbRunner] = {}
-        #: asid -> that runner's completion calendar, whose counts
+        #: asid -> the completion calendar of that context's FIFO or
+        #: merge-streak planning, whose counts
         #: (:meth:`CompletionCalendar.counts`) observe its planning.
         self.calendars: Dict[int, CompletionCalendar] = {}
 
     # ------------------------------------------------------------------ #
     # dispatch                                                           #
     # ------------------------------------------------------------------ #
-
-    def _batchable(self) -> bool:
-        """Whether a fast path covers this engine's configuration.
-
-        Timeline capture needs a per-transaction histogram update, the
-        prefetcher hooks fire per TLB hit, and the two-level TLB's hit
-        latency depends on which level hits — all three fall back to the
-        reference path, as does an oracular MMU with a demand-paging
-        handler (whose faults route through :meth:`MMU.translate`).
-        Everything else runs the oracle shortcut (oracular MMUs) or the
-        batched kernel, whatever the share policy: the kernel enforces
-        every quota at segment granularity (see :meth:`_run_burst_kernel`).
-        """
-        if self.timeline_window:
-            return False
-        mmu = self.mmu
-        if mmu.config.oracle:
-            return self.fault_handler is None
-        return mmu.prefetcher is None and not mmu._two_level
 
     def run_burst(
         self, transactions: Burst, start_cycle: float, asid: int = 0
@@ -288,21 +287,39 @@ class TranslationEngine:
         context the burst translates under (0 = the single-tenant
         default); shared-MMU tenants each pass their own.
         The fast paths take a :class:`TransactionStream` whose runs are at
-        the MMU's page size; anything else is wrapped once here.
+        the MMU's page size; anything else is wrapped once here.  With
+        ``batched`` set, an oracular MMU takes the oracle shortcut and a
+        translated one the FIFO path or the kernel, whatever the share
+        policy, unless it has a prefetcher (whose hooks fire per TLB hit),
+        a two-level TLB (whose hit latency depends on the level) or a
+        timeline: those take the reference path.
         """
-        if self.batched and self._batchable():
-            page_size = self.mmu.config.page_size
-            if (
-                isinstance(transactions, TransactionStream)
-                and transactions.page_size == page_size
-            ):
-                stream = transactions
-            else:
-                stream = TransactionStream.from_pairs(transactions, page_size)
-            if self.mmu.config.oracle:
-                return self._run_burst_oracle(stream, start_cycle, asid)
-            return self._run_burst_kernel(stream, start_cycle, asid)
-        return self._run_burst_reference(transactions, start_cycle, asid)
+        mmu = self.mmu
+        oracle = mmu.config.oracle
+        if not self.batched or (
+            not oracle
+            and (
+                self.timeline_window
+                or mmu.prefetcher is not None
+                or mmu._two_level
+            )
+        ):
+            return self._run_burst_reference(transactions, start_cycle, asid)
+        page_size = mmu.config.page_size
+        if (
+            isinstance(transactions, TransactionStream)
+            and transactions.page_size == page_size
+        ):
+            stream = transactions
+        else:
+            stream = TransactionStream.from_pairs(transactions, page_size)
+        if oracle:
+            return self._run_burst_oracle(stream, start_cycle, asid)
+        pool = mmu.pool
+        assert pool is not None  # a translated MMU has a walker pool
+        if not mmu._prmb_slots and pool._no_path_cache:
+            return self._run_burst_fifo(stream, start_cycle, asid)
+        return self._run_burst_kernel(stream, start_cycle, asid)
 
     # ------------------------------------------------------------------ #
     # reference path (golden semantics, one iteration per transaction)   #
@@ -390,19 +407,26 @@ class TranslationEngine:
     ) -> BurstResult:
         """Oracle burst: translation is free but non-present pages fault.
 
-        The resolver is probed once per same-page run (its answer cannot
-        change mid-burst without a fault handler, and there is none on this
-        path), matching :meth:`MMU.translate`'s per-request semantics: an
-        unmapped page raises :class:`TranslationFault` and is counted in
-        ``stats.faults`` without being counted as a completed request.
-        A present page's whole run then issues through
-        :func:`_issue_span` at release latency 0.
+        The resolver is probed once per same-page run, matching
+        :meth:`MMU.translate`'s per-request semantics: a page's mapping
+        changes only inside the fault handler, which runs only at a run's
+        first transaction.  An unmapped page is counted in
+        ``stats.faults`` without being counted as a completed request; it
+        raises :class:`TranslationFault`, or the fault handler maps it,
+        the burst stalls to the handler's retry cycle and the page is
+        probed again.  A present page's whole run then issues through
+        :func:`_issue_span` at release latency 0, after a timeline
+        capture that steps the run's issue cycles by ``1.0`` as the
+        reference does.
         """
         mmu = self.mmu
         memory = self.memory
         stats = mmu.stats
         resolve = mmu.resolver_for(asid).resolve_vpn
         vpn_shift = mmu._vpn_shift
+        fault_handler = self.fault_handler
+        window = self.timeline_window
+        timeline = self.timeline
 
         mem_cfg = memory.config
         channel_free = memory._channel_free
@@ -412,6 +436,7 @@ class TranslationEngine:
 
         cycle = start_cycle
         data_end = start_cycle
+        stall = 0.0
         total_bytes = 0
         counted = 0
         va_list = stream.va_list
@@ -426,8 +451,18 @@ class TranslationEngine:
                 vpn = va_list[i] >> vpn_shift
                 if resolve(vpn) is None:
                     stats.faults += 1
-                    raise TranslationFault(vpn)
+                    if fault_handler is None:
+                        raise TranslationFault(vpn)
+                    resolved = fault_handler(vpn, cycle, asid)
+                    stall += resolved - cycle
+                    cycle = resolved
+                    continue
                 j, streamable, rc = _run_bounds(runs, i, rc)
+                if window:
+                    c = cycle
+                    for _ in range(j - i):
+                        timeline[int(c // window)] += 1
+                        c += 1.0
                 cycle, data_end, total_bytes = _issue_span(
                     va_list, size_list, i, j - i, streamable, cycle, 0,
                     data_end, total_bytes, channel_free, n_channels, ch_bw,
@@ -448,53 +483,37 @@ class TranslationEngine:
             data_end_cycle=data_end,
             transactions=n,
             bytes_moved=total_bytes,
-            stall_cycles=0.0,
+            stall_cycles=stall,
         )
 
     # ------------------------------------------------------------------ #
-    # fused FIFO runner (PRMB-less, path-cache-less bursts)              #
+    # FIFO path (PRMB-less, path-cache-less MMUs)                        #
     # ------------------------------------------------------------------ #
 
-    def _no_prmb_fifo_runner(self, asid: int) -> NoPrmbRunner:
-        """Build (and cache) the fused FIFO no-PRMB runner for one address
-        space.
+    def _run_burst_fifo(
+        self, stream: TransactionStream, start_cycle: float, asid: int = 0
+    ) -> BurstResult:
+        """FIFO burst for PRMB-less, path-cache-less MMUs.
 
         Without path caches every walk accesses all of its page depth's
         levels, so walks complete in start order and the completion heap
         is (nearly) a FIFO: the heappush/heappop pair per walk becomes a
-        cursor over one sorted snapshot of the heap.  This is the path
-        the fast engine takes for the baseline IOMMU (Figure 8) and
-        every contended scenario built on it.  The kernel enters it once
-        per burst, at the first transaction, and it runs to the end of
-        the burst; it stops early only at a faulting transaction, which
-        the kernel's leading step replays before entering it again.
+        cursor over ``order``, the heap sorted at entry (it holds at most
+        ``n_walkers`` walks).  A start whose completion lands before
+        ``order``'s tail (in-flight walks of several page depths) is
+        insorted: a sorted list is a valid min-heap and every ``(ready,
+        seq, walker)`` key is distinct, so pop order — the only
+        observable — is unchanged.  This is the path the fast engine
+        takes for the baseline IOMMU (Figure 8), every contended scenario
+        built on it and its demand-paged runs (Figure 16).
 
-        * **Closure binding.**  Every stable structure (heap, free list,
-          scoreboard, TLB entries, channel table ...) binds once when the
-          runner is built, not once per burst; per-call setup reduces to
-          the snapshot check and the policy quota memo.
-        * **Persistent snapshot.**  The sorted heap image survives
-          between calls; it is revalidated by an O(1) identity check
-          (length + head/tail object identity).  Removals always take
-          the heap minimum — the cursor here, ``heappop`` elsewhere —
-          so if the head object survived with the length and tail
-          unchanged, no pop and hence no push happened: the snapshot is
-          exact.  Sorting amortizes over a burst instead of being paid
-          per segment.
-        * **Order-preserving insertion.**  A start whose completion
-          lands before the snapshot tail (heterogeneous page depths
-          across tenants) is insorted instead of bailing to the general
-          event loop: a sorted list is a valid min-heap and every
-          ``(ready, seq, walker)`` key is distinct, so pop order — the
-          only observable — is unchanged.
-
-        The runner is one loop; each pass takes exactly one phase, in
+        The method is one loop; each pass takes exactly one phase, in
         the reference loop's order: *next page* (same-page run bounds),
         *retire* (``process_completions`` through the cursor), *hit
         span* (resident page: hits up to the next completion, through
-        :func:`_issue_span`), *walk start* (one transaction), *calendar
-        gate* or *stall* (issue port blocked until the FIFO retry
-        point).  The calendar gate is entered in either blocked state
+        :func:`_issue_span`), *walk start* (one transaction) or *fault*,
+        *calendar gate* or *stall* (issue port blocked until the FIFO
+        retry point).  The calendar gate is entered in either blocked state
         and retires a whole stretch as one bucket
         (:mod:`repro.core.calendar`):
 
@@ -506,10 +525,16 @@ class TranslationEngine:
           its redundant walks retire, then each later page of a streak
           repeats walk starts, one stall and hits.
 
-        A declined plan falls through to the stall; the gate then skips
-        the rest of the run, and after six consecutive declines the
-        next ``_CAL_BACKOFF_RUNS`` runs.  That backoff holds across the
-        runner's returns at the faults of one burst.
+        A declined plan falls through to the stall, and the gate backs
+        off (:func:`_decline_skip`).
+        A fault (a walk start whose page does not resolve) takes
+        :meth:`MMU.translate`'s counts (``stats.faults``, the attempt's
+        TLB miss and PTS probe), then the fault handler, then the burst
+        stall to its retry cycle.  The handler may have unmapped and shot
+        down pages, so the page's PTS entry is re-read and ``prev_walk``
+        reset before the retry.  Without a handler the fault raises after
+        the ``finally`` block restores the heap and flushes the counters:
+        the state the reference loop leaves at the same raise.
         Consecutive retirements of the same walk object collapse to one
         TLB insert: with nothing interleaved the repeats are bare
         present-key LRU bumps (stamp renumbering is monotone, so victim
@@ -517,16 +542,13 @@ class TranslationEngine:
         page to MRU, so ``prev_walk`` resets on every hit span and every
         page change.  Counters, probes, retry policy and float
         accumulation order are the reference's, operation for
-        operation; ``heap[:]`` is restored from the live suffix on exit.
+        operation.
         """
-        runner = self._np_runners.get(asid)
-        if runner is not None:
-            return runner
         mmu = self.mmu
         pool = mmu.pool
         pts = mmu.pts
         tlb = mmu.tlb
-        # Fused FIFO paths only run on translated single-level TLB
+        # The FIFO path only runs on translated single-level TLB
         # configurations; make the invariant explicit for narrowing.
         assert isinstance(tlb, TLB) and pool is not None and pts is not None
         stats = mmu.stats
@@ -538,7 +560,11 @@ class TranslationEngine:
         n_channels = mem_cfg.channels
         ch_bw = mem_cfg.channel_bandwidth
         mem_latency = mem_cfg.access_latency_cycles
+        fault_handler = self.fault_handler
         tlb_set = tlb._set
+        tlb_insert = tlb.insert
+        tlb_touch = tlb.touch
+        tlb_latency = mmu._tlb_latency
         pts_by_vpn = pts._by_vpn
         walk_of = pool._walk_of
         vpn_arr = pool._vpn
@@ -547,112 +573,73 @@ class TranslationEngine:
         poisoned = mmu._poisoned_walkers
         walk_latency = pool.walk_latency_per_level
         busy_by_asid = pool._busy_by_asid
-        tlb_insert = tlb.insert
-        resolvers = mmu._resolvers
-        walker_quota = pool._walker_quota
+        resolver = mmu.resolver_for(asid)
+        r_cache = resolver._cache
+        r_resolve = resolver.resolve_vpn
+        vpn_shift = mmu._vpn_shift
+        asid_bits = asid << ASID_SHIFT
         insort = bisect.insort
         inf = float("inf")
 
-        run_bounds = _run_bounds
-        issue_span = _issue_span
-        vpn_shift = mmu._vpn_shift
-        tlb_touch = tlb.touch
-        tlb_latency = mmu._tlb_latency
-        asid_bits = asid << ASID_SHIFT
-
         # Batched walker-completion calendar: whole saturated multi-run
         # stretches retire as one planned bucket.
-        calendar = CompletionCalendar(mmu, memory, asid)
-        self.calendars[asid] = calendar
+        calendar = self.calendars.get(asid)
+        if calendar is None:
+            calendar = self.calendars[asid] = CompletionCalendar(
+                mmu, memory, asid
+            )
 
-        # Persistent completion snapshot: ``order[idx:]`` mirrors the heap
-        # between calls (see the revalidation check below).
-        order: List[Tuple[float, int, int]] = []
-        idx = 0
-
-        # Policy quota memo, invalidated by ``SharePolicy.version`` (every
-        # quota-changing event bumps it) or a policy swap.  Busy sets are
-        # created eagerly so the memoized ``others`` rows track the live
-        # sets; an empty set behaves exactly like an absent one at every
-        # enforcement site.
-        pol_obj = None
-        pol_ver = -1
-        my_quota = None
+        # The tenant's walker quotas.  Busy sets are created eagerly so
+        # the ``others`` rows track the live sets; an empty set behaves
+        # exactly like an absent one at every enforcement site.
+        policy = pool._policy
+        policied = policy is not None
+        my_quota: Optional[int] = None
         work_conserving = True
-        my_busy = None
-        others = ()
+        my_busy: Optional[Set[int]] = None
+        others: Sequence[Tuple[int, Set[int]]] = ()
+        if policy is not None:
+            walker_quota = pool._walker_quota
+            my_quota = walker_quota(asid)
+            work_conserving = policy.work_conserving
+            my_busy = busy_by_asid.setdefault(asid, set())
+            others = [
+                (oq, busy_by_asid.setdefault(other, set()))
+                for other in policy.asids
+                if other != asid and (oq := walker_quota(other)) is not None
+            ]
 
-        # The calendar's backoff, kept across a fault return: ``(stream,
-        # i, cal_skip, cal_fails)`` when the last call stopped at a fault.
-        resume: Optional[Tuple[TransactionStream, int, int, int]] = None
+        # ``order[idx:]`` is the heap in completion order.
+        order = sorted(heap)
+        idx = 0
+        order_append = order.append
+        va_list = stream.va_list
+        size_list = stream.size_list
+        runs = stream.runs
+        n = len(va_list)
+        rc = 0
+        i = 0
+        j = 0  # the first pass takes the next-page branch
+        cycle = start_cycle
+        data_end = start_cycle
+        stall = 0.0
+        total_bytes = 0
+        seq = pool._seq
+        sc = stats.stall_cycles
+        walk = None
+        dur = 0.0
+        levels = 0
+        walks_n = 0
+        stalls_n = 0
+        fresh_walk_n = 0
+        fresh_stall_n = 0
+        levels_sum = 0
+        released_n = 0
+        prev_walk = None
+        cal_skip = 0  # plan-failure hysteresis: the next index to try
+        cal_fails = 0  # consecutive declines (backoff gate)
 
-        def run(
-            stream: TransactionStream,
-            i: int,
-            cycle: float,
-            data_end: float,
-            total_bytes: int,
-            stall: float,
-            rc: int,
-        ) -> Tuple[int, float, float, int, float, bool, int]:
-            nonlocal order, idx, resume
-            nonlocal pol_obj, pol_ver, my_quota, work_conserving, my_busy, others
-            va_list = stream.va_list
-            size_list = stream.size_list
-            runs = stream.runs
-            n = len(va_list)
-            live = len(order) - idx
-            if len(heap) != live or (
-                live
-                and (heap[0] is not order[idx] or heap[-1] is not order[-1])
-            ):
-                order = sorted(heap)
-                idx = 0
-            elif idx > 2048:
-                del order[:idx]
-                idx = 0
-            policy = pool._policy
-            policied = policy is not None
-            if policied and (
-                policy is not pol_obj or pol_ver != policy.version
-            ):
-                pol_obj = policy
-                pol_ver = policy.version
-                my_quota = walker_quota(asid)
-                work_conserving = policy.work_conserving
-                my_busy = busy_by_asid.setdefault(asid, set())
-                others = [
-                    (oq, busy_by_asid.setdefault(other, set()))
-                    for other in policy.asids
-                    if other != asid
-                    and (oq := walker_quota(other)) is not None
-                ]
-            order_append = order.append
-            resolver = resolvers[asid]
-            r_cache = resolver._cache
-            r_resolve = resolver.resolve_vpn
-            j = i  # the first pass takes the next-page branch
-            seq = pool._seq
-            sc = stats.stall_cycles
-            walk = None
-            dur = 0.0
-            levels = 0
-            faulted = False
-            walks_n = 0
-            stalls_n = 0
-            fresh_walk_n = 0
-            fresh_stall_n = 0
-            levels_sum = 0
-            released_n = 0
-            prev_walk = None
-            if resume is not None and resume[0] is stream and i > resume[1]:
-                # The kernel replayed this stream's fault and re-enters
-                # past it: the declines before the fault still count.
-                cal_skip, cal_fails = resume[2], resume[3]
-            else:
-                cal_skip = 0  # plan-failure hysteresis: the next index to try
-                cal_fails = 0  # consecutive declines (backoff gate)
-
+        try:
             while True:
                 if i >= j:
                     # ---------------- next page ----------------
@@ -660,7 +647,7 @@ class TranslationEngine:
                         break
                     vpn = va_list[i] >> vpn_shift
                     tkey = vpn | asid_bits
-                    j, run_streamable, rc = run_bounds(runs, i, rc)
+                    j, run_streamable, rc = _run_bounds(runs, i, rc)
                     walk = None
                     my_walkers = pts_by_vpn.get(tkey)
                     prev_walk = None
@@ -730,7 +717,7 @@ class TranslationEngine:
                     span = j - i
                     if span > t:
                         span = t if t > 1 else 1
-                    cycle, data_end, total_bytes = issue_span(
+                    cycle, data_end, total_bytes = _issue_span(
                         va_list, size_list, i, span, run_streamable, cycle,
                         tlb_latency, data_end, total_bytes, channel_free,
                         n_channels, ch_bw, mem_latency,
@@ -744,7 +731,7 @@ class TranslationEngine:
                 if not free_list:
                     startable = False
                 elif (
-                    not policied
+                    my_busy is None
                     or my_quota is None
                     or len(my_busy) < my_quota
                 ):
@@ -759,7 +746,6 @@ class TranslationEngine:
                             reserved_unmet += shortfall
                     startable = len(free_list) > reserved_unmet
                 if startable:
-                    # ---------------- walk start ----------------
                     if walk is None:
                         walk = r_cache.get(vpn)
                         if walk is None:
@@ -767,10 +753,23 @@ class TranslationEngine:
                             # resolve decides which.
                             walk = r_resolve(vpn)
                             if walk is None:
-                                faulted = True
-                                break  # the kernel's leading step raises it
+                                # ------------- fault -------------
+                                stats.faults += 1
+                                tlb.misses += 1
+                                pts.lookups += 1
+                                if my_walkers:
+                                    pts.hits += 1
+                                if fault_handler is None:
+                                    raise TranslationFault(vpn)
+                                resolved = fault_handler(vpn, cycle, asid)
+                                stall += resolved - cycle
+                                cycle = resolved
+                                my_walkers = pts_by_vpn.get(tkey)
+                                prev_walk = None
+                                continue
                         levels = walk.levels
                         dur = levels * walk_latency
+                    # ---------------- walk start ----------------
                     ready = cycle + dur
                     if my_walkers is None:
                         fresh_walk_n += 1  # PTS miss: non-redundant
@@ -782,13 +781,13 @@ class TranslationEngine:
                     vpn_arr[walker] = vpn
                     walk_of[walker] = walk
                     completion_of[walker] = ready
-                    if policied:
+                    if my_busy is not None:
                         my_busy.add(walker)
                     seq += 1
                     entry = (ready, seq, walker)
                     if order and ready < order[-1][0]:
-                        # In-flight walks span page depths: keep the
-                        # snapshot sorted (pop order is unchanged; an
+                        # In-flight walks span page depths: keep
+                        # ``order`` sorted (pop order is unchanged; an
                         # equal-ready entry has the larger seq and
                         # belongs at the tail).
                         insort(order, entry, idx)
@@ -847,21 +846,8 @@ class TranslationEngine:
                         stats.tlb_hits += cal_hits
                         cal_fails = 0
                         continue
-                    # Declines are pure overhead: skipping an attempt is
-                    # always bit-identical (per-event fallback), so skip
-                    # the rest of the run, and after a streak of failures
-                    # the next ``_CAL_BACKOFF_RUNS`` runs (where every
-                    # page faults on first touch, say, and each scan stops
-                    # at the next unmapped page).  The backoff survives
-                    # the runner's return at a fault: the kernel replays
-                    # the fault and re-enters on the same stream.
                     cal_fails += 1
-                    if cal_fails < _CAL_MAX_FAILS:
-                        cal_skip = j
-                    else:
-                        cal_skip = runs[
-                            min(rc + _CAL_BACKOFF_RUNS, len(runs) - 1)
-                        ][0]
+                    cal_skip = _decline_skip(runs, j, rc, cal_fails)
 
                 # ---------------- stall ----------------
                 # One stall attempt at the FIFO retry point (the
@@ -869,9 +855,8 @@ class TranslationEngine:
                 # hard-partitioned tenant at quota waits for its own
                 # earliest walk instead.
                 if (
-                    policied
+                    my_busy
                     and not work_conserving
-                    and my_busy
                     and my_quota is not None
                     and len(my_busy) >= my_quota
                 ):
@@ -886,9 +871,9 @@ class TranslationEngine:
                 sc += retry - cycle if retry > cycle else 0.0
                 stall += retry - cycle
                 cycle = retry
-
+        finally:
             # Restore the live completion suffix (sorted == valid heap) and
-            # flush the deferred counters.
+            # flush the deferred counters, also when a fault raises.
             heap[:] = order[idx:]
             pool._seq = seq
             stats.stall_cycles = sc
@@ -909,11 +894,17 @@ class TranslationEngine:
                 pts.hits += walks_n + stalls_n
             if stalls_n or fresh_stall_n:
                 stats.stall_events += stalls_n + fresh_stall_n
-            resume = (stream, i, cal_skip, cal_fails) if faulted else None
-            return i, cycle, data_end, total_bytes, stall, faulted, rc
 
-        self._np_runners[asid] = run
-        return run
+        memory.total_bytes += total_bytes
+        memory.total_accesses += n
+        return BurstResult(
+            start_cycle=start_cycle,
+            issue_end_cycle=cycle,
+            data_end_cycle=data_end,
+            transactions=n,
+            bytes_moved=total_bytes,
+            stall_cycles=stall,
+        )
 
     # ------------------------------------------------------------------ #
     # batched kernel (every translated MMU, every share policy)          #
@@ -924,14 +915,8 @@ class TranslationEngine:
     ) -> BurstResult:
         """Same-page run batching for translated MMUs under any share policy.
 
-        PRMB-less, path-cache-less MMUs (the baseline IOMMU, whose walks
-        complete in FIFO order) hand the whole burst to the fused FIFO
-        runner (:meth:`_no_prmb_fifo_runner`), entering it once at the
-        first transaction.  It stops early only at a faulting transaction,
-        which the leading step below replays (raising the fault or handing
-        it to the fault handler) before the runner takes over again.
-
-        Every other MMU runs the kernel's own loop.  Each segment's leading
+        It serves every translated MMU but the PRMB-less, path-cache-less
+        ones (:meth:`_run_burst_fifo`).  Each segment's leading
         transaction takes one fully general step; the rest of its
         same-page run is retired in bulk until the next interaction point.
         The phases, each marked by a comment in the loop:
@@ -943,9 +928,8 @@ class TranslationEngine:
           here (:meth:`CompletionCalendar.plan_streak`: one walk plus
           merges each, while walkers stay free) and retires it as one
           bucket (:meth:`CompletionCalendar.drain_streak`), resuming
-          after it.  A declined plan falls through to the leading step;
-          the gate then skips the rest of the run, and after six
-          consecutive declines the next ``_CAL_BACKOFF_RUNS`` runs.
+          after it.  A declined plan falls through to the leading step,
+          and the gate backs off (:func:`_decline_skip`).
         * **Leading step.**  The inlined :meth:`MMU.translate`: same
           probes, counters and dispatch order (TLB → PTS/PRMB merge →
           walker allocation → stall), with the method-call chain flattened
@@ -1006,7 +990,6 @@ class TranslationEngine:
         # when every quota is unlimited.
         policied = pool._policy is not None
         prmb_quota_of = mmu.share_policy.prmb_quota
-        fifo = not prmb_capacity and pool._no_path_cache
         inf = float("inf")
 
         mem_cfg = memory.config
@@ -1046,8 +1029,6 @@ class TranslationEngine:
         runs = stream.runs
         n = len(va_list)
         rc = 0
-        if fifo:
-            runner = self._no_prmb_fifo_runner(asid)
         # The merge-streak calendar: PRMB machines without a path cache
         # under full sharing, whose fresh pages each take one walk plus
         # merges while walkers are free.
@@ -1064,13 +1045,6 @@ class TranslationEngine:
 
         i = 0
         while i < n:
-            if fifo:
-                # ---------------- FIFO runner ----------------
-                (
-                    i, cycle, data_end, total_bytes, stall, faulted, rc,
-                ) = runner(stream, i, cycle, data_end, total_bytes, stall, rc)
-                if not faulted:
-                    break
             va = va_list[i]
             size = size_list[i]
             vpn = va >> vpn_shift
@@ -1101,16 +1075,9 @@ class TranslationEngine:
                     i += m
                     streak_fails = 0
                     continue
-                # A decline falls through to the leading step; the gate
-                # skips the rest of the run, and after a streak of
-                # declines the next ``_CAL_BACKOFF_RUNS`` runs.
+                # A decline falls through to the leading step.
                 streak_fails += 1
-                if streak_fails < _CAL_MAX_FAILS:
-                    streak_skip = j
-                else:
-                    streak_skip = runs[
-                        min(rc + _CAL_BACKOFF_RUNS, len(runs) - 1)
-                    ][0]
+                streak_skip = _decline_skip(runs, j, rc, streak_fails)
             while True:
                 if tkey in tlb_set:
                     stats.requests += 1
@@ -1218,8 +1185,6 @@ class TranslationEngine:
             total_bytes += size
             cycle += 1.0
             i += 1
-            if fifo:
-                continue  # a replayed fault: the runner resumes
 
             # Bulk continuation of the same-page run.
             while i < n and va_list[i] >> vpn_shift == vpn:

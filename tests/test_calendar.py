@@ -1,8 +1,8 @@
 """Differential fuzz: walker-completion calendar vs the per-event heap.
 
 The batched completion calendar (:mod:`repro.core.calendar`) retires
-whole saturated stretches of the fused no-PRMB runner as one planned
-bucket.  The calendar is unconditional, so the per-event leg (the
+whole saturated stretches of the FIFO path (PRMB-less, path-cache-less
+MMUs) as one planned bucket.  The calendar is unconditional, so the per-event leg (the
 heap-based ``WalkerPool`` discipline the calendar replaces) is forced by
 patching :meth:`CompletionCalendar.plan_stretch` to decline every plan.
 Both paths must be *bit-identical*: same burst results, same
@@ -745,10 +745,10 @@ class TestStretchesLongerThanTheTLB:
 
 class TestFaultBackoff:
     def test_backoff_survives_fault_returns(self):
-        """Every other run faults (the handler maps it): the FIFO runner
-        returns at each fault and the kernel re-enters it on the same
-        stream.  The declines before a fault keep counting toward the
-        backoff, so the plans the next faulting page dooms stop early."""
+        """Every other run faults (the handler maps it) and the FIFO
+        path handles each fault in its loop.  The declines before a
+        fault keep counting toward the backoff, so the plans the next
+        faulting page dooms stop early."""
         chunks = []
         for k in range(150):
             chunks += [(k, 1, 9), k + 1]

@@ -2,16 +2,18 @@
 
 A :class:`~repro.core.engine.TranslationEngine` with ``batched`` set
 (the default; the ``columnar`` mode here) runs its fast paths (the
-oracle shortcut, the batched kernel and the FIFO runner) over the DMA's
+oracle shortcut, the FIFO path and the batched kernel) over the DMA's
 :class:`~repro.core.stream.TransactionStream`; with ``batched`` cleared
 (the ``reference`` mode) it runs the per-transaction reference loop, the
 bit-identical golden semantics.  Both modes read the same stream.
 Hypothesis drives random bursts spanning multiple ASIDs, page sizes,
-QoS share policies, injected translation faults and mid-run policy
-events (re-weights, context teardown) through both modes and requires
+QoS share policies, injected translation faults (mapped by the fault
+handler, which may also evict an older page) and mid-run policy events
+(re-weights, context teardown) through both modes and requires
 identical service order and statistics — the same ``BurstResult``
-sequences, ``RunSummary``, channel state, TLB contents *in LRU order*,
-PTS counters and PRMB statistics.
+sequences, fault-handler calls, ``RunSummary``, channel state, TLB
+contents *in LRU order*, PTS map and counters, in-flight walks, free
+list and walk sequence, PRMB statistics and Figure 7 timeline.
 
 Two layers are fuzzed:
 
@@ -35,6 +37,7 @@ from repro.core.mmu import (
     MMUConfig,
     baseline_iommu_config,
     neummu_config,
+    oracle_config,
 )
 from repro.core.stream import TransactionStream
 from repro.memory.address import PAGE_SIZE_2M, PAGE_SIZE_4K
@@ -51,8 +54,8 @@ N_PAGES = 96
 #: from ``BASE`` that no 2 MB VPN straddles mapped and unmapped space.
 FAULT_BASE = BASE + (1 << 40)
 
-#: Design points spanning the engine's dispatch paths: the fused no-PRMB
-#: runner (baseline IOMMU), the merge-heavy NeuMMU point, a
+#: Design points spanning the engine's dispatch paths: the FIFO path
+#: (baseline IOMMU), the merge-heavy NeuMMU point, a
 #: walker/slot-starved point that exercises stall recycling, and a
 #: PRMB-less path-cache point whose misses take the kernel's leading step.
 FUZZ_CONFIGS = [
@@ -177,13 +180,23 @@ class TestColumnarRepresentation:
 # --------------------------------------------------------------------- #
 
 
-def run_mode(mode, config, qos, schedule, page_size, epoch_ops=None):
+#: Fault pages the evicting handler keeps mapped per context; past it,
+#: each fault unmaps an older one.
+EVICT_BUDGET = 2
+
+
+def run_mode(
+    mode, config, qos, schedule, page_size, epoch_ops=None, evict=False,
+    window=0, start=0.0,
+):
     """One full multi-ASID run in ``mode``; returns comparable state.
 
     ``epoch_ops`` maps a schedule index to a policy event applied after
     that burst: ``("weight", asid, w)`` re-weights a tenant and
     ``("remove", asid)`` destroys its context mid-run, poisoning its
     in-flight walks; later bursts of a removed ASID are skipped.
+    ``evict`` makes the fault handler evict, ``window`` turns the
+    timeline on and burst ``i`` starts at ``i * 7 + start``.
     """
     cfg = replace(config, qos=qos, page_size=page_size)
     mmu = MMU(cfg, None)
@@ -196,14 +209,18 @@ def run_mode(mode, config, qos, schedule, page_size, epoch_ops=None):
     mmu.register_context(5, tables[5], weight=1.0)
     mmu.register_context(9, tables[9], weight=1.5)
     memory = MainMemory()
-    engine = TranslationEngine(mmu, memory)
+    engine = TranslationEngine(mmu, memory, timeline_window=window)
     engine.batched = mode == "columnar"
 
     page_bits = page_size.bit_length() - 1
+    calls = []
+    resident = {asid: [] for asid in tables}
+    evictions = []
 
     def demand_map(vpn, cycle, asid):
         # Deterministic demand-paging stand-in: map the faulting page at
         # a fixed cost so the burst continues identically in both modes.
+        calls.append((vpn, cycle, asid))
         tables[asid].map_range(
             vpn << page_bits, page_size,
             first_pfn=2_000_000 + (vpn & 0xFFFF) * 512 + asid,
@@ -211,6 +228,20 @@ def run_mode(mode, config, qos, schedule, page_size, epoch_ops=None):
         # Shoot down the negative-result caches so the retry resolves
         # (mirrors LocalMemoryTier.handle_fault).
         mmu.shootdown(vpn, asid)
+        pages = resident[asid]
+        pages.append(vpn)
+        if evict and len(pages) > EVICT_BUDGET:
+            # Unmap the oldest other page whose walk is not in flight and
+            # shoot it down, as LocalMemoryTier._evict_over_budget does.
+            for old in pages:
+                if old != vpn and (
+                    mmu.pts is None or mmu.pts.peek(old, asid) is None
+                ):
+                    pages.remove(old)
+                    tables[asid].unmap_page(old << page_bits, page_size)
+                    mmu.shootdown(old, asid)
+                    evictions.append((old, asid))
+                    break
         return cycle + 2500.0
 
     engine.fault_handler = demand_map
@@ -221,7 +252,7 @@ def run_mode(mode, config, qos, schedule, page_size, epoch_ops=None):
             txs = materialize(burst)
             if mode == "columnar":
                 txs = TransactionStream.from_pairs(txs, page_size)
-            results.append(engine.run_burst(txs, float(i * 7), asid))
+            results.append(engine.run_burst(txs, i * 7 + start, asid))
         op = (epoch_ops or {}).get(i)
         if op is not None:
             if op[0] == "weight":
@@ -229,13 +260,28 @@ def run_mode(mode, config, qos, schedule, page_size, epoch_ops=None):
             else:
                 mmu.destroy_context(op[1])
                 removed.add(op[1])
-    mmu.drain()
     state = {
         "results": results,
-        "summary": mmu.summary(),
-        "channels": tuple(memory._channel_free),
-        "mem": (memory.total_bytes, memory.total_accesses),
+        "faults": calls,
+        "evictions": evictions,
+        "stats": mmu.stats.snapshot(),
+        "timeline": dict(engine.timeline),
     }
+    if mmu.pool is not None:
+        pool = mmu.pool
+        # The heap's list order is not observable: every key is distinct,
+        # so pops come out in sorted order either way.
+        state["live"] = (
+            sorted(pool.heap),
+            list(pool._free),
+            pool._seq,
+            {a: sorted(b) for a, b in pool._busy_by_asid.items() if b},
+            [(key, list(w)) for key, w in mmu.pts._by_vpn.items()],
+        )
+    mmu.drain()
+    state["summary"] = mmu.summary()
+    state["channels"] = tuple(memory._channel_free)
+    state["mem"] = (memory.total_bytes, memory.total_accesses)
     if mmu.pool is not None:
         state["prmb"] = dict(mmu.pool.prmb_stats.__dict__)
         state["pts"] = (mmu.pts.lookups, mmu.pts.hits, mmu.pts.in_flight)
@@ -243,6 +289,14 @@ def run_mode(mode, config, qos, schedule, page_size, epoch_ops=None):
         state["tlb"] = list(mmu.tlb._set.items())
         state["occupancy"] = dict(mmu.tlb._asid_occupancy)
     return state
+
+
+def assert_modes_match(config, qos, schedule, page_size=PAGE_SIZE_4K, **kw):
+    """Both modes leave the same state; returns the columnar one."""
+    columnar = run_mode("columnar", config, qos, schedule, page_size, **kw)
+    reference = run_mode("reference", config, qos, schedule, page_size, **kw)
+    assert columnar == reference
+    return columnar
 
 
 class TestEngineDifferential:
@@ -307,6 +361,66 @@ class TestPolicyEvents:
             "reference", config, qos, schedule, PAGE_SIZE_4K, epoch_ops=ops
         )
         assert columnar == reference
+
+
+class TestEvictingFaults:
+    """Faults whose handler evicts: it maps the faulting page, then
+    unmaps an older page it mapped and shoots it down, so that page's
+    TLB entry goes mid-burst and its next touch faults again.  The FIFO
+    path and the oracle shortcut handle these faults inside their loops.
+    """
+
+    @given(bursts=st.lists(_burst, min_size=1, max_size=4))
+    @settings(max_examples=25, deadline=None)
+    def test_iommu_single_tenant(self, bursts):
+        schedule = [(0, burst) for burst in bursts]
+        assert_modes_match(
+            baseline_iommu_config(), "full_share", schedule, evict=True
+        )
+
+    @pytest.mark.parametrize(
+        "qos", ["full_share", "static_partition", "weighted"]
+    )
+    @given(
+        schedule=st.lists(
+            st.tuples(st.sampled_from([0, 5]), _burst),
+            min_size=1, max_size=4,
+        )
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_iommu_two_tenants(self, qos, schedule):
+        assert_modes_match(baseline_iommu_config(), qos, schedule, evict=True)
+
+    @given(schedule=_schedule)
+    @settings(max_examples=25, deadline=None)
+    def test_oracle(self, schedule):
+        assert_modes_match(oracle_config(), "full_share", schedule, evict=True)
+
+    @given(schedule=_run_schedule)
+    @settings(max_examples=25, deadline=None)
+    def test_oracle_timeline_fractional_start(self, schedule):
+        # Same-page runs of up to 15 transactions cross the 10-cycle
+        # windows, so each run's captures must step through them.
+        state = assert_modes_match(
+            oracle_config(), "full_share", schedule, evict=True,
+            window=10, start=0.375,
+        )
+        issued = sum(len(burst) for _, burst in schedule)
+        assert sum(state["timeline"].values()) == issued
+
+    @pytest.mark.parametrize(
+        "config", [baseline_iommu_config(), oracle_config()],
+        ids=lambda c: c.name,
+    )
+    def test_evicted_pages_fault_again(self, config):
+        pages = (-1, -2, -3, -4, -5, 1, -1, -2)
+        burst = [(page, slot, 256) for page in pages for slot in range(12)]
+        state = assert_modes_match(
+            config, "full_share", [(0, burst), (0, burst)], evict=True
+        )
+        assert state["evictions"]
+        faulted = [vpn for vpn, _, _ in state["faults"]]
+        assert len(faulted) > len(set(faulted))
 
 
 # --------------------------------------------------------------------- #

@@ -198,3 +198,73 @@ class TestFaultHandling:
         missing = BASE + 5 * PAGE_SIZE_4K
         result = engine.run_burst([(missing, 256)], 0.0)
         assert result.data_end_cycle == pytest.approx(1000 + 256 / 75 + 100)
+
+
+class TestFaultExceptionSafety:
+    """A fault that raises mid-burst on the FIFO path (the baseline
+    IOMMU's) leaves the state the reference loop leaves at the same
+    raise: the path flushes its deferred counters and restores the heap
+    and the walk sequence before the exception leaves it, and like the
+    reference it never adds the burst to ``memory.total_*``."""
+
+    FAULT_VA = BASE + 200 * PAGE_SIZE_4K  # beyond every mapped page
+
+    @staticmethod
+    def failing_handler(vpn, cycle, asid):
+        raise RuntimeError(f"migration of VPN 0x{vpn:x} failed")
+
+    def state_after_raise(self, batched, tenants, handler):
+        qos = "static_partition" if tenants == 2 else "full_share"
+        mmu = MMU(MMUConfig(name="iommu", n_walkers=8, prmb_slots=0, qos=qos), None)
+        for asid in range(tenants):
+            table = PageTable()
+            table.map_range(BASE, 96 * PAGE_SIZE_4K, first_pfn=10 + asid * 1000)
+            mmu.register_context(asid, table)
+        memory = MainMemory()
+        engine = TranslationEngine(mmu, memory, fault_handler=handler)
+        engine.batched = batched
+        last = tenants - 1
+        if tenants == 2:
+            # The other tenant's walks are in flight when the fault raises.
+            engine.run_burst(txs_for_pages(range(40, 52), per_page=16), 0.0, 0)
+        # Fresh pages long enough for the completion calendar, hits on a
+        # resident page, walks of a fresh page, then the fault.
+        txs = txs_for_pages(range(30), per_page=16) + txs_for_pages([3], 4)
+        txs += txs_for_pages([70], 3)
+        txs += [(self.FAULT_VA + k * 256, 256) for k in range(4)]
+        txs += txs_for_pages(range(60, 64), per_page=16)
+        with pytest.raises((TranslationFault, RuntimeError)):
+            engine.run_burst(txs, 11.5, last)
+        pool, pts, tlb = mmu.pool, mmu.pts, mmu.tlb
+        return {
+            "stats": mmu.stats.snapshot(),
+            "tlb": list(tlb._set.items()),
+            "tlb_counts": (tlb.hits, tlb.misses, dict(tlb._asid_occupancy)),
+            "pts": [(key, list(w)) for key, w in pts._by_vpn.items()],
+            "pts_counts": (pts.lookups, pts.hits, pts.in_flight),
+            # The heap's list order is not observable (every key is
+            # distinct, so pops come out in sorted order either way).
+            "heap": sorted(pool.heap),
+            "free": list(pool._free),
+            "seq": pool._seq,
+            "pool_stats": vars(pool.stats).copy(),
+            "busy": {a: sorted(b) for a, b in pool._busy_by_asid.items() if b},
+            "channels": list(memory._channel_free),
+            "mem": (memory.total_bytes, memory.total_accesses),
+            "plans": sum(
+                cal.counts()["chain_plans"] + cal.counts()["cadence_plans"]
+                for cal in engine.calendars.values()
+            ),
+        }
+
+    @pytest.mark.parametrize("tenants", [1, 2])
+    @pytest.mark.parametrize("handler", ["none", "failing"])
+    def test_fifo_fault_leaves_reference_state(self, tenants, handler):
+        fault_handler = self.failing_handler if handler == "failing" else None
+        fast = self.state_after_raise(True, tenants, fault_handler)
+        reference = self.state_after_raise(False, tenants, fault_handler)
+        assert fast.pop("plans") > 0  # a calendar drain preceded the fault
+        reference.pop("plans")
+        assert fast == reference
+        assert fast["stats"]["faults"] == 1
+        assert fast["heap"], "the fault must raise with walks in flight"

@@ -14,14 +14,12 @@ Each run has a fresh :class:`~repro.analysis.runner.ExperimentRunner`,
 so each mode starts from a cold result memo and simulates every cell
 itself, and the rendered figures are compared field for field.
 
-The fast tier covers demand paging, the VA trace and the shared-MMU
-figures; the slow tier adds the dense sweeps, most importantly Figure
-8 — the saturated baseline-IOMMU regime where the fused FIFO runner
-stalls, retires and restarts a walk per transaction and the completion
-calendar retires whole stretches.  Figure 7 has no diff here: its
-timeline capture runs the reference loop in both modes
-(``TranslationEngine._batchable``), so ``tests/fig7_default.txt`` pins
-it absolutely instead (``tests/test_experiments.py``).
+The fast tier covers Figure 7's timeline (captured by the oracle
+shortcut), demand paging, the VA trace and the shared-MMU figures; the
+slow tier adds the dense sweeps, most importantly Figure 8 — the
+saturated baseline-IOMMU regime where the FIFO path stalls, retires and
+restarts a walk per transaction and the completion calendar retires
+whole stretches.
 
 :func:`golden_diff` returns the columnar figure, so the shared-MMU diffs
 (contention, fairness, paged tenants) also check that figure's claims:
@@ -37,6 +35,7 @@ import pytest
 from repro.analysis import (
     ExperimentRunner,
     fairness,
+    fig7_translation_bursts,
     fig8_baseline_iommu,
     fig11_ptw_sweep,
     fig13_tpreg_hit_rates,
@@ -90,6 +89,9 @@ def slowdowns_by_cell(figure, key_fields):
 
 
 class TestFastTier:
+    def test_fig7_translation_bursts(self):
+        golden_diff(fig7_translation_bursts)
+
     def test_fig14_va_trace(self):
         golden_diff(lambda: fig14_va_trace(max_rows=10))
 
@@ -143,7 +145,7 @@ class TestFastTier:
 @pytest.mark.slow
 class TestDenseSweeps:
     def test_fig8_baseline_iommu(self):
-        # The FIFO runner's saturated loop and the calendar's planned
+        # The FIFO path's saturated loop and the calendar's planned
         # stretches must reproduce Figure 8 exactly.
         golden_diff(
             lambda: fig8_baseline_iommu(

@@ -10,11 +10,13 @@ space to lock that in, and pin the engine's inlined memory arithmetic to
 ``MainMemory.access``.
 """
 
+import collections
 import random
 from dataclasses import replace
 
 import pytest
 
+from repro.cli import main
 from repro.core.engine import TranslationEngine
 from repro.core.mmu import (
     MMU,
@@ -27,8 +29,10 @@ from repro.core.stream import TransactionStream
 from repro.memory.address import PAGE_SIZE_2M, PAGE_SIZE_4K
 from repro.memory.dram import MainMemory, MemoryConfig
 from repro.memory.page_table import PageTable
-from repro.npu.simulator import NPUSimulator
+from repro.npu.simulator import MultiTenantSimulator, NPUSimulator
+from repro.sparse.demand_paging import DemandPagingConfig, DemandPagingSimulator
 from repro.workloads.cnn import Workload
+from repro.workloads.embedding import dlrm
 from repro.workloads.layers import DenseLayer
 from repro.workloads.registry import dense_workload
 
@@ -95,10 +99,28 @@ def make_engine(mmu, memory, batched):
     return engine
 
 
+def spy_paths(monkeypatch):
+    """Count every engine's ``run_burst`` calls and entries into each
+    path, by name."""
+    calls = collections.Counter()
+    for name in (
+        "run_burst", "_run_burst_reference", "_run_burst_oracle",
+        "_run_burst_fifo", "_run_burst_kernel",
+    ):
+        method = getattr(TranslationEngine, name)
+
+        def spy(engine, *args, _name=name, _method=method, **kwargs):
+            calls[_name] += 1
+            return _method(engine, *args, **kwargs)
+
+        monkeypatch.setattr(TranslationEngine, name, spy)
+    return calls
+
+
 def pool_bookkeeping(pool):
     """The walker pool's per-ASID PRMB occupancy and busy-walker counts.
 
-    Only non-empty busy sets count: the FIFO runner creates them eagerly,
+    Only non-empty busy sets count: the FIFO path creates them eagerly,
     and an empty set behaves exactly like an absent one.
     """
     return (
@@ -307,7 +329,7 @@ class TestContendedPathParity:
 
     #: No-PRMB and merge-heavy design points, policied.  ``tpc0`` and
     #: ``tpreg0`` are PRMB-less with a path cache: their misses take the
-    #: kernel's inlined leading step, not the FIFO runner.
+    #: kernel's inlined leading step, not the FIFO path.
     CONTENDED_CONFIGS = [
         baseline_iommu_config(),
         neummu_config(),
@@ -367,7 +389,7 @@ class TestContendedPathParity:
 
     @pytest.mark.parametrize("seed", [7, 69, 100])
     def test_policied_iommu_random_seeds(self, seed):
-        """Extra seeds on the no-PRMB design point (the fused run)."""
+        """Extra seeds on the no-PRMB design point (the FIFO path)."""
         txs_a = random_stream(seed, 1800)
         txs_b = streaming_stream(900)
         schedule = [(0, txs_a), (5, txs_b), (0, txs_b[:300])]
@@ -376,27 +398,126 @@ class TestContendedPathParity:
         )
         assert batched_state == reference_state
 
-    def test_every_share_policy_reaches_the_one_kernel(self):
+    def test_every_share_policy_reaches_the_one_kernel(self, monkeypatch):
         """A full_share and a static_partition PRMB burst dispatch to the
         same batched kernel method: full sharing is not a separate path."""
-        paths = ("_run_burst_reference", "_run_burst_oracle", "_run_burst_kernel")
+        calls = spy_paths(monkeypatch)
         reached = {}
         for qos in ("full_share", "static_partition"):
             mmu = MMU(replace(neummu_config(), qos=qos), build_table())
             engine = make_engine(mmu, MainMemory(), True)
-            calls = reached[qos] = []
-            for name in paths:
-
-                def spy(*args, _name=name, _method=getattr(engine, name)):
-                    calls.append(_name)
-                    return _method(*args)
-
-                setattr(engine, name, spy)
+            calls.clear()
             engine.run_burst(streaming_stream(64), 0.0)
-        assert reached == {
-            "full_share": ["_run_burst_kernel"],
-            "static_partition": ["_run_burst_kernel"],
+            reached[qos] = dict(calls)
+        kernel = {"run_burst": 1, "_run_burst_kernel": 1}
+        assert reached == {"full_share": kernel, "static_partition": kernel}
+
+    def test_each_design_point_reaches_its_path(self, monkeypatch):
+        """``run_burst`` hands each design point to one path: the oracle
+        (also with a fault handler or a timeline) to the oracle shortcut;
+        PRMB-less, path-cache-less MMUs (the baseline IOMMU, also under a
+        demand-paging tier or shared under a quota) to the FIFO path,
+        once per burst however many of its pages fault; NeuMMU and a
+        PRMB-less TPreg machine to the kernel; and only the prefetcher,
+        the two-level TLB and a timeline on a translated MMU to the
+        reference loop."""
+        calls = spy_paths(monkeypatch)
+        unmapped = BASE + N_PAGES * PAGE_SIZE_4K
+
+        def reached(config, window=0, paged=False):
+            table = build_table()
+            mmu = MMU(config, table)
+            faults = []
+
+            def demand_map(vpn, cycle, asid):
+                faults.append(vpn)
+                table.map_range(
+                    vpn * PAGE_SIZE_4K, PAGE_SIZE_4K,
+                    first_pfn=900_000 + len(faults),
+                )
+                mmu.shootdown(vpn, asid)
+                return cycle + 500.0
+
+            engine = TranslationEngine(
+                mmu, MainMemory(), window, demand_map if paged else None
+            )
+            txs = streaming_stream(64)
+            if paged:
+                # Two unmapped pages: both fault inside the one burst.
+                txs += [(unmapped + k * 256, 256) for k in range(32)]
+            calls.clear()
+            engine.run_burst(txs, 0.0)
+            assert len(faults) == (2 if paged else 0)
+            return dict(calls)
+
+        def once(path):
+            return {"run_burst": 1, path: 1}
+
+        oracle = once("_run_burst_oracle")
+        assert reached(oracle_config()) == oracle
+        assert reached(oracle_config(), paged=True) == oracle
+        assert reached(oracle_config(), window=100) == oracle
+        assert reached(baseline_iommu_config()) == once("_run_burst_fifo")
+        assert reached(baseline_iommu_config(), paged=True) == once(
+            "_run_burst_fifo"
+        )
+        kernel = once("_run_burst_kernel")
+        assert reached(neummu_config(), paged=True) == kernel
+        tpreg0 = MMUConfig(name="tpreg0", n_walkers=6, path_cache="tpreg")
+        assert reached(tpreg0) == kernel
+        reference = once("_run_burst_reference")
+        assert reached(MMUConfig(name="pf", prefetch_depth=2)) == reference
+        assert reached(MMUConfig(name="l1", l1_tlb_entries=16)) == reference
+        assert reached(baseline_iommu_config(), window=100) == reference
+
+        # A demand-paging tier on the baseline IOMMU: every burst (the
+        # embedding gathers and the dense phase) enters the FIFO path
+        # once, though its pages fault many times more often.
+        sim = DemandPagingSimulator(
+            dlrm(), baseline_iommu_config(), 1,
+            system=DemandPagingConfig(
+                batches=3, warm_batches=1, table_rows=20_000,
+                local_budget_bytes=1 << 20,
+            ),
+        )
+        calls.clear()
+        sim.run()
+        assert set(calls) == {"run_burst", "_run_burst_fifo"}
+        assert calls["_run_burst_fifo"] == calls["run_burst"]
+        assert sim.faults > calls["run_burst"] and sim.evictions > 0
+
+        # Two tenants sharing the MMU under each share policy.
+        workload = Workload(
+            name="spy_fc", batch=1, layers=(DenseLayer("fc", 1, 2048, 512),)
+        )
+        for config, path in (
+            (baseline_iommu_config(), "_run_burst_fifo"),
+            (neummu_config(), "_run_burst_kernel"),
+        ):
+            for qos in ("full_share", "static_partition", "weighted"):
+                calls.clear()
+                MultiTenantSimulator([workload, workload], config, qos=qos).run()
+                assert set(calls) == {"run_burst", path}, (config.name, qos)
+                assert calls[path] == calls["run_burst"]
+
+    def test_fig7_and_fig16_never_reach_the_reference_loop(
+        self, monkeypatch, tmp_path
+    ):
+        """Figure 7's timeline runs the oracle shortcut and Figure 16's
+        paged cells the oracle shortcut, the FIFO path and the kernel."""
+        calls = spy_paths(monkeypatch)
+        assert main(["run", "fig7", "--out", str(tmp_path)]) == 0
+        assert set(calls) == {"run_burst", "_run_burst_oracle"}
+        calls.clear()
+        assert main(["run", "fig16", "--batches", "1", "--out", str(tmp_path)]) == 0
+        assert set(calls) == {
+            "run_burst", "_run_burst_oracle", "_run_burst_fifo",
+            "_run_burst_kernel",
         }
+        assert calls["run_burst"] == (
+            calls["_run_burst_oracle"] + calls["_run_burst_fifo"]
+            + calls["_run_burst_kernel"]
+        )
 
 
 class TestMemoryArithmeticParity:

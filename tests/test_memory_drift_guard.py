@@ -1,16 +1,19 @@
 """Drift guard: the engine's inlined channel arithmetic IS MainMemory.access.
 
-``_run_burst_reference``, ``_run_burst_oracle`` and the batched kernel all
-inline the memory-channel update (pick channel by ``(va >> 8) % channels``,
-FIFO service, ``size / channel_bandwidth`` transfer, fixed latency) for
+Every engine path — ``_run_burst_reference``, ``_run_burst_oracle``,
+``_run_burst_fifo`` and ``_run_burst_kernel`` — inlines the
+memory-channel update (pick channel by ``(va >> 8) % channels``, FIFO
+service, ``size / channel_bandwidth`` transfer, fixed latency) for
 speed.  If :class:`~repro.memory.dram.MainMemory.access` ever changes —
 different hash, different rounding, an added parameter — the inlined
 copies must change with it.  These property tests replay random
-transaction streams through the engine paths and through a shadow
-``MainMemory`` driven purely by ``access`` calls, and require *exact*
-float equality on every observable (per-channel busy-until state, data
-end, byte/access totals), so any divergence between the inlined and
-delegated arithmetic fails loudly.
+transaction streams through the reference loop (oracular and translated)
+and the oracle shortcut, and through a shadow ``MainMemory`` driven
+purely by ``access`` calls, and require *exact* float equality on every
+observable (per-channel busy-until state, data end, byte/access totals),
+so any divergence between the inlined and delegated arithmetic fails
+loudly; the parity suites hold the FIFO path and the kernel to the
+reference loop.
 """
 
 import pytest

@@ -14,8 +14,11 @@ Three layers of coverage:
   never slower than under full sharing.
 """
 
+import collections
+
 import pytest
 
+from repro.core.engine import TranslationEngine
 from repro.core.mmu import MMU, MMUConfig, SharedMMU, baseline_iommu_config, neummu_config
 from repro.core.qos import (
     ARBITRATION_POLICIES,
@@ -47,9 +50,8 @@ def table_mapping(first_pfn, n_pages=4096):
 
 
 def tiny_workload(batch=1, tag="t"):
-    # Deliberately small (non-trivial policies force the engine's
-    # per-transaction reference path, and this keeps the whole QoS suite
-    # inside the fast CI tier) but with a dense layer wide enough that
+    # Deliberately small (this keeps the whole QoS suite inside the
+    # fast CI tier) but with a dense layer wide enough that
     # two tenants genuinely saturate the 8-walker IOMMU's translation
     # throughput — the regime where share policies have teeth.
     return Workload(
@@ -807,16 +809,42 @@ class TestDefaultBitIdentity:
             assert a.usage.stall_cycles == b.usage.stall_cycles
         assert baseline.mmu_summary.requests == explicit.mmu_summary.requests
 
-    def test_trivial_policy_keeps_batched_fast_path(self):
-        sim = MultiTenantSimulator([tiny_workload()], neummu_config())
-        assert sim.shared.engine._batchable()
+    @staticmethod
+    def engine_paths(monkeypatch):
+        """Count the shared engine's entries into each burst path."""
+        calls = collections.Counter()
+        for name in (
+            "_run_burst_reference", "_run_burst_oracle",
+            "_run_burst_fifo", "_run_burst_kernel",
+        ):
+            method = getattr(TranslationEngine, name)
 
-    def test_nontrivial_policy_takes_contended_batched_path(self):
-        """Quota enforcement no longer forces the per-transaction
-        reference loop: the batched kernel covers it (and is
-        locked to the reference bit for bit by the parity suite)."""
+            def spy(engine, *args, _name=name, _method=method, **kwargs):
+                calls[_name] += 1
+                return _method(engine, *args, **kwargs)
+
+            monkeypatch.setattr(TranslationEngine, name, spy)
+        return calls
+
+    def test_trivial_policy_keeps_batched_fast_path(self, monkeypatch):
+        calls = self.engine_paths(monkeypatch)
+        sim = MultiTenantSimulator([tiny_workload()], neummu_config())
+        assert sim.shared.mmu.share_policy.trivial
+        sim.run()
+        assert calls["_run_burst_kernel"] > 0
+        assert set(calls) == {"_run_burst_kernel"}
+
+    def test_nontrivial_policy_takes_contended_batched_path(
+        self, monkeypatch
+    ):
+        """Quota enforcement does not force the per-transaction
+        reference loop: the batched kernel covers it (and is locked to
+        the reference bit for bit by the parity suite)."""
+        calls = self.engine_paths(monkeypatch)
         sim = MultiTenantSimulator(
             [tiny_workload()], neummu_config(), qos="static_partition"
         )
-        assert sim.shared.engine._batchable()
         assert not sim.shared.mmu.share_policy.trivial
+        sim.run()
+        assert calls["_run_burst_kernel"] > 0
+        assert set(calls) == {"_run_burst_kernel"}

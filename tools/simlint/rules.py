@@ -498,7 +498,7 @@ def check_epoch_raw_write(ctx: FileContext) -> Iterator[Triple]:
 # --------------------------------------------------------------------------
 
 #: The only methods allowed to touch ``cal_*`` bucket columns: the
-#: planners materialize a bucket (``plan_stretch`` for the FIFO runner's
+#: planners materialize a bucket (``plan_stretch`` for the FIFO path's
 #: regimes, ``plan_streak`` for the PRMB kernel's merge streak), the
 #: matching drains retire it, construction and reset-style helpers empty
 #: it.  Anything else retiring entries out of band would bypass the
